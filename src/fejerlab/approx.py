@@ -25,7 +25,9 @@ from .circle import (
     convolve_direct,
     fejer_mean,
     fourier_window,
+    kernel_blocks,
     synthesize,
+    trig_sum,
 )
 from .operators import (
     assemble_operator,
@@ -64,16 +66,8 @@ class PolyCoeffs:
         return self.coeffs.size - 1
 
     def __call__(self, theta):
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.exp(1j * np.outer(t, np.arange(self.coeffs.size))) @ self.coeffs
+        out = trig_sum(theta, np.arange(self.coeffs.size), self.coeffs, 1)
         return out if np.ndim(theta) else complex(out[0])
-
-    def padded(self, degree: int) -> "PolyCoeffs":
-        if degree < self.degree:
-            raise ValueError("cannot pad to a lower degree")
-        out = np.zeros(degree + 1, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs
-        return PolyCoeffs(coeffs=out)
 
 
 @dataclass(frozen=True)
@@ -319,11 +313,9 @@ def _stage_errors(grid, w, parts, orders):
     wv = w(grid.nodes)
     errors = []
     for n in orders:
-        conv = np.zeros(grid.node_count)
-        for j, m in zip(idx, fq):
-            conv += np.asarray(
-                KernelSpec.fejer(n)(grid.nodes - grid.nodes[j])
-            ) * m
+        conv = np.empty(grid.node_count)
+        for rows, block in kernel_blocks(KernelSpec.fejer(n), grid.nodes, grid.nodes[idx]):
+            conv[rows] = block @ fq
         errors.append(float(np.sum(np.abs(conv - f_full) * wv * grid.quad_weights)))
     return errors
 

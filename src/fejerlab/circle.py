@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+KERNEL_BLOCK = 8_000_000  # kernel samples per block in kernel_blocks
+TRIG_BLOCK = 2_000_000  # complex phases per block in trig_sum
 
 __all__ = [
     "CircleGrid",
@@ -38,6 +40,8 @@ __all__ = [
     "poisson_kernel_eval",
     "fejer_mean",
     "synthesize",
+    "trig_sum",
+    "kernel_blocks",
     "convolve_direct",
     "poisson_extend",
 ]
@@ -73,10 +77,6 @@ class CircleGrid:
     quad_weights: np.ndarray
     M: int
     points_per_interval: int
-
-    @property
-    def breakpoints(self):
-        return self.edges
 
     @property
     def node_count(self) -> int:
@@ -338,8 +338,8 @@ def fourier_coeff(f, k: int) -> complex:
             raise AliasingError(
                 f"|k|={abs(k)} beyond safe window {limit} for {f.grid.node_count} nodes"
             )
-        phases = np.exp(-1j * k * f.grid.nodes)
-        return complex(np.sum(f.samples * phases * f.grid.quad_weights))
+        fq = f.samples * f.grid.quad_weights
+        return complex(trig_sum(np.array([k]), f.grid.nodes, fq, -1)[0])
     raise TypeError(f"unsupported representation {type(f).__name__}")
 
 
@@ -355,8 +355,8 @@ def fourier_window(f, window: int) -> FourierCoefficients:
                 f"window {window} beyond safe window {limit} "
                 f"for {f.grid.node_count} nodes"
             )
-        phases = np.exp(-1j * np.outer(ks, f.grid.nodes))
-        coeffs = phases @ (f.samples * f.grid.quad_weights)
+        fq = f.samples * f.grid.quad_weights
+        coeffs = trig_sum(ks, f.grid.nodes, fq, -1)
     else:
         raise TypeError(f"unsupported representation {type(f).__name__}")
     return FourierCoefficients(window=window, coeffs=coeffs)
@@ -445,16 +445,49 @@ def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:
     return FourierCoefficients(window=f.window, coeffs=f.coeffs * damp)
 
 
+def trig_sum(a, b, x, sign: int):
+    """Dense trigonometric sum sum_j x_j e^{sign i a_i b_j} for every a_i.
+
+    The phase matrix is built TRIG_BLOCK entries at a time, over blocks of
+    rows, so memory stays bounded however long `a` is.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    a = np.ravel(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    out = np.empty(a.size, dtype=complex)
+    step = max(1, TRIG_BLOCK // max(1, b.size))
+    for start in range(0, a.size, step):
+        rows = slice(start, start + step)
+        out[rows] = np.exp(sign * 1j * np.outer(a[rows], b)) @ x
+    return out
+
+
 def synthesize(f: FourierCoefficients, theta):
     """Evaluate sum_k c(k) e^{ik theta} at the given angles."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros(t.shape, dtype=complex)
-    block = max(1, 2_000_000 // max(1, 2 * f.window + 1))
-    ks = f.ks
-    for start in range(0, t.size, block):
-        sl = slice(start, start + block)
-        out[sl] = np.exp(1j * np.outer(t[sl], ks)) @ f.coeffs
+    out = trig_sum(theta, f.ks, f.coeffs, 1)
     return out if np.ndim(theta) else complex(out[0])
+
+
+def kernel_blocks(kernel, targets, sources):
+    """Kernel samples K(targets[rows] - sources), one block of rows at a time.
+
+    Yields (rows, block) with `rows` a slice of `targets` and `block` of
+    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each.  This
+    is the only place an N x N kernel is sampled.  Pass negated angle
+    vectors to get the transposed rows K(sources - targets[rows]).
+
+    Raises ValueError when the kernel produces a non-finite sample.
+    """
+    targets = np.asarray(targets, dtype=float)
+    sources = np.asarray(sources, dtype=float)
+    step = max(1, KERNEL_BLOCK // max(1, sources.size))
+    for start in range(0, targets.size, step):
+        rows = slice(start, start + step)
+        block = np.asarray(kernel(targets[rows, None] - sources[None, :]))
+        if not np.all(np.isfinite(block)):
+            raise ValueError("kernel produced non-finite samples")
+        yield rows, block
 
 
 def convolve_direct(f: SampledFunction, kernel: KernelSpec) -> SampledFunction:
@@ -466,14 +499,8 @@ def convolve_direct(f: SampledFunction, kernel: KernelSpec) -> SampledFunction:
     nodes = f.grid.nodes
     fq = f.samples * f.grid.quad_weights
     out = np.empty(nodes.size, dtype=fq.dtype)
-    block = max(1, 8_000_000 // max(1, nodes.size))
-    for start in range(0, nodes.size, block):
-        sl = slice(start, start + block)
-        diff = nodes[sl, None] - nodes[None, :]
-        vals = kernel(diff)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel produced non-finite samples")
-        out[sl] = vals @ fq
+    for rows, block in kernel_blocks(kernel, nodes, nodes):
+        out[rows] = block @ fq
     return SampledFunction(grid=f.grid, samples=out)
 
 

@@ -56,13 +56,6 @@ class ContractViolation(Exception):
         self.name = name
 
 
-def _int_list(text: str):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-
-
 def _check(ok: bool, name: str, detail: str):
     print(f"[{PASS if ok else FAIL}] {name}: {detail}")
     if not ok:
@@ -183,7 +176,7 @@ def cmd_fejer_converge(args) -> list:
     errors = fejer_error_curve(arc, None, args.orders, grid=grid)
     rows = list(zip(args.orders, errors))
     if args.out:
-        csvio.curve_to_csv(args.orders, errors, args.out)
+        csvio.write_rows(args.out, ["n", "error"], rows)
     for n, e in rows:
         print(f"n={n} unweighted L1 error={e:.6f}")
     _check(
@@ -326,11 +319,39 @@ def cmd_taylor_fourier(args) -> list:
 # option plumbing
 
 
-def _float_list(text: str):
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+def _number(convert, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False):
+    """argparse type: one `convert` value inside the interval from lo to hi,
+    each end closed unless marked open.  NaN is never inside."""
+    if hi == math.inf:
+        interval = f"{'>' if open_lo else '>='} {lo}"
+    else:
+        interval = f"in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a valid {convert.__name__}: {text!r}"
+            ) from exc
+        if not ((x > lo if open_lo else x >= lo) and (x < hi if open_hi else x <= hi)):
+            raise argparse.ArgumentTypeError(f"{text.strip()} is not {interval}")
+        return x
+
+    return parse
+
+
+def _list_of(convert, lo=-math.inf, hi=math.inf, **ends):
+    """argparse type: a non-empty comma-separated list of `_number` values."""
+    item = _number(convert, lo, hi, **ends)
+
+    def parse(text: str):
+        values = [item(x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -338,50 +359,62 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--grid-M", type=int, default=8, help="weight truncation order")
-        p.add_argument("--ppi", type=int, default=8, help="points per weight interval")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--grid-M", type=_number(int, 1), default=8, help="weight truncation order"
+        )
+        p.add_argument(
+            "--ppi", type=_number(int, 2), default=8, help="points per weight interval"
+        )
+        p.add_argument("--seed", type=_number(int, 0), default=0)
         p.add_argument("--out", type=str, default=None, help="CSV output path")
         p.add_argument("--config", type=str, default=None, help="key=value option file")
 
     p = sub.add_parser("duality", help="norm equality on the associate pair")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-order", type=int, default=64)
+    p.add_argument("--trials", type=_number(int, 0), default=100)
+    p.add_argument("--max-order", type=_number(int, 0), default=64)
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("blowup", help="unbounded operator norms along the spikes")
     common(p)
-    p.add_argument("--m", type=_int_list, default=[1, 4, 9, 16, 25])
-    p.add_argument("--oversample", type=int, default=8)
+    p.add_argument("--m", type=_list_of(int, 1), default=[1, 4, 9, 16, 25])
+    p.add_argument("--oversample", type=_number(int, 1), default=8)
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("fejer-converge", help="unweighted L1 convergence of Fejér means")
     common(p)
-    p.add_argument("--orders", type=_int_list, default=[16, 64, 256, 1024])
-    p.add_argument("--arc-length", type=float, default=math.pi / 2)
+    p.add_argument("--orders", type=_list_of(int, 0), default=[16, 64, 256, 1024])
+    p.add_argument(
+        "--arc-length",
+        type=_number(float, 0.0, math.pi, open_lo=True),
+        default=math.pi / 2,
+    )
     p.set_defaults(func=cmd_fejer_converge)
 
     p = sub.add_parser("witness", help="gliding-hump divergence witness")
     common(p)
-    p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--target", type=float, default=1.0)
+    p.add_argument("--stages", type=_number(int, 1), default=3)
+    p.add_argument("--target", type=_number(float, 0.0, open_lo=True), default=1.0)
     p.set_defaults(func=cmd_witness, grid_M=64)
 
     p = sub.add_parser("density", help="weighted-L1 polynomial approximation curve")
     common(p)
     p.add_argument("--function", choices=sorted(_DENSITY_FUNCTIONS), default="invquarter")
-    p.add_argument("--degrees", type=_int_list, default=[4, 8, 16, 32, 64])
+    p.add_argument("--degrees", type=_list_of(int, 0), default=[4, 8, 16, 32, 64])
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("maximal", help="maximal operator ratio on the weights")
     common(p)
-    p.add_argument("--orders", type=_int_list, default=[4, 16, 64])
+    p.add_argument("--orders", type=_list_of(int, 1), default=[4, 16, 64])
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("taylor-fourier", help="extension coefficients match boundary ones")
     common(p)
-    p.add_argument("--radii", type=_float_list, default=[0.5, 0.9])
+    p.add_argument(
+        "--radii",
+        type=_list_of(float, 0.0, 1.0, open_lo=True, open_hi=True),
+        default=[0.5, 0.9],
+    )
     p.set_defaults(func=cmd_taylor_fourier)
 
     return parser

@@ -1,4 +1,4 @@
-"""CSV serialization of the package's value types.
+"""CSV output of the experiment tables.
 
 One format everywhere: RFC-4180-style rows, a header line, UTF-8, '.' as the
 decimal separator.  Floats are written with repr (shortest round-trip), so a
@@ -33,35 +33,3 @@ def write_rows(path, header, rows) -> Path:
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
     return path
-
-
-def sampled_to_csv(f, path) -> Path:
-    """Columns: angle, real, imag."""
-    samples = np.asarray(f.samples, dtype=complex)
-    rows = zip(f.grid.nodes, samples.real, samples.imag)
-    return write_rows(path, ["angle", "real", "imag"], rows)
-
-
-def coeffs_to_csv(f, path) -> Path:
-    """Columns: index, real, imag."""
-    rows = zip(f.ks, f.coeffs.real, f.coeffs.imag)
-    return write_rows(path, ["index", "real", "imag"], rows)
-
-
-def piecewise_to_csv(pc, path) -> Path:
-    """Columns: start, end, value (real part; imag column when complex)."""
-    vals = np.asarray(pc.values)
-    if np.iscomplexobj(vals):
-        rows = zip(pc.edges[:-1], pc.edges[1:], vals.real, vals.imag)
-        return write_rows(path, ["start", "end", "real", "imag"], rows)
-    rows = zip(pc.edges[:-1], pc.edges[1:], vals)
-    return write_rows(path, ["start", "end", "value"], rows)
-
-
-def curve_to_csv(xs, errors, path, x_name="n") -> Path:
-    return write_rows(path, [x_name, "error"], zip(xs, errors))
-
-
-def maximal_profile_to_csv(profile, path) -> Path:
-    """Columns: angle, value."""
-    return write_rows(path, ["angle", "value"], zip(profile.grid.nodes, profile.values))

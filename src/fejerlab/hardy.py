@@ -1,5 +1,6 @@
-"""Hardy-class membership tests on coefficient windows, the disk extension,
-and the coefficient mechanics of products of Hardy functions.
+"""Hardy-class membership tests on coefficient windows, the Taylor-equals-
+Fourier check of the disk extension, and the coefficient mechanics of
+products of Hardy functions.
 
 Everything here is band-limited: a function is Hardy-class when its negative
 Fourier coefficients vanish (up to a tolerance), its disk extension is the
@@ -14,13 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import FourierCoefficients, fejer_mean, poisson_extend
+from .circle import FourierCoefficients, poisson_extend, trig_sum
 
 __all__ = [
     "HardyReport",
-    "DiskExtension",
     "is_hardy",
-    "disk_extension",
     "taylor_fourier_check",
     "coefficient_product",
     "ProductReport",
@@ -55,41 +54,6 @@ def is_hardy(f: FourierCoefficients, tol: float) -> HardyReport:
     )
 
 
-@dataclass(frozen=True)
-class DiskExtension:
-    """Power-series data of the analytic extension of a Hardy-class window.
-
-    For Hardy-class sources the Taylor coefficients equal the nonnegative
-    Fourier coefficients of the boundary function; `taylor_fourier_check`
-    verifies that identity through the harmonic extension instead of
-    assuming it.
-    """
-
-    source: FourierCoefficients
-    radius: float
-    taylor: np.ndarray
-
-    def __call__(self, theta):
-        zpow = self.radius ** np.arange(self.taylor.size)
-        damped = self.taylor * zpow
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.exp(1j * np.outer(t, np.arange(self.taylor.size))) @ damped
-        return out if np.ndim(theta) else complex(out[0])
-
-
-def disk_extension(f: FourierCoefficients, r: float, tol: float = 1e-10) -> DiskExtension:
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must be in [0, 1), got {r}")
-    report = is_hardy(f, tol)
-    if not report:
-        raise ValueError(
-            f"not Hardy-class at tol={tol}: worst violation {report.max_violation:.3e}"
-        )
-    return DiskExtension(
-        source=f, radius=r, taylor=f.coeffs[f.window:].copy()
-    )
-
-
 def taylor_fourier_check(
     f: FourierCoefficients, r: float, *, tol: float = 1e-10, samples: int | None = None
 ) -> float:
@@ -111,7 +75,7 @@ def taylor_fourier_check(
     thetas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)
     boundary = poisson_extend(f, r, thetas)
     ks = np.arange(0, f.window + 1)
-    measured = np.exp(-1j * np.outer(ks, thetas)) @ boundary / n_samples
+    measured = trig_sum(ks, thetas, boundary, -1) / n_samples
     predicted = f.coeffs[f.window:] * r**ks
     return float(np.max(np.abs(measured - predicted)))
 
@@ -165,17 +129,3 @@ def product_hardy_check(
         zero_coeff_mismatch=float(mismatch),
         product=prod,
     )
-
-
-def fejer_mean_preserves_hardy(
-    f: FourierCoefficients, n: int, tol: float = 1e-12
-) -> bool:
-    """Fejér means of Hardy-class windows are analytic polynomials."""
-    if not is_hardy(f, tol):
-        return False
-    mean = fejer_mean(f, n)
-    if not is_hardy(mean, tol):
-        return False
-    ks = mean.ks
-    outside = np.abs(mean.coeffs[np.abs(ks) > n])
-    return bool(outside.size == 0 or np.max(outside) <= tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, PiecewiseConstant, SampledFunction, make_grid
+from .circle import CircleGrid, PiecewiseConstant, SampledFunction, _frozen, make_grid
 from .spaces import make_weight
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
 class MaximalProfile:
     grid: CircleGrid
     values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _frozen(self.values))
 
     @property
     def sup(self) -> float:

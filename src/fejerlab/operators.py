@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
+    KERNEL_BLOCK,
     CircleGrid,
     KernelSpec,
     PiecewiseConstant,
+    _frozen,
     fejer_kernel_eval,
+    kernel_blocks,
     make_grid,
 )
-from .spaces import SpaceTag, Weight, gap_interval, norm, spike_interval
+from .spaces import SpaceTag, Weight, gap_interval, spike_interval
 
 __all__ = [
     "OperatorMatrix",
@@ -49,8 +52,6 @@ __all__ = [
     "grid_for_kernels",
 ]
 
-_MATERIALIZE_LIMIT = 3000  # full N x N matrix only below this node count
-
 
 class NoQualifyingN(RuntimeError):
     """No kernel order up to the search bound satisfies the 1/3 mass condition."""
@@ -64,8 +65,9 @@ class GridTooCoarse(RuntimeError):
 class OperatorMatrix:
     """Kernel samples K(theta_i - theta_j) together with the grid quadrature.
 
-    `entries` is materialized only for moderate grids; either way `weighted_sums`
-    produces the column/row sums the norm formulas need, streaming over blocks.
+    `entries` holds the matrix when it fits in one kernel block (N^2 <=
+    KERNEL_BLOCK); otherwise it is None and every product streams the kernel
+    through `kernel_blocks`.
     """
 
     grid: CircleGrid
@@ -91,32 +93,21 @@ class OperatorMatrix:
         return self._stream(c, absolute=True, transpose=(axis == 0))
 
     def _stream(self, vec, absolute=False, transpose=False):
-        nodes = self.grid.nodes
+        # negated nodes give the transposed rows K(theta_j - theta_i)
+        nodes = -self.grid.nodes if transpose else self.grid.nodes
         out = np.empty(nodes.size, dtype=np.result_type(vec, float))
-        block = max(1, 8_000_000 // max(1, nodes.size))
-        for start in range(0, nodes.size, block):
-            sl = slice(start, start + block)
-            if transpose:
-                diff = nodes[None, :] - nodes[sl, None]  # K_{j, sl} rows
-            else:
-                diff = nodes[sl, None] - nodes[None, :]
-            vals = self.kernel(diff)
-            if absolute:
-                vals = np.abs(vals)
-            out[sl] = vals @ vec
+        for rows, block in kernel_blocks(self.kernel, nodes, nodes):
+            out[rows] = (np.abs(block) if absolute else block) @ vec
         return out
 
 
 def assemble_operator(kernel: KernelSpec, grid: CircleGrid) -> OperatorMatrix:
-    """Sample the kernel at all node differences (materialized when small)."""
-    if grid.node_count <= _MATERIALIZE_LIMIT:
-        diff = grid.nodes[:, None] - grid.nodes[None, :]
-        entries = np.asarray(kernel(diff), dtype=float)
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("kernel produced non-finite samples")
-        entries.setflags(write=False)
-        return OperatorMatrix(grid=grid, kernel=kernel, entries=entries)
-    return OperatorMatrix(grid=grid, kernel=kernel, entries=None)
+    """Sample the kernel at all node differences when they fit in one block."""
+    if grid.node_count**2 > KERNEL_BLOCK:
+        return OperatorMatrix(grid=grid, kernel=kernel, entries=None)
+    [(_, entries)] = kernel_blocks(kernel, grid.nodes, grid.nodes)
+    entries.setflags(write=False)
+    return OperatorMatrix(grid=grid, kernel=kernel, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,9 @@ class NormResult:
     value: float
     extremal: np.ndarray  # node samples of an input attaining the norm
     arg_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "extremal", _frozen(self.extremal))
 
     def __float__(self):
         return self.value
@@ -154,13 +148,9 @@ def operator_norm(A: OperatorMatrix, w: Weight | None, tag: SpaceTag) -> NormRes
         rowsums = A.weighted_sums(wv * q, axis=1)
         ratios = rowsums / wv
         i = int(np.argmax(ratios))
-        if A.entries is not None:
-            signs = np.sign(A.entries[i])
-            signs[signs == 0] = 1.0
-        else:
-            vals = A.kernel(nodes[i] - nodes)
-            signs = np.sign(vals)
-            signs[signs == 0] = 1.0
+        [(_, row)] = kernel_blocks(A.kernel, nodes[i : i + 1], nodes)
+        signs = np.sign(row[0])
+        signs[signs == 0] = 1.0
         return NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
 
     raise ValueError(f"unknown space tag {tag!r}")
@@ -399,9 +389,15 @@ def fejer_blowup(
             raise GridTooCoarse(f"no grid nodes in certification window for m={m}")
 
         # convolution restricted to the bump support
-        diffs = grid.nodes[window, None] - grid.nodes[None, support]
-        conv = fejer_kernel_eval(p.n_of_m, diffs) @ (bump_vals[support] * q[support])
-        pointwise_min = float(np.min(conv))
+        bump_q = bump_vals[support] * q[support]
+        pointwise_min = min(
+            float(np.min(block @ bump_q))
+            for _, block in kernel_blocks(
+                lambda d: fejer_kernel_eval(p.n_of_m, d),
+                grid.nodes[window],
+                grid.nodes[support],
+            )
+        )
 
         A = assemble_operator(KernelSpec.fejer(p.n_of_m), grid)
         n_linf = operator_norm(A, w, SpaceTag.WEIGHTED_LINF).value

@@ -20,6 +20,7 @@ from fejerlab.circle import (
     poisson_extend,
     poisson_kernel_eval,
     synthesize,
+    trig_sum,
     wrap_angle,
 )
 from fejerlab.operators import fejer_kernel_mass
@@ -147,6 +148,17 @@ def test_fourier_window_matches_scalar_calls():
     window = fourier_window(pc, 6)
     for k in range(-6, 7):
         assert abs(window[k] - fourier_coeff(pc, k)) <= 1e-15
+
+
+def test_trig_sum_over_several_blocks_matches_direct_formula():
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-PI, PI, size=5000)
+    b = np.arange(-500, 501)  # 1001 columns: about 2,000 rows per block
+    x = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
+    for sign in (1, -1):
+        out = trig_sum(a, b, x, sign)
+        direct = [np.sum(x * np.exp(sign * 1j * ai * b)) for ai in a]
+        assert np.max(np.abs(out - direct)) <= 1e-10 * np.sum(np.abs(x))
 
 
 def test_conjugate_symmetry_detection():

@@ -1,3 +1,5 @@
+import pytest
+
 from fejerlab.cli import main
 
 
@@ -10,6 +12,32 @@ def test_invalid_flag_value_is_config_error(capsys):
     assert main(["duality", "--trials", "banana"]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal", "--ppi", "1"],
+        ["blowup", "--m", "0"],
+        ["fejer-converge", "--orders", ","],
+        ["witness", "--stages", "0"],
+        ["witness", "--target", "nan"],
+        ["taylor-fourier", "--radii", "1.5"],
+        ["duality", "--max-order", "-2", "--grid-M", "1"],
+        ["density", "--degrees", "-1", "--grid-M", "2"],
+        ["duality", "--grid-M", "0"],
+        ["duality", "--trials", "-1"],
+        ["duality", "--seed", "-1"],
+        ["blowup", "--oversample", "0"],
+        ["fejer-converge", "--arc-length", "4"],
+        ["taylor-fourier", "--radii", "nan"],
+    ],
+)
+def test_out_of_range_argument_is_config_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_is_config_error(capsys):
@@ -76,38 +104,19 @@ def test_density_t3_small(capsys):
     assert out.count("[PASS]") == 3
 
 
-def test_csv_writers_roundtrip(tmp_path):
+def test_write_rows_format(tmp_path):
     import numpy as np
 
-    from fejerlab import csvio
-    from fejerlab.circle import (
-        FourierCoefficients,
-        PiecewiseConstant,
-        SampledFunction,
-        make_grid,
+    from fejerlab.csvio import write_rows
+
+    rows = [
+        (np.int64(3), 0.1, 1.5 - 2j, ""),
+        (4, np.float64(1 / 3), np.complex128(-0.5 + 0.25j), "a"),
+    ]
+    path = write_rows(tmp_path / "sub" / "t.csv", ["n", "x", "z", "s"], rows)
+    assert path.read_bytes() == (
+        b"n,x,z,s\r\n3,0.1,1.5-2.0j,\r\n4,0.3333333333333333,-0.5+0.25j,a\r\n"
     )
-
-    grid = make_grid(1, 2)
-    f = SampledFunction(grid=grid, samples=np.exp(1j * grid.nodes))
-    p1 = csvio.sampled_to_csv(f, tmp_path / "s.csv")
-    assert p1.read_text().splitlines()[0] == "angle,real,imag"
-    assert len(p1.read_text().splitlines()) == grid.node_count + 1
-
-    coeffs = FourierCoefficients.from_dict(2, {1: 1.0 + 2.0j})
-    p2 = csvio.coeffs_to_csv(coeffs, tmp_path / "c.csv")
-    assert p2.read_text().splitlines()[0] == "index,real,imag"
-
-    pc = PiecewiseConstant.indicator(0.0, 1.0, 2.5)
-    p3 = csvio.piecewise_to_csv(pc, tmp_path / "p.csv")
-    lines = p3.read_text().splitlines()
-    assert lines[0] == "start,end,value"
-    assert len(lines) == pc.values.size + 1
-
-    from fejerlab.maximal import maximal_function
-
-    prof = maximal_function(SampledFunction(grid=grid, samples=np.abs(f.samples)))
-    p4 = csvio.maximal_profile_to_csv(prof, tmp_path / "mp.csv")
-    assert p4.read_text().splitlines()[0] == "angle,value"
 
 
 def test_witness_subcommand_writes_sidecar(tmp_path):

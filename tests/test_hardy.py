@@ -6,14 +6,13 @@ import pytest
 from fejerlab.circle import (
     FourierCoefficients,
     SampledFunction,
+    fejer_mean,
     fourier_window,
     make_grid,
     poisson_extend,
 )
 from fejerlab.hardy import (
     coefficient_product,
-    disk_extension,
-    fejer_mean_preserves_hardy,
     is_hardy,
     product_hardy_check,
     taylor_fourier_check,
@@ -67,19 +66,6 @@ def test_is_hardy_rejects_bad_tolerance():
 
 
 # ------------------------------------------------------------ disk extension
-
-
-def test_disk_extension_taylor_equals_nonnegative_coeffs():
-    rng = np.random.default_rng(0)
-    f = _random_analytic_poly(rng, 6)
-    ext = disk_extension(f, 0.5)
-    assert np.array_equal(ext.taylor, f.coeffs[6:])
-
-
-def test_disk_extension_rejects_non_hardy():
-    f = FourierCoefficients.from_dict(2, {-2: 1.0, 1: 1.0})
-    with pytest.raises(ValueError):
-        disk_extension(f, 0.5)
 
 
 def test_taylor_fourier_polynomial_sum():
@@ -173,8 +159,11 @@ def test_coefficient_product_support():
 
 
 def test_fejer_mean_keeps_hardy_class_and_band_limits():
+    # Fejér means of Hardy functions are analytic polynomials of degree <= n
     rng = np.random.default_rng(4)
     for _ in range(10):
         f = _random_analytic_poly(rng, 12)
         for n in (0, 3, 12):
-            assert fejer_mean_preserves_hardy(f, n)
+            mean = fejer_mean(f, n)
+            assert is_hardy(mean, 1e-12)
+            assert np.all(mean.coeffs[np.abs(mean.ks) > n] == 0.0)

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fejerlab.circle import (
+    KERNEL_BLOCK,
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
@@ -13,6 +15,7 @@ from fejerlab.circle import (
 from fejerlab.operators import (
     GridTooCoarse,
     NoQualifyingN,
+    OperatorMatrix,
     assemble_operator,
     duality_gap,
     fejer_blowup,
@@ -26,6 +29,14 @@ from fejerlab.spaces import SpaceTag, make_weight, norm
 
 PI = math.pi
 L1, LINF = SpaceTag.WEIGHTED_L1, SpaceTag.WEIGHTED_LINF
+
+
+@pytest.fixture(scope="module")
+def grid_past_one_block():
+    """A grid whose operator spans several kernel blocks (N^2 > KERNEL_BLOCK)."""
+    grid = make_grid(4, 8, max_cell=2 * PI / 2500)  # N = 2,940: two blocks
+    assert grid.node_count**2 > KERNEL_BLOCK
+    return grid
 
 
 # ----------------------------------------------------------------- assembly
@@ -54,25 +65,51 @@ def test_fejer_matrix_symmetric_on_symmetric_grid(grid_m4):
     assert asym <= 1e-12 * np.max(A.entries)
 
 
-def test_assemble_rejects_nonfinite_kernel(grid_m1):
-    bad = PiecewiseConstant(
-        edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf])
+def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_one_block):
+    bad = KernelSpec.custom(
+        PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf]))
     )
     with pytest.raises(ValueError):
-        assemble_operator(KernelSpec.custom(bad), grid_m1)
+        assemble_operator(bad, grid_m1)
+    # a streamed operator samples the kernel on use
+    A = assemble_operator(bad, grid_past_one_block)
+    for use in (
+        lambda: A.apply(np.ones(grid_past_one_block.node_count)),
+        lambda: A.weighted_sums(grid_past_one_block.quad_weights, 0),
+        lambda: operator_norm(A, None, LINF),
+    ):
+        with pytest.raises(ValueError):
+            use()
 
 
-def test_streamed_matches_materialized(grid_m4):
-    from fejerlab.operators import OperatorMatrix
-
-    kernel = KernelSpec.fejer(7)
-    A = assemble_operator(kernel, grid_m4)
-    S = OperatorMatrix(grid=grid_m4, kernel=kernel, entries=None)
-    wq = make_weight(4)(grid_m4.nodes) * grid_m4.quad_weights
-    for axis in (0, 1):
-        a = A.weighted_sums(wq, axis)
-        s = S.weighted_sums(wq, axis)
-        assert np.max(np.abs(a - s)) <= 1e-13
+def test_streamed_matches_materialized(grid_m4, grid_past_one_block):
+    # one block (materialized) and several blocks (streamed) against a
+    # forced-streaming operator and a dense matrix built here; the step
+    # kernel is signed and not even, so a transposed or unsigned row shows
+    step = KernelSpec.custom(
+        PiecewiseConstant(
+            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+        )
+    )
+    w = make_weight(4)
+    rng = np.random.default_rng(5)
+    for kernel, grid in itertools.product(
+        (KernelSpec.fejer(7), step), (grid_m4, grid_past_one_block)
+    ):
+        dense = kernel(grid.nodes[:, None] - grid.nodes[None, :])
+        A = assemble_operator(kernel, grid)
+        assert (A.entries is None) == (grid is grid_past_one_block)
+        S = OperatorMatrix(grid=grid, kernel=kernel, entries=None)
+        wv = w(grid.nodes)
+        wq = wv * grid.quad_weights
+        f = rng.normal(size=grid.node_count)
+        for op in (A, S):
+            assert np.max(np.abs(op.apply(f) - dense @ (f * grid.quad_weights))) <= 1e-13
+            for axis, ref in ((0, np.abs(dense).T @ wq), (1, np.abs(dense) @ wq)):
+                assert np.max(np.abs(op.weighted_sums(wq, axis) - ref)) <= 1e-13
+            res = operator_norm(op, w, LINF)
+            signs = np.where(dense[res.arg_index] < 0, -1.0, 1.0)
+            assert np.array_equal(res.extremal, wv * signs)
 
 
 # ------------------------------------------------------------ operator_norm

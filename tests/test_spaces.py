@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fejerlab.circle import PiecewiseConstant, SampledFunction, make_grid
-from fejerlab.operators import make_bump
+from fejerlab.circle import KernelSpec, PiecewiseConstant, SampledFunction, make_grid
+from fejerlab.maximal import maximal_function
+from fejerlab.operators import assemble_operator, make_bump, operator_norm
 from fejerlab.spaces import (
     SpaceTag,
     holder_pairing,
@@ -250,3 +251,9 @@ def test_value_arrays_are_frozen(weight_m4, grid_m4):
         weight_m4.profile.values[0] = 7.0
     with pytest.raises(ValueError):
         grid_m4.nodes[0] = 0.0
+    A = assemble_operator(KernelSpec.fejer(3), grid_m4)
+    for tag in SpaceTag:
+        with pytest.raises(ValueError):
+            operator_norm(A, weight_m4, tag).extremal[0] = 0.0
+    with pytest.raises(ValueError):
+        maximal_function(weight_m4.profile, grid_m4).values[0] = 0.0
