@@ -369,7 +369,7 @@ def gliding_hump_witness(
                 continue
             if n not in norm_cache:
                 A = assemble_operator(KernelSpec.fejer(n), grid)
-                norm_cache[n] = operator_norm(A, w, SpaceTag.WEIGHTED_L1)
+                norm_cache[n] = operator_norm(A, w)[SpaceTag.WEIGHTED_L1]
             res = norm_cache[n]
             j = res.arg_index
             amp = coeffs[k] / (wv[j] * grid.quad_weights[j])

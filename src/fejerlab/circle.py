@@ -473,9 +473,9 @@ def kernel_blocks(kernel, targets, sources):
     """Kernel samples K(targets[rows] - sources), one block of rows at a time.
 
     Yields (rows, block) with `rows` a slice of `targets` and `block` of
-    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each.  This
-    is the only place an N x N kernel is sampled.  Pass negated angle
-    vectors to get the transposed rows K(sources - targets[rows]).
+    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each.  Each
+    block is a fresh array that the caller owns and may overwrite.  This is
+    the only place an N x N kernel is sampled.
 
     Raises ValueError when the kernel produces a non-finite sample.
     """

@@ -95,9 +95,9 @@ def cmd_duality(args) -> list:
     def run(kernel, label, M, report_norms):
         nonlocal worst
         grid, w = setup(M)
-        A = assemble_operator(kernel, grid)
-        n1 = operator_norm(A, w, SpaceTag.WEIGHTED_L1).value
-        ninf = operator_norm(A, w, SpaceTag.WEIGHTED_LINF).value
+        norms = operator_norm(assemble_operator(kernel, grid), w)
+        n1 = norms[SpaceTag.WEIGHTED_L1].value
+        ninf = norms[SpaceTag.WEIGHTED_LINF].value
         gap = abs(n1 - ninf)
         rel = gap / max(n1, ninf)
         worst = max(worst, rel)
@@ -232,15 +232,17 @@ def cmd_density(args) -> list:
     grid = grid_for_kernels(args.grid_M, args.ppi, max(args.degrees))
     w = make_weight(args.grid_M)
     f = SampledFunction.from_callable(fn, grid)
-    results = density_curve(f, w, args.degrees)
+    # density_curve fits the degrees in ascending order
+    degrees = sorted(args.degrees)
+    results = density_curve(f, w, degrees)
     errors = [r.error for r in results]
     rows = [
         (d, r.error, r.fejer_error if r.fejer_error is not None else "")
-        for d, r in zip(args.degrees, results)
+        for d, r in zip(degrees, results)
     ]
     if args.out:
         csvio.write_rows(args.out, ["degree", "error", "fejer_error"], rows)
-    for d, r in zip(args.degrees, results):
+    for d, r in zip(degrees, results):
         print(f"degree={d} error={r.error:.3e} fejer_error={r.fejer_error:.3e}")
     _check(
         all(b <= a + 1e-12 for a, b in zip(errors, errors[1:])),

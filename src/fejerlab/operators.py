@@ -13,6 +13,10 @@ vectors coincide up to summation order and the two norms agree to rounding.
 That is the discrete counterpart of the norm equality between a space and
 its associate, and it is an identity of the model, not a grid-convergence
 statement.
+
+An operator never stores its matrix.  Each norm computation samples the
+kernel once, block by block, and takes the row sums and the column sums
+from the same pass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
-    KERNEL_BLOCK,
     CircleGrid,
     KernelSpec,
     PiecewiseConstant,
@@ -63,51 +66,37 @@ class GridTooCoarse(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Kernel samples K(theta_i - theta_j) together with the grid quadrature.
+    """The operator with kernel K(theta_i - theta_j) on a grid's quadrature.
 
-    `entries` holds the matrix when it fits in one kernel block (N^2 <=
-    KERNEL_BLOCK); otherwise it is None and every product streams the kernel
-    through `kernel_blocks`.
+    The matrix is never stored: `weighted_sums` samples the kernel through
+    `kernel_blocks`, block by block, on every call.
     """
 
     grid: CircleGrid
     kernel: KernelSpec
-    entries: np.ndarray | None
+    # not a field: the benchmark tracer's `operators.assemble` counter reads it
+    entries = None
 
-    @property
-    def quad(self):
-        return self.grid.quad_weights
+    def weighted_sums(self, weights: np.ndarray):
+        """Row sums sum_j |K_ij| c_j and column sums sum_i |K_ij| c_i.
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Matrix action sum_j K_ij f_j q_j (equals convolve_direct)."""
-        fq = np.asarray(samples) * self.quad
-        if self.entries is not None:
-            return self.entries @ fq
-        return self._stream(fq)
-
-    def weighted_sums(self, weights: np.ndarray, axis: int) -> np.ndarray:
-        """axis=1: row sums sum_j |K_ij| c_j.  axis=0: column sums sum_i |K_ij| c_i."""
+        Both come from one pass over the kernel, as two contractions of each
+        block, so they stay independent computations of the two norms.
+        """
         c = np.asarray(weights, dtype=float)
-        if self.entries is not None:
-            return np.abs(self.entries).T @ c if axis == 0 else np.abs(self.entries) @ c
-        return self._stream(c, absolute=True, transpose=(axis == 0))
-
-    def _stream(self, vec, absolute=False, transpose=False):
-        # negated nodes give the transposed rows K(theta_j - theta_i)
-        nodes = -self.grid.nodes if transpose else self.grid.nodes
-        out = np.empty(nodes.size, dtype=np.result_type(vec, float))
+        nodes = self.grid.nodes
+        rowsums = np.empty(nodes.size)
+        colsums = np.zeros(nodes.size)
         for rows, block in kernel_blocks(self.kernel, nodes, nodes):
-            out[rows] = (np.abs(block) if absolute else block) @ vec
-        return out
+            np.abs(block, out=block)
+            rowsums[rows] = block @ c
+            colsums += c[rows] @ block
+        return rowsums, colsums
 
 
 def assemble_operator(kernel: KernelSpec, grid: CircleGrid) -> OperatorMatrix:
-    """Sample the kernel at all node differences when they fit in one block."""
-    if grid.node_count**2 > KERNEL_BLOCK:
-        return OperatorMatrix(grid=grid, kernel=kernel, entries=None)
-    [(_, entries)] = kernel_blocks(kernel, grid.nodes, grid.nodes)
-    entries.setflags(write=False)
-    return OperatorMatrix(grid=grid, kernel=kernel, entries=entries)
+    """The operator of `kernel` on `grid`; the kernel is sampled on use."""
+    return OperatorMatrix(grid=grid, kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -123,37 +112,34 @@ class NormResult:
         return self.value
 
 
-def operator_norm(A: OperatorMatrix, w: Weight | None, tag: SpaceTag) -> NormResult:
-    """Exact norm of the discrete operator on the tagged weighted space.
+def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormResult]:
+    """Exact norms of the discrete operator on both weighted spaces.
 
-    Also returns an extremal input: a scaled single-node indicator for the
-    weighted-L1 norm, and the pattern f_j = w_j sign(K_{i*,j}) for the
-    weighted-Linf norm.  Applying the operator to the extremal input attains
-    the returned value exactly (up to rounding), which is how the norm is
-    certified in the tests.
+    Returns {WEIGHTED_L1: ..., WEIGHTED_LINF: ...} from one pass over the
+    kernel.  Each result carries an extremal input: a scaled single-node
+    indicator for the weighted-L1 norm, and the pattern f_j = w_j
+    sign(K_{i*,j}) for the weighted-Linf norm.  Applying the operator to the
+    extremal input attains the returned value exactly (up to rounding),
+    which is how the norm is certified in the tests.
     """
     nodes = A.grid.nodes
     q = A.grid.quad_weights
     wv = np.ones(nodes.size) if w is None else w(nodes)
+    rowsums, colsums = A.weighted_sums(wv * q)
 
-    if tag is SpaceTag.WEIGHTED_L1:
-        colsums = A.weighted_sums(wv * q, axis=0)
-        ratios = colsums / wv
-        j = int(np.argmax(ratios))
-        extremal = np.zeros(nodes.size)
-        extremal[j] = 1.0 / (wv[j] * q[j])
-        return NormResult(value=float(ratios[j]), extremal=extremal, arg_index=j)
+    ratios = colsums / wv
+    j = int(np.argmax(ratios))
+    extremal = np.zeros(nodes.size)
+    extremal[j] = 1.0 / (wv[j] * q[j])
+    l1 = NormResult(value=float(ratios[j]), extremal=extremal, arg_index=j)
 
-    if tag is SpaceTag.WEIGHTED_LINF:
-        rowsums = A.weighted_sums(wv * q, axis=1)
-        ratios = rowsums / wv
-        i = int(np.argmax(ratios))
-        [(_, row)] = kernel_blocks(A.kernel, nodes[i : i + 1], nodes)
-        signs = np.sign(row[0])
-        signs[signs == 0] = 1.0
-        return NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
-
-    raise ValueError(f"unknown space tag {tag!r}")
+    ratios = rowsums / wv
+    i = int(np.argmax(ratios))
+    [(_, row)] = kernel_blocks(A.kernel, nodes[i : i + 1], nodes)
+    signs = np.sign(row[0])
+    signs[signs == 0] = 1.0
+    linf = NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
+    return {SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf}
 
 
 def _kernel_is_even_nonnegative(kernel: KernelSpec, probes: int = 4096):
@@ -181,10 +167,8 @@ def duality_gap(kernel: KernelSpec, w: Weight, grid: CircleGrid) -> float:
         raise ValueError("duality gap requires a nonnegative even kernel")
     if not grid.is_symmetric():
         raise ValueError("duality gap requires a grid symmetric under negation")
-    A = assemble_operator(kernel, grid)
-    n1 = operator_norm(A, w, SpaceTag.WEIGHTED_L1).value
-    ninf = operator_norm(A, w, SpaceTag.WEIGHTED_LINF).value
-    return abs(n1 - ninf)
+    norms = operator_norm(assemble_operator(kernel, grid), w)
+    return abs(norms[SpaceTag.WEIGHTED_L1].value - norms[SpaceTag.WEIGHTED_LINF].value)
 
 
 @dataclass(frozen=True)
@@ -399,9 +383,7 @@ def fejer_blowup(
             )
         )
 
-        A = assemble_operator(KernelSpec.fejer(p.n_of_m), grid)
-        n_linf = operator_norm(A, w, SpaceTag.WEIGHTED_LINF).value
-        n_l1 = operator_norm(A, w, SpaceTag.WEIGHTED_L1).value
+        norms = operator_norm(assemble_operator(KernelSpec.fejer(p.n_of_m), grid), w)
         rows.append(
             BlowupRow(
                 m=m,
@@ -409,8 +391,8 @@ def fejer_blowup(
                 delta_n=p.delta_n,
                 bound=bound,
                 pointwise_min=pointwise_min,
-                norm_linfw=n_linf,
-                norm_l1w=n_l1,
+                norm_linfw=norms[SpaceTag.WEIGHTED_LINF].value,
+                norm_l1w=norms[SpaceTag.WEIGHTED_L1].value,
             )
         )
     return rows

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fejerlab.circle import (
+    KERNEL_BLOCK,
     AliasingError,
     FourierCoefficients,
     KernelSpec,
@@ -297,14 +298,24 @@ def test_convolve_step_matches_spectral_path_at_second_order():
     assert order >= 1.5, (e1, e2, order)
 
 
-def test_operator_action_equals_convolution(grid_m1):
-    from fejerlab.operators import assemble_operator
-
+def test_convolve_direct_matches_dense_product(grid_m1):
+    # one kernel block, and several blocks (N^2 > KERNEL_BLOCK); the step
+    # kernel is signed and not even, so transposed rows show
+    step = KernelSpec.custom(
+        PiecewiseConstant(
+            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+        )
+    )
+    many_blocks = make_grid(4, 8, max_cell=2 * PI / 2500)
+    assert grid_m1.node_count**2 <= KERNEL_BLOCK < many_blocks.node_count**2
     rng = np.random.default_rng(3)
-    f = SampledFunction(grid=grid_m1, samples=rng.normal(size=grid_m1.node_count))
-    A = assemble_operator(KernelSpec.fejer(5), grid_m1)
-    direct = convolve_direct(f, KernelSpec.fejer(5))
-    assert np.max(np.abs(A.apply(f.samples) - direct.samples)) <= 1e-14
+    for kernel in (KernelSpec.fejer(5), step):
+        for grid in (grid_m1, many_blocks):
+            f = SampledFunction(grid=grid, samples=rng.normal(size=grid.node_count))
+            dense = kernel(grid.nodes[:, None] - grid.nodes[None, :])
+            direct = convolve_direct(f, kernel)
+            expected = dense @ (f.samples * grid.quad_weights)
+            assert np.max(np.abs(direct.samples - expected)) <= 1e-13
 
 
 # ------------------------------------------------------------ poisson_extend

@@ -104,6 +104,16 @@ def test_density_t3_small(capsys):
     assert out.count("[PASS]") == 3
 
 
+def test_density_rows_labelled_with_sorted_degrees(tmp_path):
+    # the fits run in ascending degree, so the argument order must not matter
+    csv = {}
+    for degrees in ("5,3", "3,5"):
+        csv[degrees] = tmp_path / f"density-{degrees}.csv"
+        argv = ["density", "--function", "t3", "--degrees", degrees, "--grid-M", "2"]
+        assert main(argv + ["--out", str(csv[degrees])]) == 0
+    assert csv["5,3"].read_bytes() == csv["3,5"].read_bytes()
+
+
 def test_write_rows_format(tmp_path):
     import numpy as np
 

@@ -15,7 +15,6 @@ from fejerlab.circle import (
 from fejerlab.operators import (
     GridTooCoarse,
     NoQualifyingN,
-    OperatorMatrix,
     assemble_operator,
     duality_gap,
     fejer_blowup,
@@ -43,73 +42,78 @@ def grid_past_one_block():
 
 
 def test_constant_kernel_maps_to_mean(grid_m1):
-    A = assemble_operator(KernelSpec.fejer(0), grid_m1)
-    assert np.all(A.entries == 1.0)
+    kernel = KernelSpec.fejer(0)
+    A = assemble_operator(kernel, grid_m1)
     rng = np.random.default_rng(0)
     f = rng.normal(size=grid_m1.node_count)
     mean = np.sum(f * grid_m1.quad_weights)
-    assert np.max(np.abs(A.apply(f) - mean)) <= 1e-14
+    # |K| = K = 1, so both weighted sums of f q are the mean of f
+    for sums in A.weighted_sums(f * grid_m1.quad_weights):
+        assert np.max(np.abs(sums - mean)) <= 1e-14
+    conv = convolve_direct(SampledFunction(grid=grid_m1, samples=f), kernel)
+    assert np.max(np.abs(conv.samples - mean)) <= 1e-14
 
 
 def test_fejer_row_sums_close_to_one():
     n = 16
     grid = grid_for_kernels(2, 8, n, oversample=64)
     A = assemble_operator(KernelSpec.fejer(n), grid)
-    rowsums = A.entries @ grid.quad_weights
+    rowsums, colsums = A.weighted_sums(grid.quad_weights)
     assert np.max(np.abs(rowsums - 1.0)) <= 1e-4
+    assert np.max(np.abs(colsums - 1.0)) <= 1e-4
 
 
 def test_fejer_matrix_symmetric_on_symmetric_grid(grid_m4):
+    # a symmetric |K| has equal row and column sums against any weights
     A = assemble_operator(KernelSpec.fejer(9), grid_m4)
-    asym = np.max(np.abs(A.entries - A.entries.T))
-    assert asym <= 1e-12 * np.max(A.entries)
+    c = np.random.default_rng(2).uniform(0.1, 1.0, size=grid_m4.node_count)
+    rowsums, colsums = A.weighted_sums(c)
+    assert np.max(np.abs(rowsums - colsums)) <= 1e-12 * np.max(rowsums)
 
 
 def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_one_block):
     bad = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf]))
     )
-    with pytest.raises(ValueError):
-        assemble_operator(bad, grid_m1)
-    # a streamed operator samples the kernel on use
-    A = assemble_operator(bad, grid_past_one_block)
-    for use in (
-        lambda: A.apply(np.ones(grid_past_one_block.node_count)),
-        lambda: A.weighted_sums(grid_past_one_block.quad_weights, 0),
-        lambda: operator_norm(A, None, LINF),
-    ):
-        with pytest.raises(ValueError):
-            use()
+    # assembling samples nothing; the kernel is checked on first use
+    for grid in (grid_m1, grid_past_one_block):
+        A = assemble_operator(bad, grid)
+        f = SampledFunction(grid=grid, samples=np.ones(grid.node_count))
+        for use in (
+            lambda: A.weighted_sums(grid.quad_weights),
+            lambda: operator_norm(A, None),
+            lambda: convolve_direct(f, bad),
+        ):
+            with pytest.raises(ValueError):
+                use()
 
 
-def test_streamed_matches_materialized(grid_m4, grid_past_one_block):
-    # one block (materialized) and several blocks (streamed) against a
-    # forced-streaming operator and a dense matrix built here; the step
-    # kernel is signed and not even, so a transposed or unsigned row shows
+def test_weighted_sums_match_dense_matrix(grid_m4, grid_past_one_block):
+    # one block and several blocks against a dense matrix built here; the
+    # step kernel is signed and not even, so a transposed, unsigned or
+    # duplicated sum vector shows
     step = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
         )
     )
     w = make_weight(4)
-    rng = np.random.default_rng(5)
     for kernel, grid in itertools.product(
         (KernelSpec.fejer(7), step), (grid_m4, grid_past_one_block)
     ):
-        dense = kernel(grid.nodes[:, None] - grid.nodes[None, :])
+        dense = np.abs(kernel(grid.nodes[:, None] - grid.nodes[None, :]))
         A = assemble_operator(kernel, grid)
-        assert (A.entries is None) == (grid is grid_past_one_block)
-        S = OperatorMatrix(grid=grid, kernel=kernel, entries=None)
         wv = w(grid.nodes)
         wq = wv * grid.quad_weights
-        f = rng.normal(size=grid.node_count)
-        for op in (A, S):
-            assert np.max(np.abs(op.apply(f) - dense @ (f * grid.quad_weights))) <= 1e-13
-            for axis, ref in ((0, np.abs(dense).T @ wq), (1, np.abs(dense) @ wq)):
-                assert np.max(np.abs(op.weighted_sums(wq, axis) - ref)) <= 1e-13
-            res = operator_norm(op, w, LINF)
-            signs = np.where(dense[res.arg_index] < 0, -1.0, 1.0)
-            assert np.array_equal(res.extremal, wv * signs)
+        rowsums, colsums = A.weighted_sums(wq)
+        assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
+        assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
+        norms = operator_norm(A, w)
+        for tag, sums in ((L1, dense.T @ wq), (LINF, dense @ wq)):
+            assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
+        i = norms[LINF].arg_index
+        signs = np.where(kernel(grid.nodes[i] - grid.nodes) < 0, -1.0, 1.0)
+        assert np.array_equal(norms[LINF].extremal, wv * signs)
 
 
 # ------------------------------------------------------------ operator_norm
@@ -117,7 +121,7 @@ def test_streamed_matches_materialized(grid_m4, grid_past_one_block):
 
 def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
     A = assemble_operator(KernelSpec.fejer(0), grid_m4)
-    res = operator_norm(A, weight_m4, L1)
+    res = operator_norm(A, weight_m4)[L1]
     wq = weight_m4(grid_m4.nodes) * grid_m4.quad_weights
     assert abs(res.value - np.sum(wq)) <= 1e-13
     # maximizing column sits where the weight equals 1
@@ -128,26 +132,27 @@ def test_unweighted_fejer_norm_close_to_one():
     n = 12
     grid = grid_for_kernels(1, 8, n, oversample=64)
     A = assemble_operator(KernelSpec.fejer(n), grid)
-    for tag in (L1, LINF):
-        value = operator_norm(A, None, tag).value
-        assert abs(value - 1.0) <= 1e-4, tag
+    for tag, res in operator_norm(A, None).items():
+        assert abs(res.value - 1.0) <= 1e-4, tag
 
 
 @pytest.mark.parametrize("tag", [L1, LINF])
 def test_norm_dominates_random_probes_and_extremal_attains(tag, weight_m4, grid_m4):
-    A = assemble_operator(KernelSpec.fejer(6), grid_m4)
-    res = operator_norm(A, weight_m4, tag)
+    kernel = KernelSpec.fejer(6)
+    res = operator_norm(assemble_operator(kernel, grid_m4), weight_m4)[tag]
+    nodes, q = grid_m4.nodes, grid_m4.quad_weights
+    dense = kernel(nodes[:, None] - nodes[None, :])  # built once for the probes
     rng = np.random.default_rng(1)
     for _ in range(1000):
         f = rng.normal(size=grid_m4.node_count)
         fn = norm(SampledFunction(grid=grid_m4, samples=f), weight_m4, tag)
         if fn == 0:
             continue
-        an = norm(SampledFunction(grid=grid_m4, samples=A.apply(f)), weight_m4, tag)
+        an = norm(SampledFunction(grid=grid_m4, samples=dense @ (f * q)), weight_m4, tag)
         assert an <= res.value * fn * (1 + 1e-12)
-    ext = res.extremal
-    fn = norm(SampledFunction(grid=grid_m4, samples=ext), weight_m4, tag)
-    an = norm(SampledFunction(grid=grid_m4, samples=A.apply(ext)), weight_m4, tag)
+    ext = SampledFunction(grid=grid_m4, samples=res.extremal)
+    fn = norm(ext, weight_m4, tag)
+    an = norm(convolve_direct(ext, kernel), weight_m4, tag)
     assert abs(an / fn - res.value) <= 1e-12 * res.value
 
 
@@ -159,7 +164,7 @@ def test_duality_gap_fejer_sweep(weight_m4):
     for n in (0, 1, 3, 8, 21, 64):
         gap = duality_gap(KernelSpec.fejer(n), weight_m4, grid)
         A = assemble_operator(KernelSpec.fejer(n), grid)
-        scale = operator_norm(A, weight_m4, L1).value
+        scale = operator_norm(A, weight_m4)[L1].value
         assert gap <= 1e-10 * scale, n
 
 
@@ -184,7 +189,7 @@ def test_duality_gap_random_step_kernels_property():
         kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
         gap = duality_gap(kernel, w, grid)
         A = assemble_operator(kernel, grid)
-        scale = max(operator_norm(A, w, L1).value, 1e-30)
+        scale = max(operator_norm(A, w)[L1].value, 1e-30)
         assert gap <= 1e-10 * scale, trial
 
 
@@ -329,7 +334,7 @@ def test_blowup_bound_persists_for_larger_sampled_orders():
     for n in (p.n_of_m, p.n_of_m + 1, 2 * p.n_of_m, 4 * p.n_of_m):
         grid = grid_for_kernels(m, 8, n)
         A = assemble_operator(KernelSpec.fejer(n), grid)
-        assert operator_norm(A, w, LINF).value >= bound, n
+        assert operator_norm(A, w)[LINF].value >= bound, n
 
 
 def test_custom_sampled_kernel_roundtrip(grid_m4):

@@ -252,8 +252,8 @@ def test_value_arrays_are_frozen(weight_m4, grid_m4):
     with pytest.raises(ValueError):
         grid_m4.nodes[0] = 0.0
     A = assemble_operator(KernelSpec.fejer(3), grid_m4)
-    for tag in SpaceTag:
+    for res in operator_norm(A, weight_m4).values():
         with pytest.raises(ValueError):
-            operator_norm(A, weight_m4, tag).extremal[0] = 0.0
+            res.extremal[0] = 0.0
     with pytest.raises(ValueError):
         maximal_function(weight_m4.profile, grid_m4).values[0] = 0.0
