@@ -13,7 +13,6 @@ from .circle import (
     convolve_direct,
     fejer_kernel_eval,
     fejer_mean,
-    fourier_coeff,
     fourier_window,
     make_grid,
     poisson_extend,

@@ -70,14 +70,16 @@ class PolyCoeffs:
         return out if np.ndim(theta) else complex(out[0])
 
 
+SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
+
+
 @dataclass(frozen=True)
 class IrlsConfig:
     max_iters: int = 200
-    smoothing: float = 1e-8
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.smoothing <= 0 or self.tol <= 0:
+        if self.max_iters <= 0 or self.tol <= 0:
             raise ValueError("all IRLS parameters must be positive")
 
 
@@ -105,14 +107,14 @@ def _irls(A, y, c, start, cfg: IrlsConfig):
     """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start."""
     alpha = start
     r = y - A @ alpha
-    trace = [_smoothed_objective(r, c, cfg.smoothing)]
+    trace = [_smoothed_objective(r, c, SMOOTHING)]
     converged = False
     for _ in range(cfg.max_iters):
-        u = c / np.maximum(np.abs(r), cfg.smoothing)
+        u = c / np.maximum(np.abs(r), SMOOTHING)
         su = np.sqrt(u)
         alpha_new, *_ = np.linalg.lstsq(A * su[:, None], y * su, rcond=None)
         r_new = y - A @ alpha_new
-        obj_new = _smoothed_objective(r_new, c, cfg.smoothing)
+        obj_new = _smoothed_objective(r_new, c, SMOOTHING)
         if obj_new > trace[-1] * (1.0 + 1e-12) + 1e-300:
             break  # MM guarantees nonincrease; stop if rounding says otherwise
         alpha, r = alpha_new, r_new
@@ -192,12 +194,7 @@ def best_poly_l1w(
     )
 
 
-def density_curve(
-    f: SampledFunction,
-    w: Weight | None,
-    degrees,
-    cfg: IrlsConfig = IrlsConfig(),
-) -> list[FitResult]:
+def density_curve(f: SampledFunction, w: Weight | None, degrees) -> list[FitResult]:
     """Best-approximation errors along increasing degrees.
 
     Each fit is warm-started with the previous polynomial, so the reported
@@ -208,7 +205,7 @@ def density_curve(
     prev = None
     for d in degrees:
         warm = (prev,) if prev is not None else ()
-        res = best_poly_l1w(f, w, d, cfg, warm_starts=warm)
+        res = best_poly_l1w(f, w, d, warm_starts=warm)
         results.append(res)
         prev = res.poly
     return results
@@ -256,7 +253,7 @@ class WitnessReport:
     subsequence of orders.
 
     The function is a weighted sum of unit-norm extremal inputs of the
-    convolution operators: sum_k c_k g_k with c_k = 2^{-k} by default.  The
+    convolution operators: sum_k c_k g_k with c_k = 2^{-k}.  The
     reported stage errors are recomputed from scratch on the assembled
     function, not accumulated from intermediate estimates.
     """
@@ -291,7 +288,7 @@ def _default_order_ladder(M: int, max_order: int):
     ladder = set()
     m = 2
     while m * m <= M:
-        n = localization_params(m * m, 4 * (2 * m * m) ** 2 + 64).n_of_m
+        n = localization_params(m * m).n_of_m
         for mult in (1, 2):
             if mult * n <= max_order:
                 ladder.add(mult * n)
@@ -325,9 +322,6 @@ def gliding_hump_witness(
     stages: int,
     growth_target: float = 1.0,
     *,
-    grid: CircleGrid | None = None,
-    coefficients=None,
-    candidate_orders=None,
     points_per_interval: int = 8,
     max_order: int = 600,
 ) -> WitnessReport:
@@ -342,20 +336,9 @@ def gliding_hump_witness(
     """
     if stages < 1:
         raise ValueError("need at least one stage")
-    coeffs = (
-        tuple(float(c) for c in coefficients)
-        if coefficients is not None
-        else tuple(2.0 ** -(k + 1) for k in range(stages))
-    )
-    if len(coeffs) != stages:
-        raise ValueError("one coefficient per stage required")
-    ladder = (
-        sorted(int(n) for n in candidate_orders)
-        if candidate_orders is not None
-        else _default_order_ladder(w.M, max_order)
-    )
-    if grid is None:
-        grid = grid_for_kernels(w.M, points_per_interval, max(ladder))
+    coeffs = tuple(2.0 ** -(k + 1) for k in range(stages))
+    ladder = _default_order_ladder(w.M, max_order)
+    grid = grid_for_kernels(w.M, points_per_interval, max(ladder))
 
     wv = w(grid.nodes)
     orders: list[int] = []
@@ -377,7 +360,7 @@ def gliding_hump_witness(
             errs = _stage_errors(grid, w, trial_parts, orders + [n])
             if all(e >= growth_target for e in errs):
                 orders.append(n)
-                parts = trial_parts
+                parts, stage_errors = trial_parts, errs
                 accepted = True
                 break
         if not accepted:
@@ -391,13 +374,12 @@ def gliding_hump_witness(
     for j, amp in parts:
         samples[j] += amp
     combined = SampledFunction(grid=grid, samples=samples)
-    final_errors = _stage_errors(grid, w, parts, orders)
     return WitnessReport(
         grid=grid,
         orders=tuple(orders),
         coefficients=coeffs,
         bump_locations=tuple(float(grid.nodes[j]) for j, _ in parts),
-        stage_errors=tuple(final_errors),
+        stage_errors=tuple(stage_errors),
         growth_target=growth_target,
         combined=combined,
     )

@@ -34,7 +34,6 @@ __all__ = [
     "AliasingError",
     "wrap_angle",
     "make_grid",
-    "fourier_coeff",
     "fourier_window",
     "fejer_kernel_eval",
     "poisson_kernel_eval",
@@ -82,18 +81,13 @@ class CircleGrid:
     def node_count(self) -> int:
         return self.nodes.size
 
-    def is_symmetric(self, tol: float = 1e-15) -> bool:
-        """True if the node set and weights are invariant under theta -> -theta."""
+    def is_symmetric(self) -> bool:
+        """True if the node set and weights are invariant under theta -> -theta
+        (to 1e-15)."""
         return (
-            np.max(np.abs(self.nodes + self.nodes[::-1])) <= tol
-            and np.max(np.abs(self.quad_weights - self.quad_weights[::-1])) <= tol
+            np.max(np.abs(self.nodes + self.nodes[::-1])) <= 1e-15
+            and np.max(np.abs(self.quad_weights - self.quad_weights[::-1])) <= 1e-15
         )
-
-    def cell_index(self, theta):
-        """Index of the cell containing each angle (left-closed cells)."""
-        t = wrap_angle(theta)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        return np.clip(idx, 0, self.node_count - 1)
 
 
 def _subdivide(a: float, b: float, pieces: int, edge_levels: int) -> np.ndarray:
@@ -293,10 +287,11 @@ class FourierCoefficients:
     def ks(self):
         return np.arange(-self.window, self.window + 1)
 
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        """Whether c(-k) = conj(c(k)), i.e. the represented function is real."""
+    def is_conjugate_symmetric(self) -> bool:
+        """Whether c(-k) = conj(c(k)) to 1e-12, i.e. the represented function
+        is real."""
         return bool(
-            np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) <= tol
+            np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) <= 1e-12
         )
 
     @staticmethod
@@ -323,28 +318,14 @@ def _pc_fourier_coeff(f: PiecewiseConstant, k):
     return out
 
 
-def fourier_coeff(f, k: int) -> complex:
-    """k-th Fourier coefficient c(k) = integral of f(theta) e^{-ik theta} dm.
+def fourier_window(f, window: int) -> FourierCoefficients:
+    """All coefficients c(k) = integral of f(theta) e^{-ik theta} dm with
+    |k| <= window, as one vectorized pass.
 
     Step functions use the exact closed form; sampled functions use midpoint
-    quadrature and refuse indices beyond node_count/4, where the midpoint
+    quadrature and refuse windows beyond node_count/4, where the midpoint
     sums are no longer trustworthy (aliasing).
     """
-    if isinstance(f, PiecewiseConstant):
-        return complex(_pc_fourier_coeff(f, np.array([k]))[0])
-    if isinstance(f, SampledFunction):
-        limit = f.grid.node_count // 4
-        if abs(k) > limit:
-            raise AliasingError(
-                f"|k|={abs(k)} beyond safe window {limit} for {f.grid.node_count} nodes"
-            )
-        fq = f.samples * f.grid.quad_weights
-        return complex(trig_sum(np.array([k]), f.grid.nodes, fq, -1)[0])
-    raise TypeError(f"unsupported representation {type(f).__name__}")
-
-
-def fourier_window(f, window: int) -> FourierCoefficients:
-    """All coefficients with |k| <= window, as one vectorized pass."""
     ks = np.arange(-window, window + 1)
     if isinstance(f, PiecewiseConstant):
         coeffs = _pc_fourier_coeff(f, ks)
@@ -393,12 +374,12 @@ def poisson_kernel_eval(r: float, theta):
 @dataclass(frozen=True)
 class KernelSpec:
     """Convolution kernel: Fejér of order n, Poisson at radius r, or a custom
-    step/sampled profile evaluated with wrap-around."""
+    step profile evaluated with wrap-around."""
 
     kind: str
     n: int | None = None
     r: float | None = None
-    profile: object | None = field(default=None, repr=False)
+    profile: PiecewiseConstant | None = field(default=None, repr=False)
 
     @staticmethod
     def fejer(n: int) -> "KernelSpec":
@@ -413,9 +394,9 @@ class KernelSpec:
         return KernelSpec(kind="poisson", r=float(r))
 
     @staticmethod
-    def custom(profile) -> "KernelSpec":
-        if not isinstance(profile, (PiecewiseConstant, SampledFunction)):
-            raise TypeError("custom kernels take a PiecewiseConstant or SampledFunction")
+    def custom(profile: PiecewiseConstant) -> "KernelSpec":
+        if not isinstance(profile, PiecewiseConstant):
+            raise TypeError("custom kernels take a PiecewiseConstant")
         return KernelSpec(kind="custom", profile=profile)
 
     def __call__(self, theta):
@@ -423,11 +404,7 @@ class KernelSpec:
             return fejer_kernel_eval(self.n, theta)
         if self.kind == "poisson":
             return poisson_kernel_eval(self.r, theta)
-        if isinstance(self.profile, PiecewiseConstant):
-            return self.profile(theta)
-        # sampled profile: nearest-cell lookup on its own grid
-        grid = self.profile.grid
-        return self.profile.samples[grid.cell_index(theta)]
+        return self.profile(theta)
 
 
 def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:

@@ -2,10 +2,13 @@
 
 Exit codes: 0 when every in-run contract holds, 2 when a contract is
 violated (the violated invariant is named on stderr), 1 on configuration
-errors.  A fixed --seed makes the CSV output byte-identical across re-runs.
+errors.  Only `duality` and `taylor-fourier` draw random inputs, so only
+they read --seed; with a fixed seed every CSV output is byte-identical
+across re-runs.
 
-Options may also come from a config file of `key = value` lines via
---config; explicit flags win on conflict.
+A subcommand accepts only the flags it reads; any other flag is a
+configuration error.  Options may also come from a config file of
+`key = value` lines via --config; explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _check(ok: bool, name: str, detail: str):
 # subcommands
 
 
-def _random_even_nonneg_step_kernel(rng, grid_M: int) -> KernelSpec:
+def _random_even_nonneg_step_kernel(rng) -> KernelSpec:
     """Random symmetric nonnegative step kernel on mirrored breakpoints."""
     npos = int(rng.integers(2, 6))
     pos = np.sort(rng.uniform(0.05, math.pi - 0.05, size=npos))
@@ -111,7 +114,7 @@ def cmd_duality(args) -> list:
         run(KernelSpec.poisson(r), f"poisson:{r}", 1 + int(100 * r) % args.grid_M, True)
     for t in range(args.trials):
         M = int(rng.integers(1, args.grid_M + 1))
-        kernel = _random_even_nonneg_step_kernel(rng, M)
+        kernel = _random_even_nonneg_step_kernel(rng)
         # step kernels are reported gap-only: pointwise sampling of their jumps
         # is first-order in the mesh, so their norms are not refinement-stable
         run(kernel, f"step:{t}", M, False)
@@ -356,35 +359,38 @@ def _list_of(convert, lo=-math.inf, hi=math.inf, **ends):
     return parse
 
 
+# the flags several subcommands read; each subcommand adds the ones it reads
+_SHARED = {
+    "--grid-M": dict(type=_number(int, 1), default=8, help="weight truncation order"),
+    "--ppi": dict(type=_number(int, 2), default=8, help="points per weight interval"),
+    "--seed": dict(type=_number(int, 0), default=0),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fejerlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--grid-M", type=_number(int, 1), default=8, help="weight truncation order"
-        )
-        p.add_argument(
-            "--ppi", type=_number(int, 2), default=8, help="points per weight interval"
-        )
-        p.add_argument("--seed", type=_number(int, 0), default=0)
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED[flag])
         p.add_argument("--out", type=str, default=None, help="CSV output path")
         p.add_argument("--config", type=str, default=None, help="key=value option file")
 
     p = sub.add_parser("duality", help="norm equality on the associate pair")
-    common(p)
+    common(p, "--grid-M", "--ppi", "--seed")
     p.add_argument("--trials", type=_number(int, 0), default=100)
     p.add_argument("--max-order", type=_number(int, 0), default=64)
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("blowup", help="unbounded operator norms along the spikes")
-    common(p)
+    common(p, "--grid-M", "--ppi")
     p.add_argument("--m", type=_list_of(int, 1), default=[1, 4, 9, 16, 25])
     p.add_argument("--oversample", type=_number(int, 1), default=8)
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("fejer-converge", help="unweighted L1 convergence of Fejér means")
-    common(p)
+    common(p, "--ppi")
     p.add_argument("--orders", type=_list_of(int, 0), default=[16, 64, 256, 1024])
     p.add_argument(
         "--arc-length",
@@ -394,24 +400,24 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fejer_converge)
 
     p = sub.add_parser("witness", help="gliding-hump divergence witness")
-    common(p)
+    common(p, "--grid-M", "--ppi")
     p.add_argument("--stages", type=_number(int, 1), default=3)
     p.add_argument("--target", type=_number(float, 0.0, open_lo=True), default=1.0)
     p.set_defaults(func=cmd_witness, grid_M=64)
 
     p = sub.add_parser("density", help="weighted-L1 polynomial approximation curve")
-    common(p)
+    common(p, "--grid-M", "--ppi")
     p.add_argument("--function", choices=sorted(_DENSITY_FUNCTIONS), default="invquarter")
     p.add_argument("--degrees", type=_list_of(int, 0), default=[4, 8, 16, 32, 64])
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("maximal", help="maximal operator ratio on the weights")
-    common(p)
+    common(p, "--ppi")
     p.add_argument("--orders", type=_list_of(int, 1), default=[4, 16, 64])
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("taylor-fourier", help="extension coefficients match boundary ones")
-    common(p)
+    common(p, "--seed")
     p.add_argument(
         "--radii",
         type=_list_of(float, 0.0, 1.0, open_lo=True, open_hi=True),
@@ -422,15 +428,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(argv):
-    """Inject config-file entries before explicit flags (flags win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config requires a path")
-    path = argv[idx + 1]
-    injected = []
+def _config_flags(path):
+    """The `key = value` lines of a config file as `--key value` arguments."""
+    flags = []
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -440,19 +440,21 @@ def _apply_config(argv):
                 if "=" not in line:
                     raise ConfigError(f"bad config line: {line!r}")
                 key, value = (s.strip() for s in line.split("=", 1))
-                injected += [f"--{key.replace('_', '-')}", value]
+                flags += [f"--{key.replace('_', '-')}", value]
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return argv[:1] + injected + argv[1:]
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv:
-            argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        if args.config:
+            # argv[0] is the subcommand (the top-level parser takes no
+            # options); file entries go before the explicit flags, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

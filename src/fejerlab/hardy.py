@@ -54,24 +54,23 @@ def is_hardy(f: FourierCoefficients, tol: float) -> HardyReport:
     )
 
 
-def taylor_fourier_check(
-    f: FourierCoefficients, r: float, *, tol: float = 1e-10, samples: int | None = None
-) -> float:
+def taylor_fourier_check(f: FourierCoefficients, r: float) -> float:
     """Worst mismatch between measured and predicted extension coefficients.
 
     The harmonic extension at radius r is sampled on a uniform grid, its
     Fourier coefficients are recovered by the discrete transform (exact for
     band-limited data), and each is compared with c(n) r^n for n >= 0.
-    Hardy-class input is required; mismatch <= 1e-12 is typical.
+    Hardy-class input (negative coefficients at most 1e-10) is required;
+    mismatch <= 1e-12 is typical.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must be in (0, 1), got {r}")
-    report = is_hardy(f, tol)
+    report = is_hardy(f, 1e-10)
     if not report:
         raise ValueError(
-            f"not Hardy-class at tol={tol}: worst violation {report.max_violation:.3e}"
+            f"not Hardy-class at tol={report.tol}: worst violation {report.max_violation:.3e}"
         )
-    n_samples = samples or max(256, 8 * (f.window + 1))
+    n_samples = max(256, 8 * (f.window + 1))
     thetas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)
     boundary = poisson_extend(f, r, thetas)
     ks = np.arange(0, f.window + 1)

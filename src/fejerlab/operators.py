@@ -222,19 +222,22 @@ class LocalizationParams:
 
 ONE_THIRD = 1.0 / 3.0
 ONE_FOURTH = 0.25
+DELTA_SUBDIVISION = 4096  # delta is a multiple of epsilon / DELTA_SUBDIVISION
 
 
-def localization_params(
-    m: int, n_max: int, *, delta_subdivision: int = 4096
-) -> LocalizationParams:
+def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
     """Find the smallest qualifying kernel order and its offset for spike m.
 
-    The order search is exhaustive from n = 1 upward using the exact kernel
-    mass; delta is the largest multiple of epsilon/delta_subdivision that
-    keeps at least 1/4 of plain mass in [-epsilon, -delta].
+    The order search is exhaustive from n = 1 up to n_max (by default
+    4 (2m)^2 + 64, since the window [-pi/(2m)^2, 0] shrinks like 1/(2m)^2)
+    using the exact kernel mass; delta is the largest multiple of
+    epsilon/DELTA_SUBDIVISION that keeps at least 1/4 of plain mass in
+    [-epsilon, -delta].
     """
     if m < 1:
         raise ValueError("spike index must be >= 1")
+    if n_max is None:
+        n_max = 4 * (2 * m) ** 2 + 64
     eps = math.pi / (2 * m) ** 2
     n_of_m = None
     for n in range(1, n_max + 1):
@@ -246,8 +249,8 @@ def localization_params(
             f"no order n <= {n_max} puts mass 1/3 on [-pi/(2m)^2, 0] for m={m}"
         )
     delta = None
-    for j in range(delta_subdivision - 1, 0, -1):
-        cand = eps * j / delta_subdivision
+    for j in range(DELTA_SUBDIVISION - 1, 0, -1):
+        cand = eps * j / DELTA_SUBDIVISION
         if fejer_kernel_mass(n_of_m, -eps, -cand) >= ONE_FOURTH:
             delta = cand
             break
@@ -316,7 +319,6 @@ def fejer_blowup(
     *,
     points_per_interval: int = 8,
     oversample: int = 8,
-    n_max: int | None = None,
 ) -> list[BlowupRow]:
     """Lower-bound experiment: unbounded operator norms along the spikes.
 
@@ -334,10 +336,7 @@ def fejer_blowup(
     if w.M < max(m_list):
         raise ValueError(f"weight holds M={w.M} spikes, need >= {max(m_list)}")
 
-    params = {}
-    for m in m_list:
-        bound_n = n_max if n_max is not None else 4 * (2 * m) ** 2 + 64
-        params[m] = localization_params(m, bound_n)
+    params = {m: localization_params(m) for m in m_list}
 
     if grid is None:
         extra = []
@@ -356,7 +355,6 @@ def fejer_blowup(
 
     rows = []
     q = grid.quad_weights
-    wv = w(grid.nodes)
     for m in m_list:
         _check_window_resolution(grid, m)
         p = params[m]

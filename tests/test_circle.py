@@ -15,7 +15,6 @@ from fejerlab.circle import (
     convolve_direct,
     fejer_kernel_eval,
     fejer_mean,
-    fourier_coeff,
     fourier_window,
     make_grid,
     poisson_extend,
@@ -104,21 +103,21 @@ def test_wrap_angle_convention():
     assert abs(wrap_angle(3 * PI / 2) - (-PI / 2)) < 1e-15
 
 
-# ----------------------------------------------------------- fourier_coeff
+# ------------------------------------------------------- Fourier coefficients
 
 
 def test_fourier_coeff_pure_mode_sampled():
     grid = make_grid(1, 8, max_cell=2 * PI / (8 * 17))
     f = SampledFunction(grid=grid, samples=np.exp(3j * grid.nodes))
-    assert abs(fourier_coeff(f, 3) - 1.0) <= 2e-4
+    assert abs(fourier_window(f, 3)[3] - 1.0) <= 2e-4
     for k in (-3, -1, 0, 1, 2, 4):
-        assert abs(fourier_coeff(f, k)) <= 2e-4
+        assert abs(fourier_window(f, abs(k))[k]) <= 2e-4
 
 
 def test_fourier_coeff_arc_indicator_zero_mode():
     a = 1.0
     arc = PiecewiseConstant.indicator(0.0, a)
-    assert abs(fourier_coeff(arc, 0) - a / (2 * PI)) <= 1e-15
+    assert abs(fourier_window(arc, 0)[0] - a / (2 * PI)) <= 1e-15
 
 
 def test_fourier_coeff_arc_closed_form_vs_quadrature():
@@ -130,25 +129,31 @@ def test_fourier_coeff_arc_closed_form_vs_quadrature():
     sampled = SampledFunction(grid=grid, samples=arc(grid.nodes).astype(float))
     for k in range(1, 9):
         exact = (1 - np.exp(-1j * k * a)) / (2j * PI * k)
-        assert abs(fourier_coeff(arc, k) - exact) <= 1e-14
-        quad = fourier_coeff(sampled, k)
+        assert abs(fourier_window(arc, k)[k] - exact) <= 1e-14
+        quad = fourier_window(sampled, k)[k]
         assert abs(quad - exact) / abs(exact) <= 1e-6
 
 
 def test_fourier_coeff_rejects_aliasing_window():
     grid = make_grid(1, 4)
     f = SampledFunction(grid=grid, samples=np.ones(grid.node_count))
+    limit = grid.node_count // 4
+    assert fourier_window(f, limit).window == limit
     with pytest.raises(AliasingError):
-        fourier_coeff(f, grid.node_count)
+        fourier_window(f, limit + 1)
     with pytest.raises(AliasingError):
         fourier_window(f, grid.node_count)
 
 
-def test_fourier_window_matches_scalar_calls():
-    pc = PiecewiseConstant.indicator(-0.5, 2.0, value=1.5)
-    window = fourier_window(pc, 6)
-    for k in range(-6, 7):
-        assert abs(window[k] - fourier_coeff(pc, k)) <= 1e-15
+def test_fourier_window_matches_closed_form():
+    # 1.5 * indicator of [a, b]: c(0) = 1.5 (b - a) / (2 pi) and
+    # c(k) = 1.5 (e^{-ika} - e^{-ikb}) / (2 pi i k)
+    a, b = -0.5, 2.0
+    window = fourier_window(PiecewiseConstant.indicator(a, b, value=1.5), 6)
+    assert abs(window[0] - 1.5 * (b - a) / (2 * PI)) <= 1e-15
+    for k in (*range(-6, 0), *range(1, 7)):
+        exact = 1.5 * (np.exp(-1j * k * a) - np.exp(-1j * k * b)) / (2j * PI * k)
+        assert abs(window[k] - exact) <= 1e-15
 
 
 def test_trig_sum_over_several_blocks_matches_direct_formula():

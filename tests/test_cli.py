@@ -1,6 +1,11 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
-from fejerlab.cli import main
+from fejerlab.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_invalid_subcommand_is_config_error(capsys):
@@ -40,6 +45,47 @@ def test_out_of_range_argument_is_config_error(argv, capsys):
     assert "Traceback" not in err
 
 
+# (subcommand, flag, value): each subcommand accepts only the flags it reads
+UNREAD_FLAGS = [
+    ("blowup", "--seed", "1"),
+    ("fejer-converge", "--seed", "1"),
+    ("witness", "--seed", "1"),
+    ("density", "--seed", "1"),
+    ("maximal", "--seed", "1"),
+    ("fejer-converge", "--grid-M", "2"),
+    ("maximal", "--grid-M", "2"),
+    ("taylor-fourier", "--grid-M", "2"),
+    ("taylor-fourier", "--ppi", "4"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_ignored_flag_is_config_error(command, flag, value, tmp_path, capsys):
+    assert main([command, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    # the same flag from a config file is rejected the same way
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_readme_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [
+        line.split("#", 1)[0] for line in block.splitlines() if line.startswith("fejerlab ")
+    ]
+    assert len(examples) == 7
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 def test_missing_config_file_is_config_error(capsys):
     assert main(["duality", "--config", "/nonexistent/file"]) == 1
 
@@ -62,7 +108,7 @@ def test_fejer_converge_contract_violation_exits_two(capsys):
 def test_blowup_csv_header_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["blowup", "--m", "1,4", "--grid-M", "4", "--seed", "3"]
+    args = ["blowup", "--m", "1,4", "--grid-M", "4"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
@@ -80,10 +126,21 @@ def test_duality_determinism_and_pass(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "spelling",
+    [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+    ids=["separate", "equals", "prefix"],
+)
+def test_config_file_supplies_defaults_and_flags_win(spelling, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("orders = 16,32\narc-length = 1.0\n")
-    code = main(["fejer-converge", "--config", str(cfg), "--orders", "64,1024"])
+    config = [a.format(cfg) for a in spelling]
+    # the file's orders run; they stop short of the final-error contract
+    assert main(["fejer-converge", *config]) == 2
+    outlines = capsys.readouterr().out.splitlines()
+    assert outlines[0].startswith("n=16 ")
+    assert outlines[1].startswith("n=32 ")
+    code = main(["fejer-converge", *config, "--orders", "64,1024"])
     assert code == 0
     outlines = capsys.readouterr().out.splitlines()
     assert outlines[0].startswith("n=64 ")  # flag beat the config file
