@@ -61,10 +61,6 @@ class PolyCoeffs:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
     def __call__(self, theta):
         out = trig_sum(theta, np.arange(self.coeffs.size), self.coeffs, 1)
         return out if np.ndim(theta) else complex(out[0])

@@ -194,18 +194,9 @@ class PiecewiseConstant:
         )
         return self.values[idx]
 
-    def refine(self, new_edges) -> "PiecewiseConstant":
-        """Same function on a finer partition containing `new_edges`."""
-        edges = np.unique(np.concatenate([self.edges, np.asarray(new_edges, float)]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return PiecewiseConstant(edges=edges, values=self(mids))
-
     def integral(self) -> complex | float:
         """Exact integral with respect to dm."""
         return np.sum(self.values * np.diff(self.edges)) / TWO_PI
-
-    def abs(self) -> "PiecewiseConstant":
-        return PiecewiseConstant(edges=self.edges, values=np.abs(self.values))
 
     @staticmethod
     def constant(value) -> "PiecewiseConstant":
@@ -287,13 +278,6 @@ class FourierCoefficients:
     def ks(self):
         return np.arange(-self.window, self.window + 1)
 
-    def is_conjugate_symmetric(self) -> bool:
-        """Whether c(-k) = conj(c(k)) to 1e-12, i.e. the represented function
-        is real."""
-        return bool(
-            np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) <= 1e-12
-        )
-
     @staticmethod
     def from_dict(window: int, entries: dict) -> "FourierCoefficients":
         coeffs = np.zeros(2 * window + 1, dtype=complex)
@@ -304,17 +288,18 @@ class FourierCoefficients:
         return FourierCoefficients(window=window, coeffs=coeffs)
 
 
-def _pc_fourier_coeff(f: PiecewiseConstant, k):
-    k = np.asarray(k)
-    a, b = f.edges[:-1], f.edges[1:]
-    out = np.empty(k.shape, dtype=complex)
-    nz = k != 0
-    if np.any(~nz):
-        out[~nz] = np.sum(f.values * (b - a)) / TWO_PI
-    if np.any(nz):
-        kk = k[nz].reshape(-1, 1)
-        phase = np.exp(-1j * kk * b) - np.exp(-1j * kk * a)
-        out[nz] = np.sum(f.values * phase, axis=1) / (-TWO_PI * 1j * kk[:, 0])
+def _pc_fourier_coeff(f: PiecewiseConstant, ks):
+    """Exact coefficients of a step function at the integer array `ks`.
+
+    Summation by parts turns the cell integrals into one sum over the jumps:
+    c(k) = sum_j (v_j - v_{j-1}) e^{-ik e_j} / (2 pi i k) over the left edges
+    e_j, with v_{-1} the last value, since e^{ik pi} = e^{-ik pi}.
+    """
+    out = np.empty(ks.shape, dtype=complex)
+    nz = ks != 0
+    out[~nz] = f.integral()
+    jumps = f.values - np.roll(f.values, 1)
+    out[nz] = trig_sum(ks[nz], f.edges[:-1], jumps, -1) / (TWO_PI * 1j * ks[nz])
     return out
 
 
@@ -408,7 +393,8 @@ class KernelSpec:
 
 
 def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:
-    """Coefficients of the n-th Fejér mean: c(k) -> c(k) (1 - |k|/(n+1)).
+    """Coefficients of the n-th Fejér mean, c(k) (1 - |k|/(n+1)) for |k| <= n,
+    in a window of n.
 
     The input window must be at least n, otherwise the mean is not
     determined by the available coefficients.
@@ -417,9 +403,9 @@ def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:
         raise ValueError("order must be >= 0")
     if f.window < n:
         raise ValueError(f"window {f.window} too small for Fejér order {n}")
-    ks = f.ks
-    damp = np.where(np.abs(ks) <= n, 1.0 - np.abs(ks) / (n + 1.0), 0.0)
-    return FourierCoefficients(window=f.window, coeffs=f.coeffs * damp)
+    damp = 1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1.0)
+    coeffs = f.coeffs[f.window - n : f.window + n + 1] * damp
+    return FourierCoefficients(window=n, coeffs=coeffs)
 
 
 def trig_sum(a, b, x, sign: int):

@@ -3,11 +3,12 @@
 The supremum over arcs is replaced by a maximum over the finitely many arcs
 whose endpoints are grid cell edges (wrapping across +-pi, proper arcs only).
 For step inputs whose jumps lie on the grid this maximum is exact arc
-arithmetic.  The companion experiment tracks sup (Mw)/w for the truncated
-spiked weights: in the discrete model this ratio is the norm of the maximal
-operator on the weighted-Linf space, and it grows without bound with the
-truncation order, which is why norm convergence of Fejér means fails on the
-weighted-L1 side.
+arithmetic.  The sweep visits each start cell once and takes one suffix
+maximum over the nested arcs that start there, O(N^2) in all.  The
+companion experiment tracks sup (Mw)/w for the truncated spiked weights: in
+the discrete model this ratio is the norm of the maximal operator on the
+weighted-Linf space, and it grows without bound with the truncation order,
+which is why norm convergence of Fejér means fails on the weighted-L1 side.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "MaximalProfile",
     "maximal_function",
     "weight_maximal_ratio",
-    "sliding_max",
 ]
 
 
@@ -35,42 +35,15 @@ class MaximalProfile:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.values))
-
-
-def sliding_max(a: np.ndarray, window: int) -> np.ndarray:
-    """out[i] = max(a[i-window+1 .. i]) with circular wrap, in O(len) time.
-
-    Van Herk / Gil-Werman: block prefix and suffix maxima of block size
-    `window`; each window spans at most two blocks.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.size
-    if not 1 <= window <= n:
-        raise ValueError("window must be in [1, len]")
-    if window == 1:
-        return a.copy()
-    ext = np.concatenate([a[-(window - 1):], a])
-    m = ext.size
-    nblocks = -(-m // window)
-    padded = np.concatenate([ext, np.full(nblocks * window - m, -np.inf)])
-    blocks = padded.reshape(nblocks, window)
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    ends = np.arange(window - 1, m)
-    starts = ends - window + 1
-    return np.maximum(suffix[starts], prefix[ends])
-
 
 def maximal_function(f, grid: CircleGrid | None = None) -> MaximalProfile:
     """Largest arc average of |f| over grid-edge arcs containing each node.
 
     Arcs run over every contiguous block of 1 .. N-1 cells (the full circle
     is excluded as improper).  Since nodes lie strictly inside their cells,
-    an arc contains node i exactly when it contains cell i, so the answer is
-    a windowed maximum of per-length-d arc averages.
+    an arc contains node i exactly when it contains cell i.  The arcs that
+    start at one cell are nested, so the best of them at each covered cell
+    is a suffix maximum of their averages ordered by length.
     """
     if isinstance(f, PiecewiseConstant):
         if grid is None:
@@ -88,13 +61,15 @@ def maximal_function(f, grid: CircleGrid | None = None) -> MaximalProfile:
     cmass = np.concatenate([[0.0], np.cumsum(np.concatenate([mass, mass]))])
     cq = np.concatenate([[0.0], np.cumsum(np.concatenate([q, q]))])
 
-    out = np.full(n, -np.inf)
-    starts = np.arange(n)
-    for d in range(1, n):
-        avg = (cmass[starts + d] - cmass[starts]) / (cq[starts + d] - cq[starts])
-        # node i is covered by arcs starting at s in (i-d, i]
-        out = np.maximum(out, sliding_max(avg, d))
-    return MaximalProfile(grid=g, values=out)
+    # out[c] for c in [0, 2n) collects cell c mod n; arcs starting at s
+    # cover cells s .. s+n-2 of the doubled circle
+    out = np.full(2 * n, -np.inf)
+    for s in range(n):
+        avg = (cmass[s + 1 : s + n] - cmass[s]) / (cq[s + 1 : s + n] - cq[s])
+        # cell s+j lies in every arc from s longer than j cells
+        covered = out[s : s + n - 1]
+        np.maximum(covered, np.maximum.accumulate(avg[::-1])[::-1], out=covered)
+    return MaximalProfile(grid=g, values=np.maximum(out[:n], out[n:]))
 
 
 def weight_maximal_ratio(

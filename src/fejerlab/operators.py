@@ -108,9 +108,6 @@ class NormResult:
     def __post_init__(self):
         object.__setattr__(self, "extremal", _frozen(self.extremal))
 
-    def __float__(self):
-        return self.value
-
 
 def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormResult]:
     """Exact norms of the discrete operator on both weighted spaces.

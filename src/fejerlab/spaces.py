@@ -75,9 +75,6 @@ class Weight:
             out = np.where((t >= lo) & (t <= hi), math.sqrt(m), out)
         return out if out.ndim else float(out)
 
-    def max_value(self) -> float:
-        return math.sqrt(self.M)
-
     def l1_norm(self) -> float:
         """Exact integral of the truncated weight with respect to dm."""
         return 1.0 + sum(

@@ -167,13 +167,6 @@ def test_trig_sum_over_several_blocks_matches_direct_formula():
         assert np.max(np.abs(out - direct)) <= 1e-10 * np.sum(np.abs(x))
 
 
-def test_conjugate_symmetry_detection():
-    real_f = fourier_window(PiecewiseConstant.indicator(0.0, 1.0), 5)
-    assert real_f.is_conjugate_symmetric()
-    complex_f = FourierCoefficients.from_dict(2, {1: 1.0})
-    assert not complex_f.is_conjugate_symmetric()
-
-
 # ------------------------------------------------------------------- kernels
 
 
@@ -374,20 +367,7 @@ def test_bessel_inequality_sampled():
 def test_integral_helpers_and_refine():
     pc = PiecewiseConstant.indicator(0.0, PI / 2, value=2.0)
     assert abs(pc.integral() - 2.0 * (PI / 2) / (2 * PI)) <= 1e-15
-    refined = pc.refine([0.3, -1.0])
-    assert refined.values.size == pc.values.size + 2
-    probes = np.linspace(-PI, PI, 101)
-    assert np.max(np.abs(refined(probes) - pc(probes))) == 0.0
-
     grid = make_grid(1, 4)
     f = SampledFunction(grid=grid, samples=pc(grid.nodes).astype(float))
     # both arc edges are grid edges, so the midpoint sum is the exact integral
     assert abs(f.integral() - pc.integral()) <= 1e-15
-
-
-def test_maximal_profile_sup():
-    from fejerlab.maximal import maximal_function
-
-    grid = make_grid(1, 4)
-    f = SampledFunction(grid=grid, samples=np.full(grid.node_count, 1.5))
-    assert maximal_function(f).sup == pytest.approx(1.5, abs=1e-9)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fejerlab.circle import PiecewiseConstant, SampledFunction, make_grid
-from fejerlab.maximal import maximal_function, sliding_max, weight_maximal_ratio
-from fejerlab.spaces import spike_interval
+from fejerlab.maximal import maximal_function, weight_maximal_ratio
+from fejerlab.spaces import make_weight, spike_interval
 
 PI = math.pi
 
@@ -27,24 +27,23 @@ def brute_force_maximal(samples, q):
     return out
 
 
-def test_sliding_max_against_naive():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(2, 40))
-        a = rng.normal(size=n)
-        w = int(rng.integers(1, n + 1))
-        got = sliding_max(a, w)
-        for i in range(n):
-            idx = [(i - off) % n for off in range(w)]
-            assert got[i] == max(a[j] for j in idx), (n, w, i)
+def _oracle_input(case):
+    """(input, grid, node samples), with N <= 43 since the oracle is cubic."""
+    if case == "weight-profile":
+        grid = make_grid(2, 2, edge_levels=1)
+        profile = make_weight(2).profile
+        return profile, grid, profile(grid.nodes)
+    extra = [0.3] if case == "asymmetric" else []
+    grid = make_grid(1, 3, edge_levels=2, extra_breakpoints=extra)
+    samples = np.random.default_rng(1).normal(size=grid.node_count)
+    return SampledFunction(grid=grid, samples=samples), grid, samples
 
 
-def test_maximal_profile_matches_bruteforce_oracle():
-    rng = np.random.default_rng(1)
-    grid = make_grid(1, 3, edge_levels=2)
-    f = SampledFunction(grid=grid, samples=rng.normal(size=grid.node_count))
-    fast = maximal_function(f).values
-    slow = brute_force_maximal(f.samples, grid.quad_weights)
+@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile"])
+def test_maximal_profile_matches_bruteforce_oracle(case):
+    f, grid, samples = _oracle_input(case)
+    fast = maximal_function(f, grid).values
+    slow = brute_force_maximal(samples, grid.quad_weights)
     assert np.max(np.abs(fast - slow)) <= 1e-13
 
 
