@@ -22,6 +22,7 @@ import numpy as np
 from . import csvio
 from .approx import StageFailure, density_curve, fejer_error_curve, gliding_hump_witness
 from .circle import (
+    KERNEL_BLOCK,
     FourierCoefficients,
     KernelSpec,
     PiecewiseConstant,
@@ -98,7 +99,14 @@ def cmd_duality(args) -> list:
     def run(kernel, label, M, report_norms):
         nonlocal worst
         grid, w = setup(M)
-        norms = operator_norm(assemble_operator(kernel, grid), w)
+        A = assemble_operator(kernel, grid)
+        if A.spectral:
+            # both norms would be one spectral vector: the gap would be 0 unchecked
+            raise ConfigError(
+                f"{label} on weight_M={M} needs {grid.node_count} nodes, past one "
+                f"kernel block ({KERNEL_BLOCK} samples); lower --max-order or --ppi"
+            )
+        norms = operator_norm(A, w)
         n1 = norms[SpaceTag.WEIGHTED_L1].value
         ninf = norms[SpaceTag.WEIGHTED_LINF].value
         gap = abs(n1 - ninf)

@@ -16,7 +16,11 @@ statement.
 
 An operator never stores its matrix.  Each norm computation samples the
 kernel once, block by block, and takes the row sums and the column sums
-from the same pass.
+from the same pass.  The exception is a Fejér operator whose matrix spans
+more than one kernel block: F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt} has
+2n+1 frequencies, so its sums come from one spectral transform in O(N n)
+phases.  That matrix is symmetric and nonnegative on any node set, so the
+row sums and the column sums are then one vector, not two contractions.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
+    KERNEL_BLOCK,
     CircleGrid,
     KernelSpec,
     PiecewiseConstant,
@@ -34,6 +39,7 @@ from .circle import (
     fejer_kernel_eval,
     kernel_blocks,
     make_grid,
+    trig_sum,
 )
 from .spaces import SpaceTag, Weight, gap_interval, spike_interval
 
@@ -69,7 +75,8 @@ class OperatorMatrix:
     """The operator with kernel K(theta_i - theta_j) on a grid's quadrature.
 
     The matrix is never stored: `weighted_sums` samples the kernel through
-    `kernel_blocks`, block by block, on every call.
+    `kernel_blocks`, block by block, on every call, unless the kernel is
+    Fejér and N^2 > KERNEL_BLOCK: those sums come from its 2n+1 frequencies.
     """
 
     grid: CircleGrid
@@ -77,14 +84,27 @@ class OperatorMatrix:
     # not a field: the benchmark tracer's `operators.assemble` counter reads it
     entries = None
 
+    @property
+    def spectral(self) -> bool:
+        """Whether `weighted_sums` returns one spectral vector as both sums."""
+        return self.kernel.kind == "fejer" and self.grid.node_count**2 > KERNEL_BLOCK
+
     def weighted_sums(self, weights: np.ndarray):
         """Row sums sum_j |K_ij| c_j and column sums sum_i |K_ij| c_i.
 
         Both come from one pass over the kernel, as two contractions of each
-        block, so they stay independent computations of the two norms.
+        block, so they stay independent computations of the two norms.  A
+        Fejér operator past one kernel block returns one spectral vector,
+        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
+        if self.spectral:
+            n = self.kernel.n
+            k = np.arange(-n, n + 1)
+            damp = 1.0 - np.abs(k) / (n + 1.0)
+            sums = trig_sum(nodes, k, damp * trig_sum(k, nodes, c, -1), 1).real
+            return sums, sums
         rowsums = np.empty(nodes.size)
         colsums = np.zeros(nodes.size)
         for rows, block in kernel_blocks(self.kernel, nodes, nodes):
@@ -158,13 +178,21 @@ def duality_gap(kernel: KernelSpec, w: Weight, grid: CircleGrid) -> float:
 
     Only defined for nonnegative even kernels on symmetric grids; the two
     closed-form norms then agree in exact arithmetic, so the returned gap is
-    pure floating point noise (<= 1e-10 relative on any grid).
+    pure floating point noise (<= 1e-10 relative).  A Fejér kernel must also
+    fit one kernel block (N^2 <= KERNEL_BLOCK): past it both norms come from
+    one spectral vector and their gap would check nothing.
     """
     if not _kernel_is_even_nonnegative(kernel):
         raise ValueError("duality gap requires a nonnegative even kernel")
     if not grid.is_symmetric():
         raise ValueError("duality gap requires a grid symmetric under negation")
-    norms = operator_norm(assemble_operator(kernel, grid), w)
+    A = assemble_operator(kernel, grid)
+    if A.spectral:
+        raise ValueError(
+            f"duality gap requires a Fejér grid within one kernel block; "
+            f"N = {grid.node_count} has N^2 > {KERNEL_BLOCK}"
+        )
+    norms = operator_norm(A, w)
     return abs(norms[SpaceTag.WEIGHTED_L1].value - norms[SpaceTag.WEIGHTED_LINF].value)
 
 
@@ -186,17 +214,23 @@ def make_bump(m: int) -> Bump:
     return Bump(m=m, profile=PiecewiseConstant.indicator(lo, hi, math.sqrt(m)))
 
 
-def fejer_kernel_mass(n: int, a: float, b: float) -> float:
+def fejer_kernel_mass(n: int, a: float, b):
     """Exact plain integral of the Fejér kernel over [a, b] (d theta, not dm).
 
     Termwise antiderivative of the coefficient form:
     (b - a) + 2 sum_{k=1..n} (1 - k/(n+1)) (sin k b - sin k a) / k.
+    An array `b` gives an array of masses, one per upper limit; a scalar `b`
+    gives a float.
     """
+    b = np.asarray(b, dtype=float)
     if n == 0:
-        return b - a
-    k = np.arange(1, n + 1, dtype=float)
-    damp = 1.0 - k / (n + 1.0)
-    return float((b - a) + 2.0 * np.sum(damp * (np.sin(k * b) - np.sin(k * a)) / k))
+        out = b - a
+    else:
+        k = np.arange(1, n + 1, dtype=float)
+        damp = 1.0 - k / (n + 1.0)
+        terms = damp * (np.sin(k * b[..., None]) - np.sin(k * a)) / k
+        out = (b - a) + 2.0 * np.sum(terms, axis=-1)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -245,12 +279,14 @@ def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
         raise NoQualifyingN(
             f"no order n <= {n_max} puts mass 1/3 on [-pi/(2m)^2, 0] for m={m}"
         )
+    cands = eps * np.arange(1, DELTA_SUBDIVISION) / DELTA_SUBDIVISION
+    step = max(1, KERNEL_BLOCK // n_of_m)  # rows of (candidate, frequency) pairs
     delta = None
-    for j in range(DELTA_SUBDIVISION - 1, 0, -1):
-        cand = eps * j / DELTA_SUBDIVISION
-        if fejer_kernel_mass(n_of_m, -eps, -cand) >= ONE_FOURTH:
-            delta = cand
-            break
+    for start in range(0, cands.size, step):
+        block = cands[start : start + step]
+        ok = np.nonzero(fejer_kernel_mass(n_of_m, -eps, -block) >= ONE_FOURTH)[0]
+        if ok.size:
+            delta = float(block[ok[-1]])
     if delta is None:
         raise NoQualifyingN(
             f"no positive offset keeps mass 1/4 for m={m}, n={n_of_m}"

@@ -117,6 +117,17 @@ def test_blowup_csv_header_and_determinism(tmp_path):
     assert header == "m,n_m,delta_n,bound,pointwise_min,norm_linfw,norm_l1w"
 
 
+def test_duality_past_one_block_is_config_error(tmp_path, capsys):
+    # --max-order 400 caps cells at 2 pi / 3208: a Fejér operator's norms would
+    # be one spectral vector, so the duality check refuses instead of passing
+    out = tmp_path / "d.csv"
+    assert main(["duality", "--max-order", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "kernel block" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_duality_determinism_and_pass(tmp_path, capsys):
     out1 = tmp_path / "d1.csv"
     out2 = tmp_path / "d2.csv"

@@ -35,11 +35,16 @@ def _oracle_input(case):
         return profile, grid, profile(grid.nodes)
     extra = [0.3] if case == "asymmetric" else []
     grid = make_grid(1, 3, edge_levels=2, extra_breakpoints=extra)
-    samples = np.random.default_rng(1).normal(size=grid.node_count)
+    if case == "seam":
+        # the best arcs of the first cells wrap across +-pi to the last one
+        samples = np.full(grid.node_count, 0.1)
+        samples[-1] = 10.0
+    else:
+        samples = np.random.default_rng(1).normal(size=grid.node_count)
     return SampledFunction(grid=grid, samples=samples), grid, samples
 
 
-@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile"])
+@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam"])
 def test_maximal_profile_matches_bruteforce_oracle(case):
     f, grid, samples = _oracle_input(case)
     fast = maximal_function(f, grid).values

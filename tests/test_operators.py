@@ -10,9 +10,12 @@ from fejerlab.circle import (
     PiecewiseConstant,
     SampledFunction,
     convolve_direct,
+    kernel_blocks,
     make_grid,
 )
+from fejerlab import operators
 from fejerlab.operators import (
+    DELTA_SUBDIVISION,
     GridTooCoarse,
     NoQualifyingN,
     assemble_operator,
@@ -35,6 +38,14 @@ def grid_past_one_block():
     """A grid whose operator spans several kernel blocks (N^2 > KERNEL_BLOCK)."""
     grid = make_grid(4, 8, max_cell=2 * PI / 2500)  # N = 2,940: two blocks
     assert grid.node_count**2 > KERNEL_BLOCK
+    return grid
+
+
+@pytest.fixture(scope="module")
+def grid_past_one_block_asymmetric():
+    """Past one kernel block and not symmetric under negation, like blow-up's grids."""
+    grid = make_grid(4, 8, max_cell=2 * PI / 2500, extra_breakpoints=[0.3, 0.61, 2.0])
+    assert grid.node_count**2 > KERNEL_BLOCK and not grid.is_symmetric()  # N = 2,943
     return grid
 
 
@@ -88,10 +99,14 @@ def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_one_block):
                 use()
 
 
-def test_weighted_sums_match_dense_matrix(grid_m4, grid_past_one_block):
+def test_weighted_sums_match_dense_matrix(
+    grid_m4, grid_past_one_block, grid_past_one_block_asymmetric
+):
     # one block and several blocks against a dense matrix built here; the
     # step kernel is signed and not even, so a transposed, unsigned or
-    # duplicated sum vector shows
+    # duplicated sum vector shows.  Past one block the Fejér sums are one
+    # spectral vector, so the dense matrix is their oracle there; on one
+    # block they stay two contractions, which the duality check relies on.
     step = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
@@ -99,13 +114,16 @@ def test_weighted_sums_match_dense_matrix(grid_m4, grid_past_one_block):
     )
     w = make_weight(4)
     for kernel, grid in itertools.product(
-        (KernelSpec.fejer(7), step), (grid_m4, grid_past_one_block)
+        (KernelSpec.fejer(0), KernelSpec.fejer(7), KernelSpec.fejer(34), step),
+        (grid_m4, grid_past_one_block, grid_past_one_block_asymmetric),
     ):
         dense = np.abs(kernel(grid.nodes[:, None] - grid.nodes[None, :]))
         A = assemble_operator(kernel, grid)
         wv = w(grid.nodes)
         wq = wv * grid.quad_weights
         rowsums, colsums = A.weighted_sums(wq)
+        spectral = kernel.kind == "fejer" and grid is not grid_m4
+        assert A.spectral == spectral and (rowsums is colsums) == spectral
         assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
         assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
         norms = operator_norm(A, w)
@@ -168,11 +186,28 @@ def test_duality_gap_fejer_sweep(weight_m4):
         assert gap <= 1e-10 * scale, n
 
 
-def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4):
+def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monkeypatch):
     # both norms reduce to max_j mass(w)/w_j; the two summation passes stay
     # independent, so the gap is a couple of ulps rather than literal zero
+    sampled = []
+
+    def counting_blocks(kernel, targets, sources):
+        sampled.append((len(targets), len(sources)))
+        return kernel_blocks(kernel, targets, sources)
+
+    monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
     gap = duality_gap(KernelSpec.fejer(0), weight_m4, grid_m4)
     assert gap <= 5e-15
+    # the whole N x N kernel went through kernel_blocks, not the spectral path
+    N = grid_m4.node_count
+    assert (N, N) in sampled
+
+
+def test_duality_gap_rejects_fejer_past_one_block(weight_m4, grid_past_one_block):
+    # past one block both norms are one spectral vector: the gap checks nothing
+    assert grid_past_one_block.is_symmetric()
+    with pytest.raises(ValueError, match="one kernel block"):
+        duality_gap(KernelSpec.fejer(7), weight_m4, grid_past_one_block)
 
 
 def test_duality_gap_random_step_kernels_property():
@@ -260,7 +295,16 @@ def test_localization_minimality_and_delta_condition():
     if p.n_of_m > 1:
         assert fejer_kernel_mass(p.n_of_m - 1, -p.epsilon, 0.0) < 1.0 / 3.0
     assert fejer_kernel_mass(p.n_of_m, -p.epsilon, -p.delta_n) >= 0.25
+    # delta is the largest candidate: the next multiple of epsilon/4096 fails
+    step = p.epsilon / DELTA_SUBDIVISION
+    assert fejer_kernel_mass(p.n_of_m, -p.epsilon, -(p.delta_n + step)) < 0.25
     assert 0 < p.delta_n < p.epsilon
+    # an array of upper limits gives exactly the scalar masses
+    b = -p.epsilon * np.arange(1, DELTA_SUBDIVISION) / DELTA_SUBDIVISION
+    masses = fejer_kernel_mass(p.n_of_m, -p.epsilon, b)
+    assert masses.shape == b.shape
+    assert np.array_equal(masses, [fejer_kernel_mass(p.n_of_m, -p.epsilon, x) for x in b])
+    assert type(fejer_kernel_mass(p.n_of_m, -p.epsilon, b[0])) is float
 
 
 def test_localization_no_qualifying_order():
