@@ -254,7 +254,9 @@ def cmd_density(args) -> list:
     if args.out:
         csvio.write_rows(args.out, ["degree", "error", "fejer_error"], rows)
     for d, r in zip(degrees, results):
-        print(f"degree={d} error={r.error:.3e} fejer_error={r.fejer_error:.3e}")
+        # degrees above N/4 have no Fejér candidate
+        fejer = "n/a" if r.fejer_error is None else f"{r.fejer_error:.3e}"
+        print(f"degree={d} error={r.error:.3e} fejer_error={fejer}")
     _check(
         all(b <= a + 1e-12 for a, b in zip(errors, errors[1:])),
         "density-monotone",

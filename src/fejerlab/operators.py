@@ -14,13 +14,16 @@ That is the discrete counterpart of the norm equality between a space and
 its associate, and it is an identity of the model, not a grid-convergence
 statement.
 
-An operator never stores its matrix.  Each norm computation samples the
-kernel once, block by block, and takes the row sums and the column sums
-from the same pass.  The exception is a Fejér operator whose matrix spans
-more than one kernel block: F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt} has
-2n+1 frequencies, so its sums come from one spectral transform in O(N n)
-phases.  That matrix is symmetric and nonnegative on any node set, so the
-row sums and the column sums are then one vector, not two contractions.
+An operator never stores its matrix.  Fejér and Poisson sums sample the
+kernel once, block by block, and take the row sums and the column sums as
+two contractions of each block.  A Fejér operator whose matrix spans more
+than one kernel block uses its 2n+1 frequencies instead,
+F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
+O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
+its row sums and column sums are one vector.  A step kernel is never
+sampled: its sums come from prefix sums of the weights over the sorted
+nodes, in O(N P log N) for P pieces, with separate searches for the rows
+and the columns and ties placed by the dense lookup's own test.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from .circle import (
     KERNEL_BLOCK,
+    TWO_PI,
     CircleGrid,
     KernelSpec,
     PiecewiseConstant,
@@ -40,6 +44,7 @@ from .circle import (
     kernel_blocks,
     make_grid,
     trig_sum,
+    wrap_angle,
 )
 from .spaces import SpaceTag, Weight, gap_interval, spike_interval
 
@@ -76,7 +81,8 @@ class OperatorMatrix:
 
     The matrix is never stored: `weighted_sums` samples the kernel through
     `kernel_blocks`, block by block, on every call, unless the kernel is
-    Fejér and N^2 > KERNEL_BLOCK: those sums come from its 2n+1 frequencies.
+    Fejér and N^2 > KERNEL_BLOCK (those sums come from its 2n+1
+    frequencies) or a step kernel (those sums come from prefix sums).
     """
 
     grid: CircleGrid
@@ -95,7 +101,10 @@ class OperatorMatrix:
         Both come from one pass over the kernel, as two contractions of each
         block, so they stay independent computations of the two norms.  A
         Fejér operator past one kernel block returns one spectral vector,
-        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
+        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.  A
+        step kernel takes `_step_sums` once for the rows and once for the
+        columns; a non-finite step value raises ValueError, as sampling it
+        would.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
@@ -105,6 +114,13 @@ class OperatorMatrix:
             damp = 1.0 - np.abs(k) / (n + 1.0)
             sums = trig_sum(nodes, k, damp * trig_sum(k, nodes, c, -1), 1).real
             return sums, sums
+        if self.kernel.kind == "custom":
+            profile = self.kernel.profile
+            if not np.all(np.isfinite(profile.values)):
+                raise ValueError("kernel produced non-finite samples")
+            prefix = _prefix_sums(c)
+            rowsums = _step_sums(profile, nodes, prefix, 1)
+            return rowsums, _step_sums(profile, nodes, prefix, -1)
         rowsums = np.empty(nodes.size)
         colsums = np.zeros(nodes.size)
         for rows, block in kernel_blocks(self.kernel, nodes, nodes):
@@ -112,6 +128,103 @@ class OperatorMatrix:
             rowsums[rows] = block @ c
             colsums += c[rows] @ block
         return rowsums, colsums
+
+
+TIE = 1e-12  # a node this close to a search target is placed by the exact test
+
+
+def _prefix_sums(c: np.ndarray) -> np.ndarray:
+    """Compensated prefix sums: out[k] = sum_{j<k} c_j to about one ulp.
+
+    `np.cumsum` adds left to right, so each step's rounding error is exact
+    by TwoSum; the errors are summed on their own and added back once.
+    """
+    s = np.cumsum(c)
+    prev = np.concatenate([[0.0], s[:-1]])
+    part = s - prev
+    err = (prev - (s - part)) + (c - part)
+    out = np.zeros(c.size + 1)
+    out[1:] = s + np.cumsum(err)
+    return out
+
+
+def _search(x, targets, lo, hi, holds):
+    """Per target, the index b in [lo, hi] where a predicate that holds on
+    [lo, b) and fails on [b, hi) switches, for the sorted nodes x.
+
+    The float search of `targets` in x is the answer unless a node lies
+    within TIE of a target.  Those entries are settled by the exact
+    predicate, holds(entries, idx) for flat entry numbers, stepping one node
+    at a time from the searched index.
+    """
+    raw = np.searchsorted(x, targets)
+    b = np.clip(raw, lo, hi)
+    gap = np.minimum(
+        np.abs(targets - x[np.maximum(raw - 1, 0)]),
+        np.abs(targets - x[np.minimum(raw, x.size - 1)]),
+    )
+    tied = np.flatnonzero(gap < TIE)
+    flat = b.reshape(-1)
+    lo = np.broadcast_to(lo, b.shape).reshape(-1)
+    hi = np.broadcast_to(hi, b.shape).reshape(-1)
+    left = tied[flat[tied] > lo[tied]]
+    while left.size:
+        left = left[~holds(left, flat[left] - 1)]
+        flat[left] -= 1
+        left = left[flat[left] > lo[left]]
+    right = tied[flat[tied] < hi[tied]]
+    while right.size:
+        right = right[holds(right, flat[right])]
+        flat[right] += 1
+        right = right[flat[right] < hi[right]]
+    return b
+
+
+def _step_sums(profile: PiecewiseConstant, x, prefix, sign: int) -> np.ndarray:
+    """Row sums sum_j |K(x_i - x_j)| c_j (sign +1) or column sums
+    sum_i |K(x_i - x_j)| c_i (sign -1) of a step kernel K, from the
+    compensated prefix sums of c over the sorted nodes x.
+
+    For each pivot node the other index splits into at most three runs:
+    where the difference wraps across the +-pi seam one way, where it does
+    not wrap, and where it wraps the other way.  On each run the wrapped
+    difference is monotone, so a kernel piece is one slice of it, found by
+    searching x_pivot + (-2 pi, 0, 2 pi) - sign * e_p.  Membership follows
+    the dense lookup exactly: wrap_angle(x_i - x_j) >= e_p, with x_i - x_j
+    rounded as `kernel_blocks` rounds it.
+    """
+    n = x.size
+    e = profile.edges[1:-1]
+
+    def arg(piv, idx):  # x_i - x_j for rows i = piv, columns j = piv
+        return sign * (x[piv] - x[idx])
+
+    def in_first_run(piv, idx):
+        d = arg(piv, idx)
+        return (sign * d > 0) & (sign * wrap_angle(d) < 0)
+
+    def before_last_run(piv, idx):
+        d = arg(piv, idx)
+        return (sign * d >= 0) | (sign * wrap_angle(d) <= 0)
+
+    s1 = _search(x, x - math.pi, 0, n, in_first_run)
+    s2 = _search(x, x + math.pi, 0, n, before_last_run)
+    lo = np.stack([np.zeros(n, dtype=int), s1, s2], axis=1)[:, :, None]
+    hi = np.stack([s1, s2, np.full(n, n)], axis=1)[:, :, None]
+    shift = np.array([-TWO_PI, 0.0, TWO_PI])
+    targets = x[:, None, None] + shift[None, :, None] - sign * e[None, None, :]
+    per_pivot = 3 * e.size
+
+    def before_edge(entries, idx):
+        w = wrap_angle(arg(entries // per_pivot, idx))
+        return (w >= e[entries % e.size]) == (sign > 0)
+
+    cuts = _search(x, targets, lo, hi, before_edge)
+    # the pieces run down the shifted edges for rows and up them for columns
+    first, last = (hi, lo) if sign > 0 else (lo, hi)
+    cuts = np.concatenate([first, cuts, last], axis=2)
+    pieces = sign * (prefix[cuts[..., :-1]] - prefix[cuts[..., 1:]])
+    return pieces.sum(axis=1) @ np.abs(profile.values)
 
 
 def assemble_operator(kernel: KernelSpec, grid: CircleGrid) -> OperatorMatrix:
@@ -254,27 +367,44 @@ class LocalizationParams:
 ONE_THIRD = 1.0 / 3.0
 ONE_FOURTH = 0.25
 DELTA_SUBDIVISION = 4096  # delta is a multiple of epsilon / DELTA_SUBDIVISION
+MASS_TIE = 1e-12  # order masses this close to 1/3 are recomputed term by term
+ORDER_CHUNK = 1 << 16  # orders scored per pass of the order search
 
 
 def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
     """Find the smallest qualifying kernel order and its offset for spike m.
 
     The order search is exhaustive from n = 1 up to n_max (by default
-    4 (2m)^2 + 64, since the window [-pi/(2m)^2, 0] shrinks like 1/(2m)^2)
-    using the exact kernel mass; delta is the largest multiple of
-    epsilon/DELTA_SUBDIVISION that keeps at least 1/4 of plain mass in
-    [-epsilon, -delta].
+    4 (2m)^2 + 64, since the window [-pi/(2m)^2, 0] shrinks like 1/(2m)^2),
+    using the exact kernel mass: running sums over the frequencies give
+    every order's mass in one pass, and `fejer_kernel_mass` decides the
+    orders whose mass lies within MASS_TIE of 1/3.  Delta is the largest
+    multiple of epsilon/DELTA_SUBDIVISION that keeps at least 1/4 of plain
+    mass in [-epsilon, -delta].
     """
     if m < 1:
         raise ValueError("spike index must be >= 1")
     if n_max is None:
         n_max = 4 * (2 * m) ** 2 + 64
     eps = math.pi / (2 * m) ** 2
+    # each order's mass is eps + 2 sum_k sin(k eps)/k - 2/(n+1) sum_k sin(k eps),
+    # from running sums over k, ORDER_CHUNK orders at a time
     n_of_m = None
-    for n in range(1, n_max + 1):
-        if fejer_kernel_mass(n, -eps, 0.0) >= ONE_THIRD:
-            n_of_m = n
+    sum_a = sum_b = 0.0
+    for start in range(1, n_max + 1, ORDER_CHUNK):
+        k = np.arange(start, min(start + ORDER_CHUNK, n_max + 1), dtype=float)
+        s = np.sin(k * eps)
+        a = sum_a + np.cumsum(s / k)
+        b = sum_b + np.cumsum(s)
+        masses = eps + 2.0 * a - 2.0 * b / (k + 1.0)
+        qualifies = masses >= ONE_THIRD
+        # the running sums round differently from the termwise mass
+        for i in np.flatnonzero(np.abs(masses - ONE_THIRD) < MASS_TIE):
+            qualifies[i] = fejer_kernel_mass(int(k[i]), -eps, 0.0) >= ONE_THIRD
+        if qualifies.any():
+            n_of_m = int(k[np.argmax(qualifies)])
             break
+        sum_a, sum_b = a[-1], b[-1]
     if n_of_m is None:
         raise NoQualifyingN(
             f"no order n <= {n_max} puts mass 1/3 on [-pi/(2m)^2, 0] for m={m}"

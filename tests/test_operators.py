@@ -12,6 +12,7 @@ from fejerlab.circle import (
     convolve_direct,
     kernel_blocks,
     make_grid,
+    wrap_angle,
 )
 from fejerlab import operators
 from fejerlab.operators import (
@@ -134,6 +135,60 @@ def test_weighted_sums_match_dense_matrix(
         assert np.array_equal(norms[LINF].extremal, wv * signs)
 
 
+def _tied_step_kernel(grid, pairs):
+    """Signed, non-even step kernel with edges on the wrapped node differences
+    +-(theta_a - theta_b) of the given index pairs, plus one fixed edge."""
+    x = grid.nodes
+    diffs = [wrap_angle(x[a] - x[b]) for a, b in pairs]
+    edges = np.unique([-PI, PI, 1.3, *diffs, *(-d for d in diffs)])
+    values = np.resize([1.0, -2.0, 0.5, 3.0, -1.25], edges.size - 1)
+    return KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
+
+
+@pytest.mark.parametrize("case", ["node-differences", "seam", "asymmetric"])
+def test_step_kernel_sums_follow_dense_lookup_at_ties(case, grid_m4):
+    # a step kernel's sums come from prefix sums over searched slices; a
+    # node difference on an edge, or exactly +-pi, must land in the piece
+    # the dense lookup picks, or one node's weight moves between pieces
+    if case == "node-differences":
+        grid = grid_m4
+        kernel = _tied_step_kernel(grid, [(0, 5), (100, 37), (300, 17), (575, 0)])
+    elif case == "seam":
+        grid = grid_for_kernels(1, 8, 32)
+        D = grid.nodes[:, None] - grid.nodes[None, :]
+        assert np.count_nonzero(np.abs(D) == PI) == 184
+        kernel = KernelSpec.custom(
+            PiecewiseConstant(
+                edges=np.array([-PI, -1.0, 0.0, 1.3, PI]),
+                values=np.array([1.0, -2.0, 0.5, 3.0]),
+            )
+        )
+    else:
+        grid = make_grid(4, 8, extra_breakpoints=[0.3, 0.61, 2.0])
+        assert not grid.is_symmetric()
+        kernel = _tied_step_kernel(grid, [(3, 400), (250, 251), (578, 1)])
+    nodes = grid.nodes
+    dense = np.abs(kernel(nodes[:, None] - nodes[None, :]))
+    wq = make_weight(4)(nodes) * grid.quad_weights
+    rowsums, colsums = assemble_operator(kernel, grid).weighted_sums(wq)
+    assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
+    assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
+
+
+def test_step_kernel_prefix_sums_within_one_ulp(grid_past_one_block):
+    # step-kernel sums are differences of these prefix sums; a plain cumsum
+    # is 163 ulps off on these weights, compensated sums at most one
+    from fractions import Fraction
+
+    c = make_weight(4)(grid_past_one_block.nodes) * grid_past_one_block.quad_weights
+    total, exact = Fraction(0), [0.0]
+    for v in c:
+        total += Fraction(v)
+        exact.append(float(total))
+    exact = np.array(exact)
+    assert np.all(np.abs(operators._prefix_sums(c) - exact) <= np.spacing(exact))
+
+
 # ------------------------------------------------------------ operator_norm
 
 
@@ -212,6 +267,7 @@ def test_duality_gap_rejects_fejer_past_one_block(weight_m4, grid_past_one_block
 
 def test_duality_gap_random_step_kernels_property():
     rng = np.random.default_rng(123)
+    gaps = []
     for trial in range(100):
         M = int(rng.integers(1, 7))
         grid = make_grid(M, 4)
@@ -226,6 +282,10 @@ def test_duality_gap_random_step_kernels_property():
         A = assemble_operator(kernel, grid)
         scale = max(operator_norm(A, w)[L1].value, 1e-30)
         assert gap <= 1e-10 * scale, trial
+        gaps.append(gap)
+    # rows and columns are two searches and two contractions, not one vector
+    # reported twice, so some gaps show rounding
+    assert max(gaps) > 0
 
 
 def test_duality_gap_rejects_odd_kernel(weight_m4, grid_m4):
@@ -305,6 +365,28 @@ def test_localization_minimality_and_delta_condition():
     assert masses.shape == b.shape
     assert np.array_equal(masses, [fejer_kernel_mass(p.n_of_m, -p.epsilon, x) for x in b])
     assert type(fejer_kernel_mass(p.n_of_m, -p.epsilon, b[0])) is float
+
+
+def test_localization_params_unchanged_by_running_sums():
+    # the spike indices of the witness ladder (m = 2..8 squared) and the
+    # blow-up defaults; the values are those of the order search that called
+    # fejer_kernel_mass once per order
+    expected = {
+        1: (1, 0.6429296977225694),
+        4: (6, 0.0132186000706083),
+        9: (34, 0.0025211258319416787),
+        16: (108, 0.0007647433517730662),
+        25: (266, 0.0003163068384620192),
+        36: (551, 0.0001512083685589434),
+        49: (1022, 8.169837286583772e-05),
+        64: (1743, 4.779645948581664e-05),
+    }
+    for m, (n, delta) in expected.items():
+        p = localization_params(m)
+        assert (p.n_of_m, p.delta_n) == (n, delta), m
+        if m <= 25:  # the per-order loop as the reference, where it is cheap
+            masses = [fejer_kernel_mass(k, -p.epsilon, 0.0) for k in range(1, n + 1)]
+            assert [x >= 1 / 3 for x in masses].index(True) + 1 == n, m
 
 
 def test_localization_no_qualifying_order():
