@@ -26,7 +26,6 @@ from .operators import (
     NoQualifyingN,
     OperatorMatrix,
     assemble_operator,
-    duality_gap,
     fejer_blowup,
     localization_params,
     make_bump,

@@ -81,14 +81,6 @@ class CircleGrid:
     def node_count(self) -> int:
         return self.nodes.size
 
-    def is_symmetric(self) -> bool:
-        """True if the node set and weights are invariant under theta -> -theta
-        (to 1e-15)."""
-        return (
-            np.max(np.abs(self.nodes + self.nodes[::-1])) <= 1e-15
-            and np.max(np.abs(self.quad_weights - self.quad_weights[::-1])) <= 1e-15
-        )
-
 
 def _subdivide(a: float, b: float, pieces: int, edge_levels: int) -> np.ndarray:
     """Interior edges of a base cell [a, b]: `pieces` uniform cells with a

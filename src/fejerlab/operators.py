@@ -58,7 +58,6 @@ __all__ = [
     "GridTooCoarse",
     "assemble_operator",
     "operator_norm",
-    "duality_gap",
     "make_bump",
     "localization_params",
     "fejer_kernel_mass",
@@ -272,43 +271,6 @@ def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormRes
     return {SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf}
 
 
-def _kernel_is_even_nonnegative(kernel: KernelSpec, probes: int = 4096):
-    if kernel.kind in ("fejer", "poisson"):
-        return True
-    t = np.linspace(0.0, math.pi, probes)
-    plus = np.asarray(kernel(t), dtype=float)
-    minus = np.asarray(kernel(-t), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(plus))))
-    if np.max(np.abs(plus - minus)) > 1e-10 * scale:
-        return False
-    if np.min(plus) < -1e-12 * scale or np.min(minus) < -1e-12 * scale:
-        return False
-    return True
-
-
-def duality_gap(kernel: KernelSpec, w: Weight, grid: CircleGrid) -> float:
-    """Absolute difference of the operator norms on the two associate spaces.
-
-    Only defined for nonnegative even kernels on symmetric grids; the two
-    closed-form norms then agree in exact arithmetic, so the returned gap is
-    pure floating point noise (<= 1e-10 relative).  A Fejér kernel must also
-    fit one kernel block (N^2 <= KERNEL_BLOCK): past it both norms come from
-    one spectral vector and their gap would check nothing.
-    """
-    if not _kernel_is_even_nonnegative(kernel):
-        raise ValueError("duality gap requires a nonnegative even kernel")
-    if not grid.is_symmetric():
-        raise ValueError("duality gap requires a grid symmetric under negation")
-    A = assemble_operator(kernel, grid)
-    if A.spectral:
-        raise ValueError(
-            f"duality gap requires a Fejér grid within one kernel block; "
-            f"N = {grid.node_count} has N^2 > {KERNEL_BLOCK}"
-        )
-    norms = operator_norm(A, w)
-    return abs(norms[SpaceTag.WEIGHTED_L1].value - norms[SpaceTag.WEIGHTED_LINF].value)
-
-
 @dataclass(frozen=True)
 class Bump:
     """One-sided test bump: sqrt(m) on [pi/(2m), pi/(2m-1)], zero elsewhere.
@@ -327,23 +289,18 @@ def make_bump(m: int) -> Bump:
     return Bump(m=m, profile=PiecewiseConstant.indicator(lo, hi, math.sqrt(m)))
 
 
-def fejer_kernel_mass(n: int, a: float, b):
+def fejer_kernel_mass(n: int, a: float, b: float) -> float:
     """Exact plain integral of the Fejér kernel over [a, b] (d theta, not dm).
 
     Termwise antiderivative of the coefficient form:
     (b - a) + 2 sum_{k=1..n} (1 - k/(n+1)) (sin k b - sin k a) / k.
-    An array `b` gives an array of masses, one per upper limit; a scalar `b`
-    gives a float.
     """
-    b = np.asarray(b, dtype=float)
     if n == 0:
-        out = b - a
-    else:
-        k = np.arange(1, n + 1, dtype=float)
-        damp = 1.0 - k / (n + 1.0)
-        terms = damp * (np.sin(k * b[..., None]) - np.sin(k * a)) / k
-        out = (b - a) + 2.0 * np.sum(terms, axis=-1)
-    return out if out.ndim else float(out)
+        return float(b - a)
+    k = np.arange(1, n + 1, dtype=float)
+    damp = 1.0 - k / (n + 1.0)
+    terms = damp * (np.sin(k * b) - np.sin(k * a)) / k
+    return float((b - a) + 2.0 * np.sum(terms))
 
 
 @dataclass(frozen=True)
@@ -380,7 +337,7 @@ def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
     every order's mass in one pass, and `fejer_kernel_mass` decides the
     orders whose mass lies within MASS_TIE of 1/3.  Delta is the largest
     multiple of epsilon/DELTA_SUBDIVISION that keeps at least 1/4 of plain
-    mass in [-epsilon, -delta].
+    mass in [-epsilon, -delta], found by bisection.
     """
     if m < 1:
         raise ValueError("spike index must be >= 1")
@@ -409,19 +366,21 @@ def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
         raise NoQualifyingN(
             f"no order n <= {n_max} puts mass 1/3 on [-pi/(2m)^2, 0] for m={m}"
         )
-    cands = eps * np.arange(1, DELTA_SUBDIVISION) / DELTA_SUBDIVISION
-    step = max(1, KERNEL_BLOCK // n_of_m)  # rows of (candidate, frequency) pairs
-    delta = None
-    for start in range(0, cands.size, step):
-        block = cands[start : start + step]
-        ok = np.nonzero(fejer_kernel_mass(n_of_m, -eps, -block) >= ONE_FOURTH)[0]
-        if ok.size:
-            delta = float(block[ok[-1]])
-    if delta is None:
+    # the kernel is nonnegative, so the mass over [-eps, -delta] falls as
+    # delta grows: bisect for the last multiple j of eps/DELTA_SUBDIVISION
+    # keeping 1/4 (j = DELTA_SUBDIVISION leaves an empty window)
+    lo, hi = 0, DELTA_SUBDIVISION
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fejer_kernel_mass(n_of_m, -eps, -(eps * mid / DELTA_SUBDIVISION)) >= ONE_FOURTH:
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0:
         raise NoQualifyingN(
             f"no positive offset keeps mass 1/4 for m={m}, n={n_of_m}"
         )
-    return LocalizationParams(m=m, n_of_m=n_of_m, delta_n=delta)
+    return LocalizationParams(m=m, n_of_m=n_of_m, delta_n=eps * lo / DELTA_SUBDIVISION)
 
 
 def grid_for_kernels(

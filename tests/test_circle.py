@@ -68,7 +68,9 @@ def test_make_grid_resolution_near_zero():
 
 def test_make_grid_is_symmetric_and_positive():
     grid = make_grid(6, 8)
-    assert grid.is_symmetric()
+    # nodes and weights are mirrored under theta -> -theta
+    assert np.max(np.abs(grid.nodes + grid.nodes[::-1])) <= 1e-15
+    assert np.max(np.abs(grid.quad_weights - grid.quad_weights[::-1])) <= 1e-15
     assert np.all(grid.quad_weights > 0)
     assert np.all(np.diff(grid.nodes) > 0)
 

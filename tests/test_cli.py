@@ -1,11 +1,18 @@
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from fejerlab.cli import build_parser, main
+from fejerlab.cli import ContractViolation, _check, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# [PASS|FAIL] name: value sense threshold (margin m)
+CONTRACT_LINE = re.compile(
+    r"\[(?P<verdict>PASS|FAIL)\] (?P<name>[a-z-]+): (?P<value>\S+) "
+    r"(?P<sense><=|>=|<|>) (?P<threshold>\S+) \(margin (?P<margin>\S+)\)$"
+)
 
 
 def test_invalid_subcommand_is_config_error(capsys):
@@ -102,7 +109,81 @@ def test_fejer_converge_contract_violation_exits_two(capsys):
     # a decreasing order list makes the error sequence increase
     code = main(["fejer-converge", "--orders", "256,16"])
     assert code == 2
-    assert "contract violation" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "contract violation" in err
+    [fail] = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    value, threshold = CONTRACT_LINE.match(fail).group("value", "threshold")
+    assert float(value) != float(threshold)
+
+
+@pytest.mark.parametrize("sense", ["<", "<=", ">", ">="])
+def test_check_prints_value_threshold_and_signed_margin(sense, capsys):
+    good, bad = (1.0, 3.0) if sense[0] == "<" else (3.0, 1.0)
+    _check("probe", good, 2.0, sense)
+    assert capsys.readouterr().out == f"[PASS] probe: {good} {sense} 2.0 (margin 1.0)\n"
+    with pytest.raises(ContractViolation) as exc:
+        _check("probe", bad, 2.0, sense)
+    assert exc.value.name == "probe"
+    assert capsys.readouterr().out == f"[FAIL] probe: {bad} {sense} 2.0 (margin -1.0)\n"
+    # equality passes only the non-strict senses, with margin 0
+    if sense.endswith("="):
+        _check("probe", 2.0, 2.0, sense)
+        assert capsys.readouterr().out == f"[PASS] probe: 2.0 {sense} 2.0 (margin 0.0)\n"
+    else:
+        with pytest.raises(ContractViolation, match="probe"):
+            _check("probe", 2.0, 2.0, sense)
+        assert capsys.readouterr().out == f"[FAIL] probe: 2.0 {sense} 2.0 (margin 0.0)\n"
+
+
+def test_check_never_prints_a_failing_comparison_as_equal(capsys):
+    # both would print as 4.000 at three decimals
+    with pytest.raises(ContractViolation):
+        _check("probe", 3.999914, 3.999952, ">=")
+    m = CONTRACT_LINE.match(capsys.readouterr().out.rstrip("\n"))
+    assert (m["value"], m["threshold"]) == ("3.999914", "3.999952")
+    assert float(m["margin"]) < 0
+
+
+# small arguments for each subcommand, and the contracts each one checks
+CONTRACTS = {
+    "duality": (
+        ["--trials", "3", "--grid-M", "2", "--max-order", "8"],
+        {"duality-equality"},
+    ),
+    "blowup": (
+        ["--m", "1,4", "--grid-M", "4", "--ppi", "4"],
+        {"blowup-pointwise", "blowup-norm-bound", "blowup-growth"},
+    ),
+    "fejer-converge": (
+        ["--orders", "16,256"],
+        {"fejer-converge-monotone", "fejer-converge-small"},
+    ),
+    "witness": (
+        ["--stages", "1", "--target", "0.5", "--grid-M", "9"],
+        {"witness-stages"},
+    ),
+    "density": (
+        ["--function", "t3", "--degrees", "3,5", "--grid-M", "2"],
+        {"density-monotone", "density-decay", "density-fejer-bound"},
+    ),
+    "maximal": (
+        ["--orders", "2,16", "--ppi", "4"],
+        {"maximal-growth", "maximal-doubling"},
+    ),
+    "taylor-fourier": ([], {"taylor-fourier"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACTS))
+def test_each_subcommand_prints_its_contracts(command, capsys):
+    argv, names = CONTRACTS[command]
+    assert main([command, *argv]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    matches = [CONTRACT_LINE.match(line) for line in lines]
+    assert all(matches), lines
+    assert {m["name"] for m in matches} == names
+    for m in matches:
+        assert m["verdict"] == "PASS" and float(m["margin"]) >= 0.0, m.group(0)
 
 
 def test_blowup_csv_header_and_determinism(tmp_path):
@@ -156,6 +237,14 @@ def test_config_file_supplies_defaults_and_flags_win(spelling, tmp_path, capsys)
     outlines = capsys.readouterr().out.splitlines()
     assert outlines[0].startswith("n=64 ")  # flag beat the config file
     assert outlines[1].startswith("n=1024 ")
+
+
+def test_maximal_exact_fourfold_span_skips_doubling(capsys):
+    # sqrt(M) scaling doubles the ratio exactly at 4x, so grid error would
+    # decide the sign: ratio(16) = 3.999828 against 2 * ratio(4) = 3.999906
+    assert main(["maximal", "--orders", "4,16", "--ppi", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] maximal-growth" in out and "maximal-doubling" not in out
 
 
 def test_maximal_subcommand_small(capsys, tmp_path):
