@@ -5,10 +5,13 @@ The minimization of sum_i |f_i - q(theta_i)| w_i q_i over analytic
 polynomials q of fixed degree is solved by iteratively reweighted least
 squares with residual smoothing: each sweep solves a weighted least squares
 problem with weights c_i / max(|r_i|, eps), which never increases the
-eps-smoothed objective (majorize-minimize).  Correctness is certified
-externally: for Hardy-class data the Fejér mean of matching order is a
-feasible polynomial, so the achieved objective must not exceed the Fejér
-mean's objective.
+eps-smoothed objective (majorize-minimize).  In the Fourier design
+A_ik = exp(i k theta_i) the normal matrix A^H diag(u) A is Hermitian
+Toeplitz, so each sweep solves the Toeplitz normal equations: two
+matrix-vector products with A and one (d+1) x (d+1) solve.  Correctness is
+certified externally: for Hardy-class data the Fejér mean of matching order
+is a feasible polynomial, so the achieved objective must not exceed the
+Fejér mean's objective.
 """
 
 from __future__ import annotations
@@ -99,16 +102,44 @@ def _smoothed_objective(residual, c, eps):
     return float(np.sum(huber * c))
 
 
+def _toeplitz_gram(A, u):
+    """G = A^H diag(u) A for the Fourier design A_ik = exp(i k theta_i).
+
+    G is Hermitian Toeplitz, G_jl = t_{l-j} with
+    t_m = sum_i u_i exp(i m theta_i) = (u @ A)_m and t_{-m} = conj(t_m), so
+    it takes one matrix-vector product instead of an N x (d+1) product.
+    """
+    t = u @ A
+    k = np.arange(t.size)
+    lag = k[None, :] - k[:, None]
+    G = t[np.abs(lag)]
+    np.conjugate(G, out=G, where=lag < 0)
+    return G
+
+
+def _weighted_ls(A, y, u):
+    """Minimize sum u_i |y_i - (A alpha)_i|^2 over alpha in the Fourier design.
+
+    Solves the normal equations G alpha = A^H (u y), whose right-hand side
+    is conj((u conj(y)) @ A).  G is positive definite for u > 0 and at least
+    d+1 distinct nodes.
+    """
+    b = np.conj((u * np.conj(y)) @ A)
+    return np.linalg.solve(_toeplitz_gram(A, u), b)
+
+
 def _irls(A, y, c, start, cfg: IrlsConfig):
-    """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start."""
+    """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start.
+
+    Each sweep solves the Toeplitz normal equations of the weighted least
+    squares problem with weights c_i / max(|r_i|, SMOOTHING).
+    """
     alpha = start
     r = y - A @ alpha
     trace = [_smoothed_objective(r, c, SMOOTHING)]
     converged = False
     for _ in range(cfg.max_iters):
-        u = c / np.maximum(np.abs(r), SMOOTHING)
-        su = np.sqrt(u)
-        alpha_new, *_ = np.linalg.lstsq(A * su[:, None], y * su, rcond=None)
+        alpha_new = _weighted_ls(A, y, c / np.maximum(np.abs(r), SMOOTHING))
         r_new = y - A @ alpha_new
         obj_new = _smoothed_objective(r_new, c, SMOOTHING)
         if obj_new > trace[-1] * (1.0 + 1e-12) + 1e-300:
@@ -153,10 +184,7 @@ def best_poly_l1w(
     A = np.exp(1j * np.outer(nodes, np.arange(degree + 1)))
     y = f.samples.astype(complex)
 
-    starts = []
-    sc = np.sqrt(c)
-    l2_start, *_ = np.linalg.lstsq(A * sc[:, None], y * sc, rcond=None)
-    starts.append(l2_start)
+    starts = [_weighted_ls(A, y, c)]
     fejer_poly = _fejer_candidate(f, degree)
     fejer_error = None
     if fejer_poly is not None:

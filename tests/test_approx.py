@@ -7,6 +7,8 @@ from fejerlab.approx import (
     IrlsConfig,
     PolyCoeffs,
     StageFailure,
+    _toeplitz_gram,
+    _weighted_ls,
     best_poly_l1w,
     density_curve,
     fejer_error_curve,
@@ -61,9 +63,34 @@ def test_error_bounded_by_fejer_candidate(fit_grid, weight4):
 
 def test_irls_smoothed_objective_monotone(fit_grid, weight4):
     f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
-    res = best_poly_l1w(f, weight4, 8)
-    trace = np.array(res.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-12 * (1 + trace[:-1]))
+    # the IRLS normal matrix is less well conditioned at degree 64
+    for degree in (8, 64):
+        res = best_poly_l1w(f, weight4, degree)
+        trace = np.array(res.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-12 * (1 + trace[:-1]))
+
+
+@pytest.mark.parametrize("degree", [0, 8, 64])
+def test_weighted_ls_matches_direct_lstsq(fit_grid, weight4, degree):
+    # the direct path: an SVD least-squares solve of the scaled design
+    nodes = fit_grid.nodes
+    c = weight4(nodes) * fit_grid.quad_weights
+    A = np.exp(1j * np.outer(nodes, np.arange(degree + 1)))
+    y = _inv_quarter(nodes)
+    rng = np.random.default_rng(degree)
+    for spread in (0, 4, 8):
+        # IRLS weights for residuals log-uniform over 10^-spread .. 1
+        r = 10.0 ** (-spread * rng.random(nodes.size))
+        u = c / np.maximum(r, 1e-8)
+        su = np.sqrt(u)
+        ref, *_ = np.linalg.lstsq(A * su[:, None], y * su, rcond=None)
+        alpha = _weighted_ls(A, y, u)
+        assert np.linalg.norm(alpha - ref) <= 1e-10 * np.linalg.norm(ref)
+        res, res_ref = (np.linalg.norm(su * (y - A @ a)) for a in (alpha, ref))
+        assert abs(res - res_ref) <= 1e-12 * res_ref
+        dense = A.conj().T @ (u[:, None] * A)
+        G = _toeplitz_gram(A, u)
+        assert np.max(np.abs(G - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_inv_quarter_is_integrable_against_weight(weight4):
@@ -94,6 +121,18 @@ def test_density_curve_hits_zero_for_low_degree_polynomial(fit_grid, weight4):
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[3] <= 1e-8 and errors[4] <= 1e-8
     assert errors[0] > 1e-3
+
+
+def test_density_curve_never_calls_lstsq(fit_grid, weight4, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("IRLS reached np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    results = density_curve(f, weight4, (4, 64))
+    for r in results:
+        assert np.isfinite(r.error)
+        assert r.error <= r.fejer_error * (1 + 1e-12)
 
 
 def test_density_curve_inv_quarter(fit_grid, weight4):
