@@ -12,6 +12,12 @@ toward both ends; clustering nodes at the weight's jump points is what makes
 node-sampled suprema stable under mesh refinement.  Quadrature is the
 composite midpoint rule: nodes are cell midpoints, weights are cell lengths
 divided by 2 pi.
+
+Kernels are sampled as tables K(theta_i - s_j), block by block, in
+`kernel_blocks`.  Fejér and Poisson tables come from per-angle phase factors
+by angle addition, O(rows + columns) sines per block; near the diagonal each
+sine carries about 1e-16 absolute error where fl(theta_i - s_j) would be
+exact.
 """
 
 from __future__ import annotations
@@ -320,31 +326,60 @@ def fourier_window(f, window: int) -> FourierCoefficients:
     return FourierCoefficients(window=window, coeffs=coeffs)
 
 
-def fejer_kernel_eval(n: int, theta):
-    """Fejér kernel of order n >= 0.
+def _sin_table(a: float, theta, sources):
+    """sin(a (theta_i - sources_j)) for every pair, by angle addition:
+    sin(a t) cos(a s) - cos(a t) sin(a s) from O(len theta + len sources)
+    sines and cosines and two elementwise outer products.  Products commute
+    exactly, so with theta = sources the table is exactly antisymmetric."""
+    at, au = a * theta, a * sources
+    out = np.asarray(np.multiply.outer(np.sin(at), np.cos(au)))
+    out -= np.multiply.outer(np.cos(at), np.sin(au))
+    return out
 
-    Closed form (1/(n+1)) (sin((n+1)theta/2) / sin(theta/2))^2; the removable
-    singularity at theta = 0 (mod 2 pi) is filled with the coefficient-sum
-    value n + 1.
+
+def fejer_kernel_eval(n: int, theta, sources=0.0):
+    """Fejér kernel of order n >= 0 at t = theta_i - sources_j, as a table of
+    shape theta.shape + sources.shape.
+
+    Closed form (1/(n+1)) (sin((n+1)t/2) / sin(t/2))^2; the removable
+    singularity at t = 0 (mod 2 pi) is filled with the coefficient-sum
+    value n + 1.  Both sines come from `_sin_table`; with the default
+    sources = 0 its factors are 1 and 0, so they are the sines of theta/2
+    and (n+1) theta/2 bit for bit.
     """
     if n < 0:
         raise ValueError("kernel order must be >= 0")
     t = np.asarray(theta, dtype=float)
-    s = np.sin(0.5 * t)
+    u = np.asarray(sources, dtype=float)
+    s = _sin_table(0.5, t, u)
     tiny = np.abs(s) < 1e-9
-    s_safe = np.where(tiny, 1.0, s)
-    num = np.sin(0.5 * (n + 1) * t)
-    val = (num / s_safe) ** 2 / (n + 1)
-    out = np.where(tiny, float(n + 1), val)
+    s[tiny] = 1.0
+    out = _sin_table(0.5 * (n + 1), t, u)
+    out /= s
+    out *= out
+    out /= n + 1
+    out[tiny] = n + 1
     return out if out.ndim else float(out)
 
 
-def poisson_kernel_eval(r: float, theta):
-    """Poisson kernel (1 - r^2) / (1 - 2 r cos theta + r^2) for 0 <= r < 1."""
+def poisson_kernel_eval(r: float, theta, sources=0.0):
+    """Poisson kernel (1 - r^2) / (1 - 2 r cos t + r^2) for 0 <= r < 1 at
+    t = theta_i - sources_j, as a table of shape theta.shape + sources.shape.
+
+    cos t = cos theta_i cos sources_j + sin theta_i sin sources_j from
+    per-angle factors; with the default sources = 0 it is cos theta bit for
+    bit.
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
     t = np.asarray(theta, dtype=float)
-    out = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t) + r * r)
+    u = np.asarray(sources, dtype=float)
+    out = np.asarray(np.multiply.outer(np.cos(t), np.cos(u)))
+    out += np.multiply.outer(np.sin(t), np.sin(u))
+    out *= -2.0 * r
+    out += 1.0
+    out += r * r
+    np.divide(1.0 - r * r, out, out=out)
     return out if out.ndim else float(out)
 
 
@@ -376,12 +411,13 @@ class KernelSpec:
             raise TypeError("custom kernels take a PiecewiseConstant")
         return KernelSpec(kind="custom", profile=profile)
 
-    def __call__(self, theta):
+    def __call__(self, theta, sources=0.0):
+        """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape."""
         if self.kind == "fejer":
-            return fejer_kernel_eval(self.n, theta)
+            return fejer_kernel_eval(self.n, theta, sources)
         if self.kind == "poisson":
-            return poisson_kernel_eval(self.r, theta)
-        return self.profile(theta)
+            return poisson_kernel_eval(self.r, theta, sources)
+        return self.profile(np.subtract.outer(theta, sources))
 
 
 def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:
@@ -428,9 +464,15 @@ def kernel_blocks(kernel, targets, sources):
     """Kernel samples K(targets[rows] - sources), one block of rows at a time.
 
     Yields (rows, block) with `rows` a slice of `targets` and `block` of
-    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each.  Each
-    block is a fresh array that the caller owns and may overwrite.  This is
-    the only place an N x N kernel is sampled.
+    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each, from
+    kernel(targets[rows], sources).  Each block is a fresh array that the
+    caller owns and may overwrite.  This is the only place an N x N kernel
+    is sampled.  Fejér and Poisson blocks come from per-angle phase factors
+    in O(len(rows) + len(sources)) sines and are exactly symmetric when
+    targets and sources are the same nodes; near the diagonal a Fejér entry
+    differs from the closed form at the rounded difference by about
+    1e-16 (n+1) / |sin(t/2)|.  A step profile looks up the rounded
+    differences targets[rows, None] - sources[None, :].
 
     Raises ValueError when the kernel produces a non-finite sample.
     """
@@ -439,7 +481,7 @@ def kernel_blocks(kernel, targets, sources):
     step = max(1, KERNEL_BLOCK // max(1, sources.size))
     for start in range(0, targets.size, step):
         rows = slice(start, start + step)
-        block = np.asarray(kernel(targets[rows, None] - sources[None, :]))
+        block = np.asarray(kernel(targets[rows], sources))
         if not np.all(np.isfinite(block)):
             raise ValueError("kernel produced non-finite samples")
         yield rows, block

@@ -255,9 +255,10 @@ def cmd_density(args) -> list:
     rise = np.max(np.diff(errors), initial=-np.inf)
     _check("density-monotone", rise, 1e-12, "<=")
     # below a fifth of the first error, or at most the 1e-8 floor: whichever
-    # is larger decides (the floor on a tie)
-    threshold, sense = max((0.2 * errors[0], "<"), (1e-8, "<="))
-    _check("density-decay", errors[-1], threshold, sense)
+    # is larger decides (the floor on a tie); one distinct degree cannot decay
+    if degrees[-1] > degrees[0]:
+        threshold, sense = max((0.2 * errors[0], "<"), (1e-8, "<="))
+        _check("density-decay", errors[-1], threshold, sense)
     excess = [
         r.error - r.fejer_error * (1 + 1e-12) for r in results if r.fejer_error is not None
     ]

@@ -16,8 +16,10 @@ statement.
 
 An operator never stores its matrix.  Fejér and Poisson sums sample the
 kernel once, block by block, and take the row sums and the column sums as
-two contractions of each block.  A Fejér operator whose matrix spans more
-than one kernel block uses its 2n+1 frequencies instead,
+two contractions of each block; each block is built from per-node phase
+factors in O(N) sines (`kernel_blocks`) and is exactly symmetric, so the
+two contractions read one sampled matrix.  A Fejér operator whose matrix
+spans more than one kernel block uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
 O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
 its row sums and column sums are one vector.  A step kernel is never
@@ -497,7 +499,7 @@ def fejer_blowup(
         pointwise_min = min(
             float(np.min(block @ bump_q))
             for _, block in kernel_blocks(
-                lambda d: fejer_kernel_eval(p.n_of_m, d),
+                lambda t, s: fejer_kernel_eval(p.n_of_m, t, s),
                 grid.nodes[window],
                 grid.nodes[support],
             )

@@ -16,6 +16,7 @@ from fejerlab.circle import (
     fejer_kernel_eval,
     fejer_mean,
     fourier_window,
+    kernel_blocks,
     make_grid,
     poisson_extend,
     poisson_kernel_eval,
@@ -23,7 +24,8 @@ from fejerlab.circle import (
     trig_sum,
     wrap_angle,
 )
-from fejerlab.operators import fejer_kernel_mass
+from fejerlab.operators import fejer_kernel_mass, grid_for_kernels
+from fejerlab.spaces import make_weight
 
 PI = math.pi
 
@@ -225,6 +227,117 @@ def test_fejer_kernel_localization_bound_and_decay():
         sups.append(np.max(vals))
     assert all(sups[i + 2] < sups[i] for i in range(len(sups) - 2))
     assert sups[-1] < 0.05 * sups[0]
+
+
+# ------------------------------------------------- kernel tables by phase factors
+
+U = 2.0**-53  # unit roundoff
+
+
+def _closed_form(kernel, theta):
+    """The kernels' closed forms evaluated at the angles themselves: the
+    reference the phase-factor tables are checked against."""
+    t = np.asarray(theta, dtype=float)
+    if kernel.kind == "fejer":
+        n = kernel.n
+        s = np.sin(0.5 * t)
+        tiny = np.abs(s) < 1e-9
+        val = (np.sin(0.5 * (n + 1) * t) / np.where(tiny, 1.0, s)) ** 2 / (n + 1)
+        return np.where(tiny, float(n + 1), val)
+    r = kernel.r
+    return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t) + r * r)
+
+
+SAMPLED_KERNELS = [KernelSpec.fejer(n) for n in (0, 1, 32, 108)] + [
+    KernelSpec.poisson(r) for r in (0.05, 0.63)
+]
+
+
+def _entry_bound(kernel, diff, reference):
+    """How far a table entry may sit from the closed form at the rounded
+    difference `diff`, to first order in the rounding errors.
+
+    Every sine or cosine either form takes, of a phase a (theta_i - s_j) with
+    |theta_i|, |s_j| < pi, is off by at most about u (2 pi |a| + 4): the
+    rounded phases, one ulp from sin or cos, and one rounding each for the
+    products and the sum (phase factors) or for fl(theta_i - s_j) (closed
+    form).  Fejér: F = num^2 / ((n+1) s^2) with F <= n + 1, so
+    |num / s| <= n + 1 and errors d_num, d_s move F by at most
+    2 (d_num + (n+1) d_s) / |s|; both forms' errors add, giving
+    8 u (n+1) (pi + 3) / |s| with |s| = |sin(t/2)| floored at the 1e-9 where
+    both forms return n + 1.  Poisson: P = (1 - r^2) / D with
+    D >= (1 - r)^2, so an error d_c in cos t moves P by P 2 r d_c / D; both
+    forms' d_c and their four roundings after it give
+    P (4 r u (2 pi + 4) / (1 - r)^2 + 8 u).
+    """
+    if kernel.kind == "fejer":
+        s = np.maximum(np.abs(np.sin(0.5 * diff)), 1e-9)
+        return 8 * U * (kernel.n + 1) * (PI + 3) / s
+    r = kernel.r
+    return reference * (4 * r * U * (2 * PI + 4) / (1 - r) ** 2 + 8 * U)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # the duality grids at --ppi 8 and --max-order 32: 184 and 28 node
+        # pairs exactly pi apart, and differences within 6e-6 of +-2 pi
+        lambda: grid_for_kernels(1, 8, 32),
+        lambda: grid_for_kernels(2, 8, 32),
+        lambda: make_grid(4, 8, max_cell=2 * PI / 2500),  # N = 2,940: two blocks
+    ],
+    ids=["duality-M1", "duality-M2", "two-blocks"],
+)
+def test_kernel_blocks_match_closed_form_of_differences(build):
+    grid = build()
+    x = grid.nodes
+    c = make_weight(grid.M)(x) * grid.quad_weights
+    for kernel in SAMPLED_KERNELS:
+        rowsums = np.empty(x.size)
+        colsums = np.zeros(x.size)
+        ref_rows = np.empty(x.size)
+        ref_cols = np.zeros(x.size)
+        for rows, block in kernel_blocks(kernel, x, x):
+            diff = x[rows, None] - x[None, :]
+            ref = _closed_form(kernel, diff)
+            assert np.all(np.abs(block - ref) <= _entry_bound(kernel, diff, ref)), kernel
+            if kernel.kind == "fejer":
+                # sin(t/2) is exactly 0 on the diagonal in both forms
+                diag = np.arange(x.size)[rows]
+                assert np.all(block[diag - rows.start, diag] == kernel.n + 1)
+            if block.shape[0] == x.size:
+                # products commute exactly, so the node x node table is symmetric
+                assert np.array_equal(block, block.T), kernel
+            rowsums[rows], ref_rows[rows] = block @ c, ref @ c
+            colsums += c[rows] @ block
+            ref_cols += c[rows] @ ref
+        assert np.max(np.abs(rowsums - ref_rows) / ref_rows) <= 1e-13, kernel
+        assert np.max(np.abs(colsums - ref_cols) / ref_cols) <= 1e-13, kernel
+
+
+def test_kernel_tables_of_distinct_targets_and_sources():
+    # the shape of blow-up's window rows: fewer targets than sources
+    grid = grid_for_kernels(2, 8, 32)
+    targets, sources = grid.nodes[3::7], grid.nodes[::2]
+    for kernel in SAMPLED_KERNELS:
+        table = kernel(targets, sources)
+        assert table.shape == (targets.size, sources.size)
+        diff = targets[:, None] - sources[None, :]
+        ref = _closed_form(kernel, diff)
+        assert np.all(np.abs(table - ref) <= _entry_bound(kernel, diff, ref)), kernel
+
+
+def test_one_argument_kernel_calls_bitwise_unchanged():
+    # with sources = 0 the phase factors are 1 and 0: the closed form exactly;
+    # KernelSpec calls fejer_kernel_eval and poisson_kernel_eval with one angle
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, 1e-10, -1e-10, PI, -PI, 2 * PI, -2 * PI])
+    theta = np.concatenate([special, rng.uniform(-10.0, 10.0, size=4000)])
+    for kernel in SAMPLED_KERNELS:
+        assert np.array_equal(kernel(theta), _closed_form(kernel, theta)), kernel
+        for t in special:
+            value = kernel(t)
+            assert type(value) is float and value == _closed_form(kernel, t), (kernel, t)
 
 
 # ---------------------------------------------------------------- fejer_mean

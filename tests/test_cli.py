@@ -261,6 +261,16 @@ def test_density_t3_small(capsys):
     assert out.count("[PASS]") == 3
 
 
+@pytest.mark.parametrize("degrees", ["64", "3,3"])
+def test_density_single_distinct_degree_skips_decay(degrees, capsys):
+    # one distinct degree would compare its error with a fifth of itself
+    argv = ["density", "--function", "invquarter", "--degrees", degrees, "--grid-M", "16"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] density-monotone" in out and "[PASS] density-fejer-bound" in out
+    assert "density-decay" not in out
+
+
 def test_density_rows_labelled_with_sorted_degrees(tmp_path):
     # the fits run in ascending degree, so the argument order must not matter
     csv = {}

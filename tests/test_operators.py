@@ -135,6 +135,50 @@ def test_weighted_sums_match_dense_matrix(
         assert np.array_equal(norms[LINF].extremal, wv * signs)
 
 
+@pytest.mark.parametrize("M", [1, 2])
+def test_duality_norms_match_closed_form_of_differences(M):
+    # the duality grids at --ppi 8 and --max-order 32; the one-argument
+    # kernel call is the closed form bit for bit (test_circle), so the dense
+    # matrix here is the kernel at the rounded node differences
+    grid = grid_for_kernels(M, 8, 32)
+    w = make_weight(M)
+    x = grid.nodes
+    wv = w(x)
+    wq = wv * grid.quad_weights
+    diff = x[:, None] - x[None, :]
+    for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32, 108)] + [
+        KernelSpec.poisson(r) for r in (0.05, 0.63)
+    ]:
+        dense = np.abs(kernel(diff))
+        A = assemble_operator(kernel, grid)
+        assert not A.spectral
+        rowsums, colsums = A.weighted_sums(wq)
+        assert np.max(np.abs(rowsums - dense @ wq) / (dense @ wq)) <= 1e-13, kernel
+        assert np.max(np.abs(colsums - wq @ dense) / (wq @ dense)) <= 1e-13, kernel
+        norms = operator_norm(A, w)
+        for tag, sums in ((L1, wq @ dense), (LINF, dense @ wq)):
+            assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
+        assert abs(norms[L1].value - norms[LINF].value) <= 1e-14 * norms[L1].value
+
+
+def test_blowup_window_rows_match_closed_form_of_differences():
+    # blow-up samples window nodes against bump nodes: distinct targets and
+    # sources, on a grid past one kernel block
+    m = 4
+    grid = make_grid(m, 8, max_cell=2e-3)
+    assert grid.node_count**2 > KERNEL_BLOCK
+    [row] = fejer_blowup([m], make_weight(m), grid=grid)
+    p = localization_params(m)
+    left, right = operators._window_for(m, p)
+    x = grid.nodes
+    window = x[(x >= left) & (x <= right)]
+    bump = make_bump(m).profile(x)
+    support = np.nonzero(bump)[0]
+    kernel = KernelSpec.fejer(p.n_of_m)
+    conv = kernel(window[:, None] - x[None, support]) @ (bump * grid.quad_weights)[support]
+    assert abs(row.pointwise_min - np.min(conv)) <= 1e-13 * np.min(conv)
+
+
 def _tied_step_kernel(grid, pairs):
     """Signed, non-even step kernel with edges on the wrapped node differences
     +-(theta_a - theta_b) of the given index pairs, plus one fixed edge."""
