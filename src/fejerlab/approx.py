@@ -5,13 +5,13 @@ The minimization of sum_i |f_i - q(theta_i)| w_i q_i over analytic
 polynomials q of fixed degree is solved by iteratively reweighted least
 squares with residual smoothing: each sweep solves a weighted least squares
 problem with weights c_i / max(|r_i|, eps), which never increases the
-eps-smoothed objective (majorize-minimize).  In the Fourier design
-A_ik = exp(i k theta_i) the normal matrix A^H diag(u) A is Hermitian
-Toeplitz, so each sweep solves the Toeplitz normal equations: two
-matrix-vector products with A and one (d+1) x (d+1) solve.  Correctness is
-certified externally: for Hardy-class data the Fejér mean of matching order
-is a feasible polynomial, so the achieved objective must not exceed the
-Fejér mean's objective.
+eps-smoothed objective (majorize-minimize).  The Fourier design
+A_ik = exp(i k theta_i) is the binary-power phase table of `circle.trig_sum`,
+and A^H diag(u) A is Hermitian Toeplitz, so each sweep solves the Toeplitz
+normal equations: two matrix-vector products with A and one (d+1) x (d+1)
+solve.  Correctness is certified externally: for Hardy-class data the
+Fejér mean of matching order is a feasible polynomial, so the achieved
+objective must not exceed the Fejér mean's objective.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
+    _phases,
     convolve_direct,
     fejer_mean,
     fourier_window,
@@ -181,7 +182,7 @@ def best_poly_l1w(
         raise ValueError("degree must be >= 0")
     nodes = f.grid.nodes
     c = (np.ones(nodes.size) if w is None else w(nodes)) * f.grid.quad_weights
-    A = np.exp(1j * np.outer(nodes, np.arange(degree + 1)))
+    A = _phases(nodes, 0, degree + 1, 1)
     y = f.samples.astype(complex)
 
     starts = [_weighted_ls(A, y, c)]

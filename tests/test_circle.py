@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fejerlab import circle
 from fejerlab.circle import (
     KERNEL_BLOCK,
     AliasingError,
@@ -162,13 +163,81 @@ def test_fourier_window_matches_closed_form():
 
 def test_trig_sum_over_several_blocks_matches_direct_formula():
     rng = np.random.default_rng(2)
-    a = rng.uniform(-PI, PI, size=5000)
-    b = np.arange(-500, 501)  # 1001 columns: about 2,000 rows per block
+    b = np.arange(-500, 501)
+    rows = circle.TRIG_BLOCK // b.size  # angles per block
+    a = rng.uniform(-PI, PI, size=3 * rows + 7)  # three full blocks and a part
     x = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
+    y = rng.normal(size=a.size) + 1j * rng.normal(size=a.size)
     for sign in (1, -1):
         out = trig_sum(a, b, x, sign)
         direct = [np.sum(x * np.exp(sign * 1j * ai * b)) for ai in a]
         assert np.max(np.abs(out - direct)) <= 1e-10 * np.sum(np.abs(x))
+        out = trig_sum(b, a, y, sign)
+        direct = [np.sum(y * np.exp(sign * 1j * bk * a)) for bk in b]
+        assert np.max(np.abs(out - direct)) <= 1e-10 * np.sum(np.abs(y))
+
+
+def test_trig_sum_synthesis_and_analysis_are_adjoint():
+    # <trig_sum(theta, ks, c, +1), x> = <c, trig_sum(ks, theta, x, -1)>
+    rng = np.random.default_rng(3)
+    ks = np.arange(-300, 301)
+    theta = rng.uniform(-PI, PI, size=5 * (circle.TRIG_BLOCK // ks.size) // 2)
+    c = rng.normal(size=ks.size) + 1j * rng.normal(size=ks.size)
+    x = rng.normal(size=theta.size) + 1j * rng.normal(size=theta.size)
+    lhs = np.vdot(x, trig_sum(theta, ks, c, 1))
+    rhs = np.vdot(trig_sum(ks, theta, x, -1), c)
+    assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(c)) * np.sum(np.abs(x))
+
+
+def test_trig_sum_needs_a_consecutive_integer_range():
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(-PI, PI, size=7)
+    for freqs in (theta[:3], np.array([0, 1, 3]), np.array([0.5, 1.5, 2.5])):
+        with pytest.raises(ValueError, match="consecutive integer range"):
+            trig_sum(theta, freqs, np.ones(3), 1)
+        with pytest.raises(ValueError, match="consecutive integer range"):
+            trig_sum(freqs, theta, np.ones(7), -1)
+    with pytest.raises(ValueError, match="sign"):
+        trig_sum(theta, np.arange(3), np.ones(3), 0)
+
+
+def test_step_coefficients_take_the_full_range_and_drop_k0(monkeypatch):
+    seen = []
+
+    def spy(a, b, x, sign):
+        seen.append(np.array(a))
+        return trig_sum(a, b, x, sign)
+
+    monkeypatch.setattr(circle, "trig_sum", spy)
+    f = PiecewiseConstant.indicator(-0.5, 2.0, value=1.5)
+    window = fourier_window(f, 4)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.arange(-4, 5))
+    assert window[0] == f.integral()
+    assert np.all(np.isfinite(window.coeffs))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+@pytest.mark.parametrize("k0, K", [(-8192, 16385), (0, 1025), (0, 16385)])
+def test_phase_table_error_against_long_double_reference(k0, K):
+    # Reference e^{i k theta} with k = 128 q + r, 0 <= r < 128: the products
+    # (128 theta) q and r theta have at most 53 + 8 bits, so they are exact
+    # in the 64-bit long double mantissa, unlike a rounded k theta.
+    ld = np.longdouble
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([[PI, -PI + 1e-9, 1e-3, 3.0], rng.uniform(-PI, PI, 36)])
+    q, r = np.divmod(np.arange(k0, k0 + K), 128)
+    hi = np.multiply.outer(128 * theta.astype(ld), q.astype(ld))
+    lo = np.multiply.outer(theta.astype(ld), r.astype(ld))
+    cos = np.cos(hi) * np.cos(lo) - np.sin(hi) * np.sin(lo)
+    sin = np.sin(hi) * np.cos(lo) + np.cos(hi) * np.sin(lo)
+    bound = (2 * math.ceil(math.log2(K)) + 2) * np.finfo(float).eps
+    for sign in (1, -1):
+        P = circle._phases(theta, k0, K, sign)
+        err = np.hypot((P.real - cos).astype(float), (P.imag - sign * sin).astype(float))
+        assert np.max(err) <= bound
 
 
 # ------------------------------------------------------------------- kernels
