@@ -5,7 +5,10 @@ The minimization of sum_i |f_i - q(theta_i)| w_i q_i over analytic
 polynomials q of fixed degree is solved by iteratively reweighted least
 squares with residual smoothing: each sweep solves a weighted least squares
 problem with weights c_i / max(|r_i|, eps), which never increases the
-eps-smoothed objective (majorize-minimize).  The Fourier design
+eps-smoothed objective (majorize-minimize).  That objective is convex, so
+each fit runs IRLS once, from the start with the smallest raw objective
+among the weighted least squares fit, the Fejér mean and the previous
+degree's polynomial.  The Fourier design
 A_ik = exp(i k theta_i) is the binary-power phase table of `circle.trig_sum`,
 and A^H diag(u) A is Hermitian Toeplitz, so each sweep solves the Toeplitz
 normal equations: two matrix-vector products with A and one (d+1) x (d+1)
@@ -169,14 +172,17 @@ def best_poly_l1w(
     degree: int,
     cfg: IrlsConfig = IrlsConfig(),
     *,
-    warm_starts=(),
+    warm_start: PolyCoeffs | None = None,
 ) -> FitResult:
     """Approximately minimize ||f - q||_{L1(w)} over polynomials of `degree`.
 
-    Runs IRLS from a weighted least squares start, from the Fejér-mean
-    candidate (when the coefficient window allows it), and from any supplied
-    warm starts, keeping the best raw objective.  The reported error is the
-    plain discrete weighted-L1 objective of the returned polynomial.
+    The starts are the weighted least squares fit, the Fejér-mean candidate
+    (when the coefficient window allows it) and the zero-padded warm start.
+    IRLS runs once, from the start with the smallest raw objective: the
+    smoothed objective is convex, so every start leads to the same minimum.
+    If the run ends above its start, the start is kept, so the result is
+    never above any start.  The reported error is the plain discrete
+    weighted-L1 objective of the returned polynomial.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -187,28 +193,20 @@ def best_poly_l1w(
 
     starts = [_weighted_ls(A, y, c)]
     fejer_poly = _fejer_candidate(f, degree)
-    fejer_error = None
     if fejer_poly is not None:
         starts.append(fejer_poly.coeffs)
-        fejer_error = _raw_objective(y - A @ fejer_poly.coeffs, c)
-    for ws in warm_starts:
-        coeffs = ws.coeffs if isinstance(ws, PolyCoeffs) else np.asarray(ws, complex)
-        if coeffs.size <= degree + 1:
-            padded = np.zeros(degree + 1, dtype=complex)
-            padded[: coeffs.size] = coeffs
-            starts.append(padded)
+    if warm_start is not None:
+        padded = np.zeros(degree + 1, dtype=complex)
+        padded[: warm_start.coeffs.size] = warm_start.coeffs
+        starts.append(padded)
+    objectives = [_raw_objective(y - A @ s, c) for s in starts]
+    fejer_error = objectives[1] if fejer_poly is not None else None
 
-    best = None
-    for start in starts:
-        raw_start = _raw_objective(y - A @ start, c)
-        alpha, r, conv, iters, trace = _irls(A, y, c, start, cfg)
-        raw = _raw_objective(r, c)
-        if raw_start < raw:  # the start itself is a valid feasible point
-            alpha, raw, conv = start, raw_start, True
-        if best is None or raw < best[1]:
-            best = (alpha, raw, conv, iters, trace)
-
-    alpha, raw, conv, iters, trace = best
+    k = int(np.argmin(objectives))
+    alpha, r, conv, iters, trace = _irls(A, y, c, starts[k], cfg)
+    raw = _raw_objective(r, c)
+    if objectives[k] < raw:  # the start itself is a valid feasible point
+        alpha, raw, conv = starts[k], objectives[k], True
     return FitResult(
         poly=PolyCoeffs(coeffs=alpha),
         error=raw,
@@ -229,8 +227,7 @@ def density_curve(f: SampledFunction, w: Weight | None, degrees) -> list[FitResu
     results = []
     prev = None
     for d in degrees:
-        warm = (prev,) if prev is not None else ()
-        res = best_poly_l1w(f, w, d, warm_starts=warm)
+        res = best_poly_l1w(f, w, d, warm_start=prev)
         results.append(res)
         prev = res.poly
     return results
@@ -368,18 +365,14 @@ def gliding_hump_witness(
     wv = w(grid.nodes)
     orders: list[int] = []
     parts: list[tuple[int, float]] = []  # (node index, sample value)
-    norm_cache: dict[int, object] = {}
 
     for k in range(stages):
         accepted = False
         for n in ladder:
             if orders and n <= orders[-1]:
                 continue
-            if n not in norm_cache:
-                A = assemble_operator(KernelSpec.fejer(n), grid)
-                norm_cache[n] = operator_norm(A, w)[SpaceTag.WEIGHTED_L1]
-            res = norm_cache[n]
-            j = res.arg_index
+            A = assemble_operator(KernelSpec.fejer(n), grid)
+            j = operator_norm(A, w)[SpaceTag.WEIGHTED_L1].arg_index
             amp = coeffs[k] / (wv[j] * grid.quad_weights[j])
             trial_parts = parts + [(j, amp)]
             errs = _stage_errors(grid, w, trial_parts, orders + [n])

@@ -52,7 +52,6 @@ from .spaces import SpaceTag, Weight, gap_interval, spike_interval
 
 __all__ = [
     "OperatorMatrix",
-    "Bump",
     "LocalizationParams",
     "NormResult",
     "BlowupRow",
@@ -273,22 +272,15 @@ def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormRes
     return {SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf}
 
 
-@dataclass(frozen=True)
-class Bump:
+def make_bump(m: int) -> PiecewiseConstant:
     """One-sided test bump: sqrt(m) on [pi/(2m), pi/(2m-1)], zero elsewhere.
 
     Against any weight with at least m spikes its weighted-Linf norm is 1.
     """
-
-    m: int
-    profile: PiecewiseConstant
-
-
-def make_bump(m: int) -> Bump:
     if m < 1:
         raise ValueError("spike index must be >= 1")
     lo, hi = spike_interval(m)
-    return Bump(m=m, profile=PiecewiseConstant.indicator(lo, hi, math.sqrt(m)))
+    return PiecewiseConstant.indicator(lo, hi, math.sqrt(m))
 
 
 def fejer_kernel_mass(n: int, a: float, b: float) -> float:
@@ -483,8 +475,7 @@ def fejer_blowup(
         _check_window_resolution(grid, m)
         p = params[m]
         bound = math.sqrt(m) / (8.0 * math.pi)
-        bump = make_bump(m)
-        bump_vals = bump.profile(grid.nodes)
+        bump_vals = make_bump(m)(grid.nodes)
         support = np.nonzero(bump_vals)[0]
         if support.size < 2:
             raise GridTooCoarse(f"bump m={m} not resolved by the grid")

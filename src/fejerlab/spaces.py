@@ -86,20 +86,11 @@ def make_weight(M: int) -> Weight:
     """Exact step representation of the weight truncated at spike M."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    edges = [0.0]
-    values = []
-    # walk outward: central plateau, then alternating spike m = M..1 and gaps
-    edges.append(math.pi / (2 * M))
-    values.append(1.0)
-    for m in range(M, 0, -1):
-        lo, hi = spike_interval(m)
-        edges.append(hi)
-        values.append(math.sqrt(m))
-        if m > 1:
-            edges.append(math.pi / (2 * (m - 1)))
-            values.append(1.0)
-    pos_edges = np.array(edges)
-    pos_values = np.array(values)
+    # positive edges 0, pi/(2M), pi/(2M-1), ..., pi/1: the cell ending at
+    # pi/k is spike (k+1)/2 for odd k, a gap or the central plateau otherwise
+    k = np.arange(2 * M, 0, -1)
+    pos_edges = np.concatenate([[0.0], math.pi / k])
+    pos_values = np.where(k % 2 == 1, np.sqrt((k + 1) / 2), 1.0)
     full_edges = np.concatenate([-pos_edges[::-1], pos_edges[1:]])
     full_values = np.concatenate([pos_values[::-1], pos_values])
     return Weight(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fejerlab import approx
 from fejerlab.approx import (
     IrlsConfig,
     PolyCoeffs,
@@ -111,6 +112,25 @@ def test_nonconvergence_flag_with_tiny_budget(fit_grid, weight4):
     assert not res.converged
 
 
+def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):
+    seen = []
+
+    def ends_above(A, y, c, start, cfg):
+        seen.append(start)
+        return np.zeros_like(start), y, False, 3, [1.0]
+
+    monkeypatch.setattr(approx, "_irls", ends_above)
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    res = best_poly_l1w(f, weight4, 8)
+    [start] = seen
+    assert np.array_equal(res.poly.coeffs, start)
+    c = weight4(fit_grid.nodes) * fit_grid.quad_weights
+    raw_start = np.sum(np.abs(f.samples - res.poly(fit_grid.nodes)) * c)
+    assert res.error == pytest.approx(raw_start, rel=1e-12)
+    assert res.error <= res.fejer_error
+    assert res.converged
+
+
 # ------------------------------------------------------------- density_curve
 
 
@@ -133,6 +153,20 @@ def test_density_curve_never_calls_lstsq(fit_grid, weight4, monkeypatch):
     for r in results:
         assert np.isfinite(r.error)
         assert r.error <= r.fejer_error * (1 + 1e-12)
+
+
+def test_density_curve_runs_irls_once_per_degree(fit_grid, weight4, monkeypatch):
+    calls = []
+    irls = approx._irls
+
+    def counted(*args):
+        calls.append(args)
+        return irls(*args)
+
+    monkeypatch.setattr(approx, "_irls", counted)
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    density_curve(f, weight4, (4, 16, 64))
+    assert len(calls) == 3
 
 
 def test_density_curve_inv_quarter(fit_grid, weight4):

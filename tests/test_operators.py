@@ -172,7 +172,7 @@ def test_blowup_window_rows_match_closed_form_of_differences():
     left, right = operators._window_for(m, p)
     x = grid.nodes
     window = x[(x >= left) & (x <= right)]
-    bump = make_bump(m).profile(x)
+    bump = make_bump(m)(x)
     support = np.nonzero(bump)[0]
     kernel = KernelSpec.fejer(p.n_of_m)
     conv = kernel(window[:, None] - x[None, support]) @ (bump * grid.quad_weights)[support]
@@ -455,7 +455,7 @@ def test_bump_convolution_matches_direct_path():
     r = rows[0]
     grid = grid_for_kernels(4, 8, r.n_of_m)
     bump = make_bump(4)
-    f = SampledFunction(grid=grid, samples=bump.profile(grid.nodes).astype(float))
+    f = SampledFunction(grid=grid, samples=bump(grid.nodes).astype(float))
     conv = convolve_direct(f, KernelSpec.fejer(r.n_of_m))
     lo = PI / 8 - r.delta_n
     window = (grid.nodes >= lo) & (grid.nodes <= PI / 8)

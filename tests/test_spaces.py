@@ -120,19 +120,19 @@ def test_bump_weighted_l1_norm_closed_form():
     w = make_weight(8)
     for m in (1, 2, 3, 5, 8):
         expected = 1.0 / (4 * (2 * m - 1))
-        got = norm(make_bump(m).profile, w, L1)
+        got = norm(make_bump(m), w, L1)
         assert abs(got - expected) <= 1e-15 * (1 + 1 / expected), m
-    assert abs(norm(make_bump(1).profile, w, L1) - 0.25) <= 1e-16
+    assert abs(norm(make_bump(1), w, L1) - 0.25) <= 1e-16
 
 
 def test_bump_weighted_linf_norm_is_one():
     w = make_weight(8)
     for m in (1, 2, 5, 8):
-        assert norm(make_bump(m).profile, w, LINF) == 1.0
+        assert norm(make_bump(m), w, LINF) == 1.0
 
 
 def test_norms_on_sampled_match_exact_for_aligned_steps(weight_m4, grid_m4):
-    bump = make_bump(2).profile
+    bump = make_bump(2)
     sampled = SampledFunction(grid=grid_m4, samples=bump(grid_m4.nodes).astype(float))
     assert abs(norm(sampled, weight_m4, L1) - norm(bump, weight_m4, L1)) <= 1e-15
     assert norm(sampled, weight_m4, LINF) == norm(bump, weight_m4, LINF)
@@ -214,7 +214,7 @@ def test_pairing_of_conjugate_modes(weight_m4):
 
 
 def test_pairing_of_normalized_bump(weight_m8):
-    bump = make_bump(3).profile
+    bump = make_bump(3)
     f_norm = norm(bump, weight_m8, L1)
     scaled = PiecewiseConstant(edges=bump.edges, values=bump.values / f_norm)
     pairing = holder_pairing(scaled, bump)
@@ -239,7 +239,7 @@ def test_pairing_mixed_representations(grid_m4):
 
 
 def test_bump_support_is_one_sided():
-    bump = make_bump(3).profile
+    bump = make_bump(3)
     neg = np.linspace(-PI, -1e-9, 101)
     assert np.max(np.abs(bump(neg))) == 0.0
     lo, hi = spike_interval(3)
