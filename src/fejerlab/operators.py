@@ -448,7 +448,7 @@ def fejer_blowup(
     When no grid is passed, one is built that resolves the largest certified
     kernel order and contains the certification windows as cells.
     """
-    m_list = sorted(int(m) for m in m_list)
+    m_list = sorted({int(m) for m in m_list})
     if w.M < max(m_list):
         raise ValueError(f"weight holds M={w.M} spikes, need >= {max(m_list)}")
 

@@ -254,6 +254,16 @@ def test_maximal_subcommand_small(capsys, tmp_path):
     assert out.read_text().splitlines()[0] == "M,ratio"
 
 
+@pytest.mark.parametrize(
+    "argv", [["maximal", "--orders", "4,4"], ["blowup", "--m", "4,4", "--grid-M", "4"]]
+)
+def test_repeated_order_runs_once(argv, tmp_path):
+    # a repeated order is one experiment, not a zero rise in a growth contract
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_density_t3_small(capsys):
     code = main(["density", "--function", "t3", "--degrees", "3,5", "--grid-M", "2"])
     assert code == 0

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fejerlab import maximal
 from fejerlab.circle import PiecewiseConstant, SampledFunction, make_grid
 from fejerlab.maximal import maximal_function, weight_maximal_ratio
 from fejerlab.spaces import make_weight, spike_interval
@@ -27,6 +30,29 @@ def brute_force_maximal(samples, q):
     return out
 
 
+def quadratic_sweep(samples, q):
+    """Every grid-edge arc from every start cell, O(N^2): the nested arcs
+    from start s cover cell s+j when longer than j cells, so each start
+    contributes one suffix maximum of its averages ordered by length."""
+    n = samples.size
+    mass = np.abs(samples) * q
+    cmass = np.concatenate([[0.0], np.cumsum(np.concatenate([mass, mass]))])
+    cq = np.concatenate([[0.0], np.cumsum(np.concatenate([q, q]))])
+    out = np.full(2 * n, -np.inf)
+    for s in range(n):
+        avg = (cmass[s + 1 : s + n] - cmass[s]) / (cq[s + 1 : s + n] - cq[s])
+        covered = out[s : s + n - 1]
+        np.maximum(covered, np.maximum.accumulate(avg[::-1])[::-1], out=covered)
+    return np.maximum(out[:n], out[n:])
+
+
+def _weight_profile(M):
+    """The step weight w_M on the grid `weight_maximal_ratio` builds for it."""
+    w = make_weight(M)
+    grid = make_grid(M, 8, edge_levels=12)
+    return w, grid, np.abs(w.profile(grid.nodes))
+
+
 def _oracle_input(case):
     """(input, grid, node samples), with N <= 43 since the oracle is cubic."""
     if case == "weight-profile":
@@ -39,12 +65,18 @@ def _oracle_input(case):
         # the best arcs of the first cells wrap across +-pi to the last one
         samples = np.full(grid.node_count, 0.1)
         samples[-1] = 10.0
+    elif case == "hole":
+        # at the zero cell the best arc omits the shortest cell, an N-1-cell
+        # arc that neither starts nor ends at a run start when the zero sits
+        # on the longest cell, whose neighbours are longer than the shortest
+        samples = np.ones(grid.node_count)
+        samples[np.argmax(grid.quad_weights)] = 0.0
     else:
         samples = np.random.default_rng(1).normal(size=grid.node_count)
     return SampledFunction(grid=grid, samples=samples), grid, samples
 
 
-@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam"])
+@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam", "hole"])
 def test_maximal_profile_matches_bruteforce_oracle(case):
     f, grid, samples = _oracle_input(case)
     fast = maximal_function(f, grid).values
@@ -164,3 +196,83 @@ def test_weight_ratio_stable_across_two_resolutions():
         fine = weight_maximal_ratio([M], points_per_interval=8, edge_levels=10)[0][1]
         assert fine >= coarse - 1e-12
         assert abs(fine - coarse) <= 2e-3 * coarse
+
+
+@pytest.mark.parametrize("M", [4, 16])
+def test_weight_ratio_matches_quadratic_sweep(M):
+    w, grid, samples = _weight_profile(M)
+    slow = np.max(quadratic_sweep(samples, grid.quad_weights) / w(grid.nodes))
+    fast = weight_maximal_ratio([M])[0][1]
+    assert abs(fast - slow) <= 1e-12 * slow
+
+
+@pytest.mark.parametrize("M", [4, 16])
+def test_profile_within_cumsum_rounding_of_quadratic_sweep(M):
+    """Both sweeps take every arc average as (C_b - C_a) / (Q_b - Q_a) from
+    the same doubled cumulative sums, with the start a in [0, N), so each
+    value of the fast sweep is bitwise one of the quadratic sweep's and
+    fast <= slow holds exactly.  The gap is rounding only: the slow maximum
+    may sit on an arc whose rounded average exceeds the exact maximum.
+
+    With u = 2^-53, T = sum |f| q and sum q = 1, the sequential prefix sum
+    C_k of nonnegative terms (the products |f_j| q_j included) is off by at
+    most k u C_k <= 2N u (2T) to first order, and Q_k by at most 2N u (2),
+    for k <= 2N.  So an arc of length Q >= q_c with average A <= |f|max has
+    its numerator off by 8N u T + u A Q, its length by 8N u + u Q, and its
+    rounded average off by at most 8N u (T + |f|max) / q_c + 3 u |f|max.
+    Twice that bounds slow - fast at cell c: once for the slow sweep's
+    rounded maximizer and once for the exact maximizer, which the lemma puts
+    among the fast sweep's arcs.
+    """
+    _, grid, samples = _weight_profile(M)
+    q = grid.quad_weights
+    slow = quadratic_sweep(samples, q)
+    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).values
+    u = 2.0**-53
+    n, top, total = samples.size, np.max(samples), np.sum(samples * q)
+    bound = 2.0 * (8 * n * u * (total + top) / q + 3 * u * top)
+    assert np.all(fast <= slow)
+    assert np.all(slow - fast <= bound)
+
+
+_PALETTE = [0.0, 0.5, -0.5, 1.0, 3.0]
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(1, 6), st.sampled_from(_PALETTE)), min_size=1, max_size=42
+    ),
+    shift=st.integers(0, 41),
+)
+def test_run_structured_samples_match_bruteforce(runs, shift):
+    # runs of equal |f| (0.5 and -0.5 share one), rotated across +-pi
+    grid = make_grid(1, 3, edge_levels=2)
+    lengths, values = zip(*runs)
+    samples = np.roll(np.resize(np.repeat(values, lengths), grid.node_count), shift)
+    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).values
+    slow = brute_force_maximal(samples, grid.quad_weights)
+    assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+def test_sweep_updates_once_per_run_start_and_direction(monkeypatch):
+    # the M = 16 profile has 60 run starts among 2,112 cells; sweeping from
+    # every start cell would make 2,112 nested-arc updates
+    _, grid, samples = _weight_profile(16)
+    starts = np.count_nonzero(samples != np.roll(samples, 1))
+    calls = []
+    fold = maximal._fold_nested
+
+    def counted(*args):
+        calls.append(1)
+        fold(*args)
+
+    monkeypatch.setattr(maximal, "_fold_nested", counted)
+    maximal_function(SampledFunction(grid=grid, samples=samples))
+    assert (starts, len(calls)) == (60, 120)
+
+
+def test_maximal_rejects_grid_other_than_the_samples_grid(grid_m1):
+    f = SampledFunction(grid=grid_m1, samples=np.ones(grid_m1.node_count))
+    assert maximal_function(f, grid_m1).grid is grid_m1
+    with pytest.raises(ValueError):
+        maximal_function(f, make_grid(1, 8))
