@@ -189,12 +189,15 @@ class PiecewiseConstant:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, theta):
+    def cell(self, theta):
+        """Index of the cell that holds each angle, after wrapping."""
         t = wrap_angle(theta)
-        idx = np.clip(
+        return np.clip(
             np.searchsorted(self.edges, t, side="right") - 1, 0, self.values.size - 1
         )
-        return self.values[idx]
+
+    def __call__(self, theta):
+        return self.values[self.cell(theta)]
 
     def integral(self) -> complex | float:
         """Exact integral with respect to dm."""

@@ -23,9 +23,12 @@ spans more than one kernel block uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
 O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
 its row sums and column sums are one vector.  A step kernel is never
-sampled: its sums come from prefix sums of the weights over the sorted
-nodes, in O(N P log N) for P pieces, with separate searches for the rows
-and the columns and ties placed by the dense lookup's own test.
+sampled: its sums come from prefix sums of the weights over the 3N nodes
+extended periodically, [x - 2 pi, x, x + 2 pi], with one search of N (P+1)
+targets for the rows and another for the columns, in O(N P log N) for P
+pieces.  Each node counts once, by its copy in the window around the
+pivot, and ties take the dense lookup's own cell index, so a node at
+wrapped difference pi stays in the last piece.
 """
 
 from __future__ import annotations
@@ -148,35 +151,30 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _search(x, targets, lo, hi, holds):
-    """Per target, the index b in [lo, hi] where a predicate that holds on
-    [lo, b) and fails on [b, hi) switches, for the sorted nodes x.
+def _search(y, targets, holds):
+    """Per target, the index b where a predicate that holds on [0, b) and
+    fails on [b, len(y)) switches, for sorted nodes y that bracket every
+    target, y[0] < target <= y[-1].
 
-    The float search of `targets` in x is the answer unless a node lies
+    The float search of `targets` in y is the answer unless a node lies
     within TIE of a target.  Those entries are settled by the exact
     predicate, holds(entries, idx) for flat entry numbers, stepping one node
     at a time from the searched index.
     """
-    raw = np.searchsorted(x, targets)
-    b = np.clip(raw, lo, hi)
-    gap = np.minimum(
-        np.abs(targets - x[np.maximum(raw - 1, 0)]),
-        np.abs(targets - x[np.minimum(raw, x.size - 1)]),
-    )
+    b = np.searchsorted(y, targets)  # y[b - 1] < target <= y[b]
+    gap = np.minimum(targets - y[b - 1], y[b] - targets)
     tied = np.flatnonzero(gap < TIE)
     flat = b.reshape(-1)
-    lo = np.broadcast_to(lo, b.shape).reshape(-1)
-    hi = np.broadcast_to(hi, b.shape).reshape(-1)
-    left = tied[flat[tied] > lo[tied]]
+    left = tied[flat[tied] > 0]
     while left.size:
         left = left[~holds(left, flat[left] - 1)]
         flat[left] -= 1
-        left = left[flat[left] > lo[left]]
-    right = tied[flat[tied] < hi[tied]]
+        left = left[flat[left] > 0]
+    right = tied[flat[tied] < y.size]
     while right.size:
         right = right[holds(right, flat[right])]
         flat[right] += 1
-        right = right[flat[right] < hi[right]]
+        right = right[flat[right] < y.size]
     return b
 
 
@@ -185,46 +183,41 @@ def _step_sums(profile: PiecewiseConstant, x, prefix, sign: int) -> np.ndarray:
     sum_i |K(x_i - x_j)| c_i (sign -1) of a step kernel K, from the
     compensated prefix sums of c over the sorted nodes x.
 
-    For each pivot node the other index splits into at most three runs:
-    where the difference wraps across the +-pi seam one way, where it does
-    not wrap, and where it wraps the other way.  On each run the wrapped
-    difference is monotone, so a kernel piece is one slice of it, found by
-    searching x_pivot + (-2 pi, 0, 2 pi) - sign * e_p.  Membership follows
-    the dense lookup exactly: wrap_angle(x_i - x_j) >= e_p, with x_i - x_j
-    rounded as `kernel_blocks` rounds it.
+    One search places the N (P+1) targets x_piv - sign * e_p, for all
+    P+1 edges of the P pieces, among the 3N extended nodes
+    y = [x - 2 pi, x, x + 2 pi].  The end edges are taken at the +-pi
+    seams: the lookup clips there, so the end cuts are the ends of the
+    window (-pi, pi] around the pivot, whatever the profile's end edges
+    within 1e-12 of +-pi.  Each node has one copy in that window, so a
+    piece is one slice of y and its weight a difference of the prefix sums
+    over the three copies.  Ties follow the dense lookup exactly: with
+    d = sign * (x_piv - x_j) rounded as `kernel_blocks` rounds x_i - x_j
+    and w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) is in the
+    window; copies below it come before every cut and copies above it
+    after, and the window copy comes before cut p when its cell,
+    `profile.cell(d)`, is >= p for rows and < p for columns.  So a node
+    with w = pi stays in the last piece.
     """
     n = x.size
-    e = profile.edges[1:-1]
+    edges = np.concatenate([[-math.pi], profile.edges[1:-1], [math.pi]])
+    y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
+    total = prefix[-1]
+    S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
 
-    def arg(piv, idx):  # x_i - x_j for rows i = piv, columns j = piv
-        return sign * (x[piv] - x[idx])
+    def before_cut(entries, idx):
+        p, piv = np.divmod(entries, n)
+        copy, j = np.divmod(idx, n)
+        d = sign * (x[piv] - x[j])
+        window = np.rint(sign * (d - wrap_angle(d)) / TWO_PI) + 1
+        inside = (profile.cell(d) >= p) == (sign > 0)
+        return (copy < window) | ((copy == window) & inside)
 
-    def in_first_run(piv, idx):
-        d = arg(piv, idx)
-        return (sign * d > 0) & (sign * wrap_angle(d) < 0)
-
-    def before_last_run(piv, idx):
-        d = arg(piv, idx)
-        return (sign * d >= 0) | (sign * wrap_angle(d) <= 0)
-
-    s1 = _search(x, x - math.pi, 0, n, in_first_run)
-    s2 = _search(x, x + math.pi, 0, n, before_last_run)
-    lo = np.stack([np.zeros(n, dtype=int), s1, s2], axis=1)[:, :, None]
-    hi = np.stack([s1, s2, np.full(n, n)], axis=1)[:, :, None]
-    shift = np.array([-TWO_PI, 0.0, TWO_PI])
-    targets = x[:, None, None] + shift[None, :, None] - sign * e[None, None, :]
-    per_pivot = 3 * e.size
-
-    def before_edge(entries, idx):
-        w = wrap_angle(arg(entries // per_pivot, idx))
-        return (w >= e[entries % e.size]) == (sign > 0)
-
-    cuts = _search(x, targets, lo, hi, before_edge)
-    # the pieces run down the shifted edges for rows and up them for columns
-    first, last = (hi, lo) if sign > 0 else (lo, hi)
-    cuts = np.concatenate([first, cuts, last], axis=2)
-    pieces = sign * (prefix[cuts[..., :-1]] - prefix[cuts[..., 1:]])
-    return pieces.sum(axis=1) @ np.abs(profile.values)
+    # edge by edge, each edge's N targets are one sorted run, which
+    # searchsorted walks fastest
+    b = _search(y, x - sign * edges[:, None], before_cut)
+    # the pieces run down the extended nodes for rows and up them for columns
+    pieces = sign * (S[b[:-1]] - S[b[1:]])
+    return np.abs(profile.values) @ pieces
 
 
 def assemble_operator(kernel: KernelSpec, grid: CircleGrid) -> OperatorMatrix:

@@ -219,6 +219,57 @@ def test_step_kernel_sums_follow_dense_lookup_at_ties(case, grid_m4):
     assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
 
 
+@pytest.mark.parametrize("M,ppi", [(1, 8), (1, 16), (2, 8), (2, 16)])
+def test_step_kernel_sums_follow_dense_lookup_on_duality_grids(M, ppi):
+    # the duality grids, whose nodes pair up exactly pi apart: signed,
+    # non-even profiles with random edges, with edges on wrapped node
+    # differences, and with end edges just inside or outside +-pi (a node
+    # at wrapped difference pi belongs to the last piece either way)
+    grid = grid_for_kernels(M, ppi, 32)
+    x = grid.nodes
+    D = x[:, None] - x[None, :]
+    wq = make_weight(M)(x) * grid.quad_weights
+    rng = np.random.default_rng(10 * M + ppi)
+    for trial in range(36):
+        inner = rng.uniform(-PI, PI, size=rng.integers(0, 8))
+        if trial % 3 == 1:
+            pairs = rng.integers(0, x.size, size=(rng.integers(1, 6), 2))
+            inner = np.concatenate([inner[:2], wrap_angle(x[pairs[:, 0]] - x[pairs[:, 1]])])
+        inner = np.unique(inner[np.abs(inner) < PI - 1e-9])
+        ends = [-PI, PI]
+        if trial % 3 == 2:
+            ends = [-PI + rng.choice([-9e-13, 9e-13]), PI + rng.choice([-9e-13, 9e-13])]
+        edges = np.concatenate([[ends[0]], inner, [ends[1]]])
+        values = rng.normal(size=edges.size - 1)
+        kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
+        dense = np.abs(kernel(D))
+        rowsums, colsums = assemble_operator(kernel, grid).weighted_sums(wq)
+        assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
+        assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
+
+
+def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
+    # one search per sum vector: N (P+1) targets among the 3N nodes
+    # [x - 2 pi, x, x + 2 pi], and rows and columns still two searches
+    grid = grid_for_kernels(1, 8, 32)
+    kernel = KernelSpec.custom(
+        PiecewiseConstant(
+            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+        )
+    )
+    calls = []
+    search = operators._search
+
+    def counted(y, targets, holds):
+        calls.append((y.size, targets.size))
+        return search(y, targets, holds)
+
+    monkeypatch.setattr(operators, "_search", counted)
+    assemble_operator(kernel, grid).weighted_sums(grid.quad_weights)
+    N = grid.node_count
+    assert calls == [(3 * N, N * 5)] * 2
+
+
 def test_step_kernel_prefix_sums_within_one_ulp(grid_past_one_block):
     # step-kernel sums are differences of these prefix sums; a plain cumsum
     # is 163 ulps off on these weights, compensated sums at most one
