@@ -14,10 +14,12 @@ composite midpoint rule: nodes are cell midpoints, weights are cell lengths
 divided by 2 pi.
 
 Kernels are sampled as tables K(theta_i - s_j), block by block, in
-`kernel_blocks`.  Fejér and Poisson tables come from per-angle phase factors
-by angle addition, O(rows + columns) sines per block; near the diagonal each
-sine carries about 1e-16 absolute error where fl(theta_i - s_j) would be
-exact.
+`kernel_blocks`: KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
+written in place into one workspace of three such tables, allocated once
+per call and reused for every block.  Fejér and Poisson tables come from
+per-angle phase factors by angle addition, O(rows + columns) sines per
+block; near the diagonal each sine carries about 1e-16 absolute error where
+fl(theta_i - s_j) would be exact.
 
 `trig_sum` phases over frequencies k0..k0+K-1 come from the binary powers
 e^{+-i 2^j theta} (2^j theta is exact) by column doubling, TRIG_BLOCK (1 MB)
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-KERNEL_BLOCK = 8_000_000  # kernel samples per block in kernel_blocks
+KERNEL_BLOCK = 2**16  # kernel samples per block in kernel_blocks (512 kB)
 TRIG_BLOCK = 2**16  # complex phases per block in trig_sum (1 MB)
 
 __all__ = [
@@ -331,18 +333,39 @@ def fourier_window(f, window: int) -> FourierCoefficients:
     return FourierCoefficients(window=window, coeffs=coeffs)
 
 
-def _sin_table(a: float, theta, sources):
-    """sin(a (theta_i - sources_j)) for every pair, by angle addition:
-    sin(a t) cos(a s) - cos(a t) sin(a s) from O(len theta + len sources)
-    sines and cosines and two elementwise outer products.  Products commute
-    exactly, so with theta = sources the table is exactly antisymmetric."""
+def _planes(work, count: int, shape):
+    """`count` tables of `shape` to write a kernel table into: the leading
+    planes of the workspace `work`, or fresh arrays when it is None."""
+    if work is None:
+        return [np.empty(shape) for _ in range(count)]
+    return work[:count]
+
+
+def _outer(a, b, out):
+    """Outer product a_i b_j of two arrays of angle factors, written into
+    `out`.  einsum takes about half the time of np.multiply.outer's
+    buffered broadcast at a 2^16-sample block, and its products are the
+    same but for the sign of a zero product (+0 where the factors give -0),
+    which no kernel table lets through: a Fejér entry is a square or n + 1,
+    a Poisson denominator adds 1."""
+    a, b = np.asarray(a), np.asarray(b)
+    ij = list(range(a.ndim + b.ndim))
+    return np.einsum(a, ij[: a.ndim], b, ij[a.ndim :], out=out)
+
+
+def _sin_table(a: float, theta, sources, out, tmp):
+    """sin(a (theta_i - sources_j)) for every pair, written into `out`, by
+    angle addition: sin(a t) cos(a s) - cos(a t) sin(a s) from
+    O(len theta + len sources) sines and cosines and two outer products,
+    the second in `tmp`.  Products commute exactly, so with
+    theta = sources the table is exactly antisymmetric."""
     at, au = a * theta, a * sources
-    out = np.asarray(np.multiply.outer(np.sin(at), np.cos(au)))
-    out -= np.multiply.outer(np.cos(at), np.sin(au))
+    _outer(np.sin(at), np.cos(au), out)
+    out -= _outer(np.cos(at), np.sin(au), tmp)
     return out
 
 
-def fejer_kernel_eval(n: int, theta, sources=0.0):
+def fejer_kernel_eval(n: int, theta, sources=0.0, work=None):
     """Fejér kernel of order n >= 0 at t = theta_i - sources_j, as a table of
     shape theta.shape + sources.shape.
 
@@ -350,37 +373,42 @@ def fejer_kernel_eval(n: int, theta, sources=0.0):
     singularity at t = 0 (mod 2 pi) is filled with the coefficient-sum
     value n + 1.  Both sines come from `_sin_table`; with the default
     sources = 0 its factors are 1 and 0, so they are the sines of theta/2
-    and (n+1) theta/2 bit for bit.
+    and (n+1) theta/2 bit for bit.  `work`, if given, holds three tables of
+    the result's shape; the floating-point passes run in place in them and
+    the result is one of them (the `tiny` mask takes one byte per sample).
     """
     if n < 0:
         raise ValueError("kernel order must be >= 0")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
-    s = _sin_table(0.5, t, u)
-    tiny = np.abs(s) < 1e-9
-    s[tiny] = 1.0
-    out = _sin_table(0.5 * (n + 1), t, u)
+    s, out, tmp = _planes(work, 3, t.shape + u.shape)
+    _sin_table(0.5, t, u, s, tmp)
+    tiny = np.flatnonzero(np.abs(s, out=tmp) < 1e-9)
+    np.put(s, tiny, 1.0)
+    _sin_table(0.5 * (n + 1), t, u, out, tmp)
     out /= s
     out *= out
     out /= n + 1
-    out[tiny] = n + 1
+    np.put(out, tiny, n + 1)
     return out if out.ndim else float(out)
 
 
-def poisson_kernel_eval(r: float, theta, sources=0.0):
+def poisson_kernel_eval(r: float, theta, sources=0.0, work=None):
     """Poisson kernel (1 - r^2) / (1 - 2 r cos t + r^2) for 0 <= r < 1 at
     t = theta_i - sources_j, as a table of shape theta.shape + sources.shape.
 
     cos t = cos theta_i cos sources_j + sin theta_i sin sources_j from
     per-angle factors; with the default sources = 0 it is cos theta bit for
-    bit.
+    bit.  `work`, if given, holds at least two tables of the result's
+    shape; the result is written into the first.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
-    out = np.asarray(np.multiply.outer(np.cos(t), np.cos(u)))
-    out += np.multiply.outer(np.sin(t), np.sin(u))
+    out, tmp = _planes(work, 2, t.shape + u.shape)
+    _outer(np.cos(t), np.cos(u), out)
+    out += _outer(np.sin(t), np.sin(u), tmp)
     out *= -2.0 * r
     out += 1.0
     out += r * r
@@ -416,12 +444,16 @@ class KernelSpec:
             raise TypeError("custom kernels take a PiecewiseConstant")
         return KernelSpec(kind="custom", profile=profile)
 
-    def __call__(self, theta, sources=0.0):
-        """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape."""
+    def __call__(self, theta, sources=0.0, work=None):
+        """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape.
+
+        A Fejér or Poisson table is written into the workspace `work` of
+        three such tables when one is given; a step profile's is fresh.
+        """
         if self.kind == "fejer":
-            return fejer_kernel_eval(self.n, theta, sources)
+            return fejer_kernel_eval(self.n, theta, sources, work=work)
         if self.kind == "poisson":
-            return poisson_kernel_eval(self.r, theta, sources)
+            return poisson_kernel_eval(self.r, theta, sources, work=work)
         return self.profile(np.subtract.outer(theta, sources))
 
 
@@ -497,23 +529,27 @@ def kernel_blocks(kernel, targets, sources):
 
     Yields (rows, block) with `rows` a slice of `targets` and `block` of
     shape (len(rows), len(sources)), about KERNEL_BLOCK samples each, from
-    kernel(targets[rows], sources).  Each block is a fresh array that the
-    caller owns and may overwrite.  This is the only place an N x N kernel
-    is sampled.  Fejér and Poisson blocks come from per-angle phase factors
-    in O(len(rows) + len(sources)) sines and are exactly symmetric when
-    targets and sources are the same nodes; near the diagonal a Fejér entry
-    differs from the closed form at the rounded difference by about
-    1e-16 (n+1) / |sin(t/2)|.  A step profile looks up the rounded
-    differences targets[rows, None] - sources[None, :].
+    kernel(targets[rows], sources, work=...).  One workspace of three
+    block-sized tables is allocated per call and every block is written
+    into it, so a block is valid only until the next one is drawn: the
+    caller may overwrite it but must not keep it.  This is the only place
+    an N x N kernel is sampled.  Fejér and Poisson blocks come from
+    per-angle phase factors in O(len(rows) + len(sources)) sines and are
+    exactly symmetric when targets and sources are the same nodes; near the
+    diagonal a Fejér entry differs from the closed form at the rounded
+    difference by about 1e-16 (n+1) / |sin(t/2)|.  A step profile looks up
+    the rounded differences targets[rows, None] - sources[None, :].
 
     Raises ValueError when the kernel produces a non-finite sample.
     """
     targets = np.asarray(targets, dtype=float)
     sources = np.asarray(sources, dtype=float)
     step = max(1, KERNEL_BLOCK // max(1, sources.size))
+    work = np.empty((3, min(step, targets.size), sources.size))
     for start in range(0, targets.size, step):
         rows = slice(start, start + step)
-        block = np.asarray(kernel(targets[rows], sources))
+        t = targets[rows]
+        block = np.asarray(kernel(t, sources, work=work[:, : t.size]))
         if not np.all(np.isfinite(block)):
             raise ValueError("kernel produced non-finite samples")
         yield rows, block

@@ -30,7 +30,6 @@ import numpy as np
 from . import csvio
 from .approx import StageFailure, density_curve, fejer_error_curve, gliding_hump_witness
 from .circle import (
-    KERNEL_BLOCK,
     FourierCoefficients,
     KernelSpec,
     PiecewiseConstant,
@@ -40,6 +39,7 @@ from .circle import (
 from .hardy import taylor_fourier_check
 from .maximal import weight_maximal_ratio
 from .operators import (
+    SPECTRAL_SWITCH,
     GridTooCoarse,
     NoQualifyingN,
     assemble_operator,
@@ -120,8 +120,8 @@ def cmd_duality(args) -> list:
         if A.spectral:
             # both norms would be one spectral vector: the gap would be 0 unchecked
             raise ConfigError(
-                f"{label} on weight_M={M} needs {grid.node_count} nodes, past one "
-                f"kernel block ({KERNEL_BLOCK} samples); lower --max-order or --ppi"
+                f"{label} on weight_M={M} needs {grid.node_count}^2 samples, past the "
+                f"spectral switch ({SPECTRAL_SWITCH}); lower --max-order or --ppi"
             )
         norms = operator_norm(A, w)
         n1 = norms[SpaceTag.WEIGHTED_L1].value

@@ -19,7 +19,7 @@ kernel once, block by block, and take the row sums and the column sums as
 two contractions of each block; each block is built from per-node phase
 factors in O(N) sines (`kernel_blocks`) and is exactly symmetric, so the
 two contractions read one sampled matrix.  A Fejér operator whose matrix
-spans more than one kernel block uses its 2n+1 frequencies instead,
+has more than SPECTRAL_SWITCH samples uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
 O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
 its row sums and column sums are one vector.  A step kernel is never
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
-    KERNEL_BLOCK,
     TWO_PI,
     CircleGrid,
     KernelSpec,
@@ -69,6 +68,8 @@ __all__ = [
     "grid_for_kernels",
 ]
 
+SPECTRAL_SWITCH = 8_000_000  # Fejér operators past N^2 = this (N > 2,828) go spectral
+
 
 class NoQualifyingN(RuntimeError):
     """No kernel order up to the search bound satisfies the 1/3 mass condition."""
@@ -84,7 +85,7 @@ class OperatorMatrix:
 
     The matrix is never stored: `weighted_sums` samples the kernel through
     `kernel_blocks`, block by block, on every call, unless the kernel is
-    Fejér and N^2 > KERNEL_BLOCK (those sums come from its 2n+1
+    Fejér and N^2 > SPECTRAL_SWITCH (those sums come from its 2n+1
     frequencies) or a step kernel (those sums come from prefix sums).
     """
 
@@ -96,14 +97,14 @@ class OperatorMatrix:
     @property
     def spectral(self) -> bool:
         """Whether `weighted_sums` returns one spectral vector as both sums."""
-        return self.kernel.kind == "fejer" and self.grid.node_count**2 > KERNEL_BLOCK
+        return self.kernel.kind == "fejer" and self.grid.node_count**2 > SPECTRAL_SWITCH
 
     def weighted_sums(self, weights: np.ndarray):
         """Row sums sum_j |K_ij| c_j and column sums sum_i |K_ij| c_i.
 
         Both come from one pass over the kernel, as two contractions of each
         block, so they stay independent computations of the two norms.  A
-        Fejér operator past one kernel block returns one spectral vector,
+        Fejér operator past the spectral switch returns one spectral vector,
         sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.  A
         step kernel takes `_step_sums` once for the rows and once for the
         columns; a non-finite step value raises ValueError, as sampling it
@@ -483,7 +484,7 @@ def fejer_blowup(
         pointwise_min = min(
             float(np.min(block @ bump_q))
             for _, block in kernel_blocks(
-                lambda t, s: fejer_kernel_eval(p.n_of_m, t, s),
+                lambda t, s, work: fejer_kernel_eval(p.n_of_m, t, s, work=work),
                 grid.nodes[window],
                 grid.nodes[support],
             )

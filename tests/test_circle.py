@@ -25,7 +25,7 @@ from fejerlab.circle import (
     trig_sum,
     wrap_angle,
 )
-from fejerlab.operators import fejer_kernel_mass, grid_for_kernels
+from fejerlab.operators import SPECTRAL_SWITCH, fejer_kernel_mass, grid_for_kernels
 from fejerlab.spaces import make_weight
 
 PI = math.pi
@@ -353,7 +353,7 @@ def _entry_bound(kernel, diff, reference):
         # pairs exactly pi apart, and differences within 6e-6 of +-2 pi
         lambda: grid_for_kernels(1, 8, 32),
         lambda: grid_for_kernels(2, 8, 32),
-        lambda: make_grid(4, 8, max_cell=2 * PI / 2500),  # N = 2,940: two blocks
+        lambda: make_grid(4, 8, max_cell=2 * PI / 2500),  # N = 2,940: 134 blocks
     ],
     ids=["duality-M1", "duality-M2", "two-blocks"],
 )
@@ -374,14 +374,51 @@ def test_kernel_blocks_match_closed_form_of_differences(build):
                 # sin(t/2) is exactly 0 on the diagonal in both forms
                 diag = np.arange(x.size)[rows]
                 assert np.all(block[diag - rows.start, diag] == kernel.n + 1)
-            if block.shape[0] == x.size:
-                # products commute exactly, so the node x node table is symmetric
-                assert np.array_equal(block, block.T), kernel
             rowsums[rows], ref_rows[rows] = block @ c, ref @ c
             colsums += c[rows] @ block
             ref_cols += c[rows] @ ref
         assert np.max(np.abs(rowsums - ref_rows) / ref_rows) <= 1e-13, kernel
         assert np.max(np.abs(colsums - ref_cols) / ref_cols) <= 1e-13, kernel
+
+
+@pytest.mark.parametrize("M, ppi", [(1, 8), (2, 8), (2, 16)])
+def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
+    # the duality grids (N = 410, 510 and 536) span several blocks each;
+    # stacked, the blocks are kernel(x, x) bit for bit, and that table is
+    # exactly symmetric because products commute exactly
+    x = grid_for_kernels(M, ppi, 32).nodes
+    assert x.size**2 > KERNEL_BLOCK
+    for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32)] + [
+        KernelSpec.poisson(r) for r in (0.05, 0.63)
+    ]:
+        stacked = np.vstack([block.copy() for _, block in kernel_blocks(kernel, x, x)])
+        table = kernel(x, x)
+        assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64)), kernel
+        assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64)), kernel
+
+
+def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():
+    x = grid_for_kernels(2, 16, 32).nodes
+    step = KERNEL_BLOCK // x.size
+    assert x.size % step  # N = 536: four blocks of 122 rows and one of 48
+    for kernel in (KernelSpec.fejer(32), KernelSpec.poisson(0.63)):
+        blocks = list(kernel_blocks(kernel, x, x))
+        starts = list(range(0, x.size, step))
+        assert [rows for rows, _ in blocks] == [slice(a, a + step) for a in starts]
+        assert [b.shape for _, b in blocks] == [(step, x.size)] * (len(starts) - 1) + [
+            (x.size - starts[-1], x.size)
+        ]
+        # every block lives in the one workspace; the last one is intact
+        assert all(np.shares_memory(b, blocks[0][1]) for _, b in blocks)
+        assert np.array_equal(blocks[-1][1], kernel(x[starts[-1] :], x)), kernel
+        # a NaN target in the partial last block still fails that block
+        targets = x.copy()
+        targets[-1] = np.nan
+        seen = []
+        with pytest.raises(ValueError, match="non-finite"):
+            for rows, _ in kernel_blocks(kernel, targets, x):
+                seen.append(rows)
+        assert seen == [rows for rows, _ in blocks[:-1]], kernel
 
 
 def test_kernel_tables_of_distinct_targets_and_sources():
@@ -481,15 +518,17 @@ def test_convolve_step_matches_spectral_path_at_second_order():
 
 
 def test_convolve_direct_matches_dense_product(grid_m1):
-    # one kernel block, and several blocks (N^2 > KERNEL_BLOCK); the step
-    # kernel is signed and not even, so transposed rows show
+    # one kernel block, and a grid past the spectral switch, which
+    # convolve_direct still samples block by block; the step kernel is
+    # signed and not even, so transposed rows show
     step = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
         )
     )
     many_blocks = make_grid(4, 8, max_cell=2 * PI / 2500)
-    assert grid_m1.node_count**2 <= KERNEL_BLOCK < many_blocks.node_count**2
+    assert grid_m1.node_count**2 <= KERNEL_BLOCK
+    assert many_blocks.node_count**2 > SPECTRAL_SWITCH
     rng = np.random.default_rng(3)
     for kernel in (KernelSpec.fejer(5), step):
         for grid in (grid_m1, many_blocks):

@@ -199,12 +199,13 @@ def test_blowup_csv_header_and_determinism(tmp_path):
 
 
 def test_duality_past_one_block_is_config_error(tmp_path, capsys):
-    # --max-order 400 caps cells at 2 pi / 3208: a Fejér operator's norms would
-    # be one spectral vector, so the duality check refuses instead of passing
+    # --max-order 400 caps cells at 2 pi / 3208: past the spectral switch a
+    # Fejér operator's norms would be one spectral vector, so the duality
+    # check refuses instead of passing
     out = tmp_path / "d.csv"
     assert main(["duality", "--max-order", "400", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "configuration error" in err and "kernel block" in err
+    assert "configuration error" in err and "spectral switch" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,11 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fejerlab.circle import (
-    KERNEL_BLOCK,
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
@@ -17,6 +17,7 @@ from fejerlab.circle import (
 from fejerlab import operators
 from fejerlab.operators import (
     DELTA_SUBDIVISION,
+    SPECTRAL_SWITCH,
     GridTooCoarse,
     NoQualifyingN,
     assemble_operator,
@@ -34,18 +35,18 @@ L1, LINF = SpaceTag.WEIGHTED_L1, SpaceTag.WEIGHTED_LINF
 
 
 @pytest.fixture(scope="module")
-def grid_past_one_block():
-    """A grid whose operator spans several kernel blocks (N^2 > KERNEL_BLOCK)."""
-    grid = make_grid(4, 8, max_cell=2 * PI / 2500)  # N = 2,940: two blocks
-    assert grid.node_count**2 > KERNEL_BLOCK
+def grid_past_spectral_switch():
+    """A grid whose Fejér operators take spectral sums (N^2 > SPECTRAL_SWITCH)."""
+    grid = make_grid(4, 8, max_cell=2 * PI / 2500)  # N = 2,940
+    assert grid.node_count**2 > SPECTRAL_SWITCH
     return grid
 
 
 @pytest.fixture(scope="module")
-def grid_past_one_block_asymmetric():
-    """Past one kernel block and not symmetric under negation, like blow-up's grids."""
+def grid_past_spectral_switch_asymmetric():
+    """Past the spectral switch and not symmetric under negation, like blow-up's grids."""
     grid = make_grid(4, 8, max_cell=2 * PI / 2500, extra_breakpoints=[0.3, 0.61, 2.0])
-    assert grid.node_count**2 > KERNEL_BLOCK  # N = 2,943
+    assert grid.node_count**2 > SPECTRAL_SWITCH  # N = 2,943
     assert np.max(np.abs(grid.nodes + grid.nodes[::-1])) > 1e-15
     return grid
 
@@ -83,12 +84,12 @@ def test_fejer_matrix_symmetric_on_symmetric_grid(grid_m4):
     assert np.max(np.abs(rowsums - colsums)) <= 1e-12 * np.max(rowsums)
 
 
-def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_one_block):
+def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch):
     bad = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf]))
     )
     # assembling samples nothing; the kernel is checked on first use
-    for grid in (grid_m1, grid_past_one_block):
+    for grid in (grid_m1, grid_past_spectral_switch):
         A = assemble_operator(bad, grid)
         f = SampledFunction(grid=grid, samples=np.ones(grid.node_count))
         for use in (
@@ -101,13 +102,13 @@ def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_one_block):
 
 
 def test_weighted_sums_match_dense_matrix(
-    grid_m4, grid_past_one_block, grid_past_one_block_asymmetric
+    grid_m4, grid_past_spectral_switch, grid_past_spectral_switch_asymmetric
 ):
-    # one block and several blocks against a dense matrix built here; the
-    # step kernel is signed and not even, so a transposed, unsigned or
-    # duplicated sum vector shows.  Past one block the Fejér sums are one
-    # spectral vector, so the dense matrix is their oracle there; on one
-    # block they stay two contractions, which the duality check relies on.
+    # below and past the spectral switch against a dense matrix built here;
+    # the step kernel is signed and not even, so a transposed, unsigned or
+    # duplicated sum vector shows.  Past the switch the Fejér sums are one
+    # spectral vector, so the dense matrix is their oracle there; below it
+    # they stay two contractions, which the duality check relies on.
     step = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
@@ -116,7 +117,7 @@ def test_weighted_sums_match_dense_matrix(
     w = make_weight(4)
     for kernel, grid in itertools.product(
         (KernelSpec.fejer(0), KernelSpec.fejer(7), KernelSpec.fejer(34), step),
-        (grid_m4, grid_past_one_block, grid_past_one_block_asymmetric),
+        (grid_m4, grid_past_spectral_switch, grid_past_spectral_switch_asymmetric),
     ):
         dense = np.abs(kernel(grid.nodes[:, None] - grid.nodes[None, :]))
         A = assemble_operator(kernel, grid)
@@ -161,12 +162,56 @@ def test_duality_norms_match_closed_form_of_differences(M):
         assert abs(norms[L1].value - norms[LINF].value) <= 1e-14 * norms[L1].value
 
 
+def test_spectral_switch_keeps_duality_dense_and_turns_spikes_spectral(monkeypatch):
+    # every grid of `duality` at its defaults (--grid-M 8, --ppi 8,
+    # --max-order 64) and the 536-node grid of `duality --ppi 16 --max-order
+    # 32` stay below the switch, so a Fejér table is read by two
+    # contractions; the 3,284-node grid of `blowup --m 1,4 --grid-M 25` is
+    # past it
+    fejer = KernelSpec.fejer(64)
+    duality_grids = [grid_for_kernels(M, 8, 64) for M in range(1, 9)]
+    duality_grids.append(grid_for_kernels(2, 16, 32))
+    assert duality_grids[-1].node_count == 536
+    for grid in duality_grids:
+        assert not assemble_operator(fejer, grid).spectral, grid.node_count
+    built = []
+    original = operators.assemble_operator
+
+    def recording(kernel, grid):
+        built.append(original(kernel, grid))
+        return built[-1]
+
+    monkeypatch.setattr(operators, "assemble_operator", recording)
+    fejer_blowup([1, 4], make_weight(25), points_per_interval=8)
+    assert [A.grid.node_count for A in built] == [3284, 3284]
+    assert all(A.spectral for A in built)
+
+
+def test_weighted_sums_peak_memory_is_three_cache_sized_blocks():
+    # one call on the 536-node duality grid holds one workspace of three
+    # blocks of at most 2^16 samples (512 kB) plus O(N) vectors; a fresh
+    # N x N table per pass would take 2.3 MB each
+    grid = grid_for_kernels(2, 16, 32)
+    N = grid.node_count
+    wq = make_weight(2)(grid.nodes) * grid.quad_weights
+    for kernel in (KernelSpec.fejer(32), KernelSpec.poisson(0.63)):
+        A = assemble_operator(kernel, grid)
+        A.weighted_sums(wq)
+        tracemalloc.start()
+        try:
+            A.weighted_sums(wq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * 2**16 + 64 * 8 * N, (kernel, peak)
+
+
 def test_blowup_window_rows_match_closed_form_of_differences():
     # blow-up samples window nodes against bump nodes: distinct targets and
-    # sources, on a grid past one kernel block
+    # sources, on a grid past the spectral switch
     m = 4
     grid = make_grid(m, 8, max_cell=2e-3)
-    assert grid.node_count**2 > KERNEL_BLOCK
+    assert grid.node_count**2 > SPECTRAL_SWITCH
     [row] = fejer_blowup([m], make_weight(m), grid=grid)
     p = localization_params(m)
     left, right = operators._window_for(m, p)
@@ -270,12 +315,13 @@ def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
     assert calls == [(3 * N, N * 5)] * 2
 
 
-def test_step_kernel_prefix_sums_within_one_ulp(grid_past_one_block):
+def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
     # step-kernel sums are differences of these prefix sums; a plain cumsum
     # is 163 ulps off on these weights, compensated sums at most one
     from fractions import Fraction
 
-    c = make_weight(4)(grid_past_one_block.nodes) * grid_past_one_block.quad_weights
+    grid = grid_past_spectral_switch
+    c = make_weight(4)(grid.nodes) * grid.quad_weights
     total, exact = Fraction(0), [0.0]
     for v in c:
         total += Fraction(v)
