@@ -1,6 +1,6 @@
 """Numerical laboratory for Fejér summability on the circle: weighted L1
 norms with a spiked weight, exact discrete convolution-operator norms and
-their duality, a brute-force maximal function, Hardy-space coefficient
+their duality, the exact grid maximal function, Hardy-space coefficient
 checks, and weighted-L1 polynomial approximation."""
 
 from .circle import (
@@ -10,7 +10,6 @@ from .circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
-    convolve_direct,
     fejer_kernel_eval,
     fejer_mean,
     fourier_window,

@@ -29,7 +29,6 @@ from .circle import (
     PiecewiseConstant,
     SampledFunction,
     _phases,
-    convolve_direct,
     fejer_mean,
     fourier_window,
     kernel_blocks,
@@ -42,7 +41,7 @@ from .operators import (
     localization_params,
     operator_norm,
 )
-from .spaces import SpaceTag, Weight, norm
+from .spaces import SpaceTag, Weight
 
 __all__ = [
     "PolyCoeffs",
@@ -233,33 +232,20 @@ def density_curve(f: SampledFunction, w: Weight | None, degrees) -> list[FitResu
     return results
 
 
-def fejer_error_curve(f, w: Weight | None, n_list, grid: CircleGrid | None = None):
-    """Errors ||f * F_n - f|| in the (possibly weighted) L1 norm, per order.
+def fejer_error_curve(f: PiecewiseConstant, n_list, grid: CircleGrid):
+    """Unweighted errors ||f * F_n - f||_L1 of a step function, per order.
 
-    Sampled input goes through the quadrature convolution, which is exactly
-    the discrete operator model.  Step input uses its closed-form Fourier
-    coefficients, evaluated on the supplied grid, so the Fejér mean itself
-    carries no quadrature error.
+    The Fejér means come from f's closed-form Fourier coefficients and are
+    evaluated at the nodes of `grid`, so the mean itself carries no
+    quadrature error; the error integral is the grid's midpoint rule.
     """
     n_list = [int(n) for n in n_list]
+    window = fourier_window(f, max(n_list))
+    f_vals = f(grid.nodes)
     errors = []
-    if isinstance(f, SampledFunction):
-        for n in n_list:
-            conv = convolve_direct(f, KernelSpec.fejer(n))
-            diff = SampledFunction(grid=f.grid, samples=conv.samples - f.samples)
-            errors.append(norm(diff, w, SpaceTag.WEIGHTED_L1))
-    elif isinstance(f, PiecewiseConstant):
-        if grid is None:
-            raise ValueError("step-function input needs an evaluation grid")
-        window = fourier_window(f, max(n_list))
-        f_vals = f(grid.nodes)
-        wv = np.ones(grid.node_count) if w is None else w(grid.nodes)
-        for n in n_list:
-            mean_vals = synthesize(fejer_mean(window, n), grid.nodes)
-            err = np.sum(np.abs(mean_vals - f_vals) * wv * grid.quad_weights)
-            errors.append(float(err))
-    else:
-        raise TypeError(f"unsupported representation {type(f).__name__}")
+    for n in n_list:
+        mean_vals = synthesize(fejer_mean(window, n), grid.nodes)
+        errors.append(float(np.sum(np.abs(mean_vals - f_vals) * grid.quad_weights)))
     return np.array(errors)
 
 

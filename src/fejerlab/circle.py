@@ -53,7 +53,6 @@ __all__ = [
     "synthesize",
     "trig_sum",
     "kernel_blocks",
-    "convolve_direct",
     "poisson_extend",
 ]
 
@@ -553,20 +552,6 @@ def kernel_blocks(kernel, targets, sources):
         if not np.all(np.isfinite(block)):
             raise ValueError("kernel produced non-finite samples")
         yield rows, block
-
-
-def convolve_direct(f: SampledFunction, kernel: KernelSpec) -> SampledFunction:
-    """Quadrature convolution (f * K)(theta_i) = sum_j K(theta_i - theta_j) f_j q_j.
-
-    This is the discrete model of the convolution operator: applying the
-    assembled operator matrix to the samples gives exactly these numbers.
-    """
-    nodes = f.grid.nodes
-    fq = f.samples * f.grid.quad_weights
-    out = np.empty(nodes.size, dtype=fq.dtype)
-    for rows, block in kernel_blocks(kernel, nodes, nodes):
-        out[rows] = block @ fq
-    return SampledFunction(grid=f.grid, samples=out)
 
 
 def poisson_extend(f: FourierCoefficients, r: float, theta):

@@ -190,7 +190,7 @@ def cmd_fejer_converge(args) -> list:
         max_cell=2.0 * math.pi / (8 * (max(args.orders) + 1)),
         extra_breakpoints=[args.arc_length],
     )
-    errors = fejer_error_curve(arc, None, args.orders, grid=grid)
+    errors = fejer_error_curve(arc, args.orders, grid)
     rows = list(zip(args.orders, errors))
     if args.out:
         csvio.write_rows(args.out, ["n", "error"], rows)

@@ -103,7 +103,8 @@ class OperatorMatrix:
         """Row sums sum_j |K_ij| c_j and column sums sum_i |K_ij| c_i.
 
         Both come from one pass over the kernel, as two contractions of each
-        block, so they stay independent computations of the two norms.  A
+        block, so they stay independent computations of the two norms; Fejér
+        and Poisson entries are nonnegative, so the blocks are |K|.  A
         Fejér operator past the spectral switch returns one spectral vector,
         sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.  A
         step kernel takes `_step_sums` once for the rows and once for the
@@ -128,7 +129,6 @@ class OperatorMatrix:
         rowsums = np.empty(nodes.size)
         colsums = np.zeros(nodes.size)
         for rows, block in kernel_blocks(self.kernel, nodes, nodes):
-            np.abs(block, out=block)
             rowsums[rows] = block @ c
             colsums += c[rows] @ block
         return rowsums, colsums
@@ -283,8 +283,6 @@ def fejer_kernel_mass(n: int, a: float, b: float) -> float:
     Termwise antiderivative of the coefficient form:
     (b - a) + 2 sum_{k=1..n} (1 - k/(n+1)) (sin k b - sin k a) / k.
     """
-    if n == 0:
-        return float(b - a)
     k = np.arange(1, n + 1, dtype=float)
     damp = 1.0 - k / (n + 1.0)
     terms = damp * (np.sin(k * b) - np.sin(k * a)) / k

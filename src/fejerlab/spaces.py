@@ -59,9 +59,11 @@ def gap_interval(m: int):
 class Weight:
     """Truncated spiked weight with M spike pairs.
 
-    `profile` is the exact step representation used for integration.  Point
-    evaluation goes through __call__, which keeps every spike closed on both
-    ends: sqrt(m) wins at shared endpoints, on both sides of the circle.
+    `profile` is the exact step representation used for integration, and
+    point evaluation reads it too: __call__ looks |theta| up among its
+    edges and takes the larger of the two cells that meet at an edge, so
+    every spike is closed on both ends and sqrt(m) wins at shared
+    endpoints, on both sides of the circle.  O(log M) per angle.
     """
 
     M: int
@@ -69,10 +71,12 @@ class Weight:
 
     def __call__(self, theta):
         t = np.abs(wrap_angle(theta))
-        out = np.ones_like(t)
-        for m in range(1, self.M + 1):
-            lo, hi = spike_interval(m)
-            out = np.where((t >= lo) & (t <= hi), math.sqrt(m), out)
+        edges, values = self.profile.edges, self.profile.values
+        lo, hi = (
+            np.clip(np.searchsorted(edges, t, side=side) - 1, 0, values.size - 1)
+            for side in ("left", "right")
+        )
+        out = np.maximum(values[lo], values[hi])
         return out if out.ndim else float(out)
 
     def l1_norm(self) -> float:

@@ -40,3 +40,19 @@ def quadrature_oracle(fn, n_points=200_001):
     h = 2.0 * math.pi / n_points
     theta = -math.pi + (np.arange(n_points) + 0.5) * h
     return np.sum(fn(theta)) * h / (2.0 * math.pi)
+
+
+def dense_convolution(kernel, grid, samples):
+    """Closed-form oracle of the quadrature convolution
+    sum_j K(x_i - x_j) f_j q_j: the kernel's one-angle form at the rounded
+    differences x[rows, None] - x[None, j] over the j with f_j q_j != 0,
+    about 2^20 samples of rows at a time."""
+    x = grid.nodes
+    fq = np.asarray(samples) * grid.quad_weights
+    cols = np.flatnonzero(fq)
+    out = np.zeros(x.size, dtype=fq.dtype)
+    step = max(1, 2**20 // max(1, cols.size))
+    for start in range(0, x.size, step):
+        rows = slice(start, start + step)
+        out[rows] = kernel(x[rows, None] - x[None, cols]) @ fq[cols]
+    return out

@@ -13,7 +13,6 @@ from fejerlab.circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
-    convolve_direct,
     fejer_kernel_eval,
     fejer_mean,
     fourier_window,
@@ -25,8 +24,10 @@ from fejerlab.circle import (
     trig_sum,
     wrap_angle,
 )
-from fejerlab.operators import SPECTRAL_SWITCH, fejer_kernel_mass, grid_for_kernels
+from fejerlab.operators import fejer_kernel_mass, grid_for_kernels
 from fejerlab.spaces import make_weight
+
+from conftest import dense_convolution
 
 PI = math.pi
 
@@ -385,7 +386,10 @@ def test_kernel_blocks_match_closed_form_of_differences(build):
 def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
     # the duality grids (N = 410, 510 and 536) span several blocks each;
     # stacked, the blocks are kernel(x, x) bit for bit, and that table is
-    # exactly symmetric because products commute exactly
+    # exactly symmetric because products commute exactly.  Its entries are
+    # nonnegative, so weighted sums take the blocks as |K| unchanged.  The
+    # step kernel is signed and not even: its stacked blocks are the
+    # profile at the rounded differences, transposed rows would show.
     x = grid_for_kernels(M, ppi, 32).nodes
     assert x.size**2 > KERNEL_BLOCK
     for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32)] + [
@@ -395,6 +399,13 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
         table = kernel(x, x)
         assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64)), kernel
         assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64)), kernel
+        assert np.all(table >= 0.0), kernel
+    step = PiecewiseConstant(
+        edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+    )
+    stacked = np.vstack([b.copy() for _, b in kernel_blocks(KernelSpec.custom(step), x, x)])
+    table = step(x[:, None] - x[None, :])
+    assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64))
 
 
 def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():
@@ -474,24 +485,22 @@ def test_fejer_mean_rejects_small_window():
         fejer_mean(f, 4)
 
 
-# ------------------------------------------------------------ convolve_direct
+# ----------------------------------------------------- quadrature convolution
 
 
 def test_convolve_constant_is_fixed_point():
     # unit kernel mass makes constants fixed points; quadrature is second
     # order, measured 8.9e-8 at this oversampling
     grid = make_grid(1, 8, max_cell=2 * PI / (256 * 9))
-    f = SampledFunction(grid=grid, samples=np.full(grid.node_count, 2.5))
-    out = convolve_direct(f, KernelSpec.fejer(8))
-    assert np.max(np.abs(out.samples - 2.5)) <= 1e-6
+    out = dense_convolution(KernelSpec.fejer(8), grid, np.full(grid.node_count, 2.5))
+    assert np.max(np.abs(out - 2.5)) <= 1e-6
 
 
 def test_convolve_single_mode_spectral_value():
     grid = make_grid(1, 8, max_cell=2 * PI / (64 * 2))
-    f = SampledFunction(grid=grid, samples=np.exp(1j * grid.nodes))
-    out = convolve_direct(f, KernelSpec.fejer(1))
+    out = dense_convolution(KernelSpec.fejer(1), grid, np.exp(1j * grid.nodes))
     expected = 0.5 * np.exp(1j * grid.nodes)
-    assert np.max(np.abs(out.samples - expected)) <= 1e-5
+    assert np.max(np.abs(out - expected)) <= 1e-5
 
 
 def test_convolve_step_matches_spectral_path_at_second_order():
@@ -502,11 +511,10 @@ def test_convolve_step_matches_spectral_path_at_second_order():
     for cap_scale in (2.0, 4.0):
         cap = 2 * PI / (8 * (n + 1) * cap_scale)
         grid = make_grid(1, 8, max_cell=cap)
-        sampled = SampledFunction(grid=grid, samples=arc(grid.nodes).astype(float))
-        direct = convolve_direct(sampled, KernelSpec.fejer(n))
+        direct = dense_convolution(KernelSpec.fejer(n), grid, arc(grid.nodes))
         spectral = synthesize(fejer_mean(window, n), grid.nodes)
         errs[cap_scale] = (
-            np.max(np.abs(direct.samples - spectral)),
+            np.max(np.abs(direct - spectral)),
             np.max(np.diff(grid.edges)),
         )
     e1, h1 = errs[2.0]
@@ -515,28 +523,6 @@ def test_convolve_step_matches_spectral_path_at_second_order():
     # halving the mesh shrinks the disagreement at roughly second order
     order = math.log(e1 / e2) / math.log(h1 / h2)
     assert order >= 1.5, (e1, e2, order)
-
-
-def test_convolve_direct_matches_dense_product(grid_m1):
-    # one kernel block, and a grid past the spectral switch, which
-    # convolve_direct still samples block by block; the step kernel is
-    # signed and not even, so transposed rows show
-    step = KernelSpec.custom(
-        PiecewiseConstant(
-            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
-        )
-    )
-    many_blocks = make_grid(4, 8, max_cell=2 * PI / 2500)
-    assert grid_m1.node_count**2 <= KERNEL_BLOCK
-    assert many_blocks.node_count**2 > SPECTRAL_SWITCH
-    rng = np.random.default_rng(3)
-    for kernel in (KernelSpec.fejer(5), step):
-        for grid in (grid_m1, many_blocks):
-            f = SampledFunction(grid=grid, samples=rng.normal(size=grid.node_count))
-            dense = kernel(grid.nodes[:, None] - grid.nodes[None, :])
-            direct = convolve_direct(f, kernel)
-            expected = dense @ (f.samples * grid.quad_weights)
-            assert np.max(np.abs(direct.samples - expected)) <= 1e-13
 
 
 # ------------------------------------------------------------ poisson_extend

@@ -9,7 +9,6 @@ from fejerlab.circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
-    convolve_direct,
     kernel_blocks,
     make_grid,
     wrap_angle,
@@ -29,6 +28,8 @@ from fejerlab.operators import (
     operator_norm,
 )
 from fejerlab.spaces import SpaceTag, make_weight, norm
+
+from conftest import dense_convolution
 
 PI = math.pi
 L1, LINF = SpaceTag.WEIGHTED_L1, SpaceTag.WEIGHTED_LINF
@@ -63,8 +64,8 @@ def test_constant_kernel_maps_to_mean(grid_m1):
     # |K| = K = 1, so both weighted sums of f q are the mean of f
     for sums in A.weighted_sums(f * grid_m1.quad_weights):
         assert np.max(np.abs(sums - mean)) <= 1e-14
-    conv = convolve_direct(SampledFunction(grid=grid_m1, samples=f), kernel)
-    assert np.max(np.abs(conv.samples - mean)) <= 1e-14
+    conv = dense_convolution(kernel, grid_m1, f)
+    assert np.max(np.abs(conv - mean)) <= 1e-14
 
 
 def test_fejer_row_sums_close_to_one():
@@ -91,11 +92,9 @@ def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch):
     # assembling samples nothing; the kernel is checked on first use
     for grid in (grid_m1, grid_past_spectral_switch):
         A = assemble_operator(bad, grid)
-        f = SampledFunction(grid=grid, samples=np.ones(grid.node_count))
         for use in (
             lambda: A.weighted_sums(grid.quad_weights),
             lambda: operator_norm(A, None),
-            lambda: convolve_direct(f, bad),
         ):
             with pytest.raises(ValueError):
                 use()
@@ -366,7 +365,8 @@ def test_norm_dominates_random_probes_and_extremal_attains(tag, weight_m4, grid_
         assert an <= res.value * fn * (1 + 1e-12)
     ext = SampledFunction(grid=grid_m4, samples=res.extremal)
     fn = norm(ext, weight_m4, tag)
-    an = norm(convolve_direct(ext, kernel), weight_m4, tag)
+    conv = dense_convolution(kernel, grid_m4, res.extremal)
+    an = norm(SampledFunction(grid=grid_m4, samples=conv), weight_m4, tag)
     assert abs(an / fn - res.value) <= 1e-12 * res.value
 
 
@@ -434,6 +434,13 @@ def test_localization_m1_closed_form():
     expected = PI / 4 + math.sin(PI / 4)
     assert abs(fejer_kernel_mass(1, -PI / 4, 0.0) - expected) <= 1e-12
     assert expected >= 1.0 / 3.0
+
+
+def test_fejer_kernel_mass_of_order_zero_is_interval_length():
+    # F_0 = 1, and the empty sum of the coefficient form adds exactly zero
+    for a, b in ((-0.3, 0.2), (-PI, PI)):
+        mass = fejer_kernel_mass(0, a, b)
+        assert type(mass) is float and mass == b - a, (a, b)
 
 
 def test_localization_certified_by_independent_quadrature():
@@ -552,11 +559,10 @@ def test_bump_convolution_matches_direct_path():
     r = rows[0]
     grid = grid_for_kernels(4, 8, r.n_of_m)
     bump = make_bump(4)
-    f = SampledFunction(grid=grid, samples=bump(grid.nodes).astype(float))
-    conv = convolve_direct(f, KernelSpec.fejer(r.n_of_m))
+    conv = dense_convolution(KernelSpec.fejer(r.n_of_m), grid, bump(grid.nodes))
     lo = PI / 8 - r.delta_n
     window = (grid.nodes >= lo) & (grid.nodes <= PI / 8)
-    assert np.min(conv.samples[window]) >= r.bound
+    assert np.min(conv[window]) >= r.bound
 
 
 def test_blowup_bound_persists_for_larger_sampled_orders():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fejerlab.circle import KernelSpec, PiecewiseConstant, SampledFunction, make_grid
+from fejerlab.circle import KernelSpec, PiecewiseConstant, SampledFunction, make_grid, wrap_angle
 from fejerlab.maximal import maximal_function
 from fejerlab.operators import assemble_operator, make_bump, operator_norm
 from fejerlab.spaces import (
@@ -47,6 +47,42 @@ def test_weight_spikes_closed_on_both_ends():
         root = math.sqrt(m)
         for theta in (lo, hi, -lo, -hi, 0.5 * (lo + hi)):
             assert w(theta) == root, (m, theta)
+
+
+def _weight_by_spike_loop(M, theta):
+    """Oracle: one closed-interval test per spike, sqrt(m) on pi/(2m) <= |theta| <= pi/(2m-1)."""
+    t = np.abs(wrap_angle(theta))
+    out = np.ones_like(t)
+    for m in range(1, M + 1):
+        lo, hi = spike_interval(m)
+        out = np.where((t >= lo) & (t <= hi), math.sqrt(m), out)
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 25, 64, 4096])
+def test_weight_lookup_matches_spike_loop_bit_for_bit(M):
+    w = make_weight(M)
+    rng = np.random.default_rng(M)
+    ends = np.array([spike_interval(m) for m in range(1, M + 1)]).ravel()
+    ends = np.concatenate([ends, -ends])  # all 4M spike endpoints
+    grid = make_grid(min(M, 64), 8)
+    theta = np.concatenate(
+        [
+            rng.uniform(-PI, PI, 10_000),
+            rng.uniform(-1e-3, 1e-3, 10_000),
+            ends,
+            np.nextafter(ends, np.inf),
+            np.nextafter(ends, -np.inf),
+            [0.0, -0.0, PI, -PI, 3 * PI, np.nan],
+            grid.nodes,
+            grid.edges,
+        ]
+    )
+    got, want = w(theta), _weight_by_spike_loop(M, theta)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for t in (0.3, PI / 4, -PI, np.float64(2.0)):
+        value = w(t)
+        assert type(value) is float and value == _weight_by_spike_loop(M, t), t
 
 
 def test_weight_profile_invariants():
