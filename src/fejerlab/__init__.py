@@ -4,7 +4,6 @@ their duality, the exact grid maximal function, Hardy-space coefficient
 checks, and weighted-L1 polynomial approximation."""
 
 from .circle import (
-    AliasingError,
     CircleGrid,
     FourierCoefficients,
     KernelSpec,
@@ -32,7 +31,6 @@ from .operators import (
 from .maximal import MaximalProfile, maximal_function, weight_maximal_ratio
 from .hardy import is_hardy, product_hardy_check, taylor_fourier_check
 from .approx import (
-    IrlsConfig,
     PolyCoeffs,
     WitnessReport,
     best_poly_l1w,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .circle import (
     CircleGrid,
+    FourierCoefficients,
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
@@ -45,7 +46,6 @@ from .spaces import SpaceTag, Weight
 
 __all__ = [
     "PolyCoeffs",
-    "IrlsConfig",
     "FitResult",
     "StageFailure",
     "WitnessReport",
@@ -73,16 +73,8 @@ class PolyCoeffs:
 
 
 SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
-
-
-@dataclass(frozen=True)
-class IrlsConfig:
-    max_iters: int = 200
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iters <= 0 or self.tol <= 0:
-            raise ValueError("all IRLS parameters must be positive")
+MAX_ITERS = 200  # IRLS sweeps per fit
+TOL = 1e-10  # converged once a sweep gains at most TOL max(objective, 1)
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ def _weighted_ls(A, y, u):
     return np.linalg.solve(_toeplitz_gram(A, u), b)
 
 
-def _irls(A, y, c, start, cfg: IrlsConfig):
+def _irls(A, y, c, start):
     """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start.
 
     Each sweep solves the Toeplitz normal equations of the weighted least
@@ -141,7 +133,7 @@ def _irls(A, y, c, start, cfg: IrlsConfig):
     r = y - A @ alpha
     trace = [_smoothed_objective(r, c, SMOOTHING)]
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         alpha_new = _weighted_ls(A, y, c / np.maximum(np.abs(r), SMOOTHING))
         r_new = y - A @ alpha_new
         obj_new = _smoothed_objective(r_new, c, SMOOTHING)
@@ -150,18 +142,20 @@ def _irls(A, y, c, start, cfg: IrlsConfig):
         alpha, r = alpha_new, r_new
         decrease = trace[-1] - obj_new
         trace.append(obj_new)
-        if decrease <= cfg.tol * max(obj_new, 1.0):
+        if decrease <= TOL * max(obj_new, 1.0):
             converged = True
             break
     return alpha, r, converged, len(trace) - 1, trace
 
 
 def _fejer_candidate(f: SampledFunction, degree: int):
-    """Fejér mean of matching order as a feasible polynomial, when available."""
+    """Fejér mean of matching order as a feasible polynomial, from midpoint
+    sums of the samples.  None past degree N/4, where those sums alias."""
     if degree > f.grid.node_count // 4:
         return None
-    window = fourier_window(f, degree)
-    damped = fejer_mean(window, degree)
+    ks = np.arange(-degree, degree + 1)
+    coeffs = trig_sum(ks, f.grid.nodes, f.samples * f.grid.quad_weights, -1)
+    damped = fejer_mean(FourierCoefficients(window=degree, coeffs=coeffs), degree)
     return PolyCoeffs(coeffs=damped.coeffs[degree:])
 
 
@@ -169,19 +163,19 @@ def best_poly_l1w(
     f: SampledFunction,
     w: Weight | None,
     degree: int,
-    cfg: IrlsConfig = IrlsConfig(),
     *,
     warm_start: PolyCoeffs | None = None,
 ) -> FitResult:
     """Approximately minimize ||f - q||_{L1(w)} over polynomials of `degree`.
 
-    The starts are the weighted least squares fit, the Fejér-mean candidate
-    (when the coefficient window allows it) and the zero-padded warm start.
-    IRLS runs once, from the start with the smallest raw objective: the
-    smoothed objective is convex, so every start leads to the same minimum.
-    If the run ends above its start, the start is kept, so the result is
-    never above any start.  The reported error is the plain discrete
-    weighted-L1 objective of the returned polynomial.
+    The starts are the weighted least squares fit, the Fejér mean of order
+    `degree` from midpoint sums of the samples (up to degree N/4; above it
+    `fejer_error` is None) and the zero-padded warm start.  IRLS runs once,
+    at most MAX_ITERS sweeps, from the start with the smallest raw
+    objective: the smoothed objective is convex, so every start leads to the
+    same minimum.  If the run ends above its start, the start is kept, so
+    the result is never above any start.  The reported error is the plain
+    discrete weighted-L1 objective of the returned polynomial.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -202,7 +196,7 @@ def best_poly_l1w(
     fejer_error = objectives[1] if fejer_poly is not None else None
 
     k = int(np.argmin(objectives))
-    alpha, r, conv, iters, trace = _irls(A, y, c, starts[k], cfg)
+    alpha, r, conv, iters, trace = _irls(A, y, c, starts[k])
     raw = _raw_objective(r, c)
     if objectives[k] < raw:  # the start itself is a valid feasible point
         alpha, raw, conv = starts[k], objectives[k], True
@@ -307,7 +301,7 @@ def _default_order_ladder(M: int, max_order: int):
     return sorted(ladder)
 
 
-def _stage_errors(grid, w, parts, orders):
+def _stage_errors(grid, wv, parts, orders):
     """Errors ||f * F_n - f||_{L1(w)} of the sparse bump sum, recomputed
     exactly as the full quadrature convolution would produce them."""
     idx = np.array([p[0] for p in parts])
@@ -315,7 +309,6 @@ def _stage_errors(grid, w, parts, orders):
     fq = amp * grid.quad_weights[idx]
     f_full = np.zeros(grid.node_count)
     np.add.at(f_full, idx, amp)
-    wv = w(grid.nodes)
     errors = []
     for n in orders:
         conv = np.empty(grid.node_count)
@@ -361,7 +354,7 @@ def gliding_hump_witness(
             j = operator_norm(A, w)[SpaceTag.WEIGHTED_L1].arg_index
             amp = coeffs[k] / (wv[j] * grid.quad_weights[j])
             trial_parts = parts + [(j, amp)]
-            errs = _stage_errors(grid, w, trial_parts, orders + [n])
+            errs = _stage_errors(grid, wv, trial_parts, orders + [n])
             if all(e >= growth_target for e in errs):
                 orders.append(n)
                 parts, stage_errors = trial_parts, errs

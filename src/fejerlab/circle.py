@@ -43,7 +43,6 @@ __all__ = [
     "SampledFunction",
     "FourierCoefficients",
     "KernelSpec",
-    "AliasingError",
     "wrap_angle",
     "make_grid",
     "fourier_window",
@@ -55,10 +54,6 @@ __all__ = [
     "kernel_blocks",
     "poisson_extend",
 ]
-
-
-class AliasingError(ValueError):
-    """Requested Fourier index lies beyond the safe window of a sampled function."""
 
 
 def wrap_angle(theta):
@@ -307,29 +302,12 @@ def _pc_fourier_coeff(f: PiecewiseConstant, ks):
     return out
 
 
-def fourier_window(f, window: int) -> FourierCoefficients:
+def fourier_window(f: PiecewiseConstant, window: int) -> FourierCoefficients:
     """All coefficients c(k) = integral of f(theta) e^{-ik theta} dm with
-    |k| <= window, as one vectorized pass.
-
-    Step functions use the exact closed form; sampled functions use midpoint
-    quadrature and refuse windows beyond node_count/4, where the midpoint
-    sums are no longer trustworthy (aliasing).
-    """
+    |k| <= window of a step function, exact in closed form, as one
+    vectorized pass."""
     ks = np.arange(-window, window + 1)
-    if isinstance(f, PiecewiseConstant):
-        coeffs = _pc_fourier_coeff(f, ks)
-    elif isinstance(f, SampledFunction):
-        limit = f.grid.node_count // 4
-        if window > limit:
-            raise AliasingError(
-                f"window {window} beyond safe window {limit} "
-                f"for {f.grid.node_count} nodes"
-            )
-        fq = f.samples * f.grid.quad_weights
-        coeffs = trig_sum(ks, f.grid.nodes, fq, -1)
-    else:
-        raise TypeError(f"unsupported representation {type(f).__name__}")
-    return FourierCoefficients(window=window, coeffs=coeffs)
+    return FourierCoefficients(window=window, coeffs=_pc_fourier_coeff(f, ks))
 
 
 def _planes(work, count: int, shape):

@@ -184,14 +184,16 @@ def cmd_blowup(args) -> list:
 
 def cmd_fejer_converge(args) -> list:
     arc = PiecewiseConstant.indicator(0.0, args.arc_length)
+    # the contracts read the errors in ascending order
+    orders = sorted(args.orders)
     grid = make_grid(
         1,
         args.ppi,
-        max_cell=2.0 * math.pi / (8 * (max(args.orders) + 1)),
+        max_cell=2.0 * math.pi / (8 * (orders[-1] + 1)),
         extra_breakpoints=[args.arc_length],
     )
-    errors = fejer_error_curve(arc, args.orders, grid)
-    rows = list(zip(args.orders, errors))
+    errors = fejer_error_curve(arc, orders, grid)
+    rows = list(zip(orders, errors))
     if args.out:
         csvio.write_rows(args.out, ["n", "error"], rows)
     for n, e in rows:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, PiecewiseConstant, SampledFunction, _frozen, make_grid
+from .circle import CircleGrid, SampledFunction, _frozen, make_grid
 from .spaces import make_weight
 
 __all__ = [
@@ -55,8 +55,10 @@ class MaximalProfile:
         object.__setattr__(self, "values", _frozen(self.values))
 
 
-def maximal_function(f, grid: CircleGrid | None = None) -> MaximalProfile:
-    """Largest arc average of |f| over grid-edge arcs containing each node.
+def maximal_function(f: SampledFunction) -> MaximalProfile:
+    """Largest arc average of |f| over grid-edge arcs containing each node,
+    from the samples of f on its grid.  A step function is sampled at the
+    nodes first; the averages are exact when its jumps lie on grid edges.
 
     Arcs run over every contiguous block of 1 .. N-1 cells (the full circle
     is excluded as improper).  Since nodes lie strictly inside their cells,
@@ -71,15 +73,6 @@ def maximal_function(f, grid: CircleGrid | None = None) -> MaximalProfile:
     at each covered cell is a running maximum of their averages ordered by
     length: O(N) per run start, and O(N R) in all for R run starts.
     """
-    if isinstance(f, PiecewiseConstant):
-        if grid is None:
-            raise ValueError("a grid is required for step-function input")
-        f = SampledFunction(grid=grid, samples=np.abs(f(grid.nodes)))
-    elif not isinstance(f, SampledFunction):
-        raise TypeError(f"unsupported representation {type(f).__name__}")
-    elif grid is not None and grid is not f.grid:
-        raise ValueError("grid differs from the grid of the sampled input")
-
     g = f.grid
     n = g.node_count
     q = g.quad_weights
@@ -131,7 +124,7 @@ def weight_maximal_ratio(
     for M in sorted({int(M) for M in M_list}):
         w = make_weight(M)
         grid = make_grid(M, points_per_interval, edge_levels=edge_levels)
-        profile = maximal_function(w.profile, grid)
+        profile = maximal_function(SampledFunction.from_callable(w.profile, grid))
         ratio = float(np.max(profile.values / w(grid.nodes)))
         rows.append((M, ratio))
     return rows

@@ -5,7 +5,6 @@ import pytest
 
 from fejerlab import approx
 from fejerlab.approx import (
-    IrlsConfig,
     PolyCoeffs,
     StageFailure,
     _toeplitz_gram,
@@ -107,17 +106,29 @@ def test_inv_quarter_is_integrable_against_weight(weight4):
     assert abs(vals[1] - vals[0]) <= 2e-3 * vals[0]
 
 
-def test_nonconvergence_flag_with_tiny_budget(fit_grid, weight4):
+def test_nonconvergence_flag_with_tiny_budget(fit_grid, weight4, monkeypatch):
+    monkeypatch.setattr(approx, "MAX_ITERS", 2)
+    monkeypatch.setattr(approx, "TOL", 1e-15)
     f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
-    res = best_poly_l1w(f, weight4, 8, IrlsConfig(max_iters=2, tol=1e-15))
+    res = best_poly_l1w(f, weight4, 8)
     assert res.iterations <= 2
     assert not res.converged
+
+
+def test_fejer_start_up_to_a_quarter_of_the_nodes():
+    # past degree N/4 the midpoint sums alias, so the fit has no Fejér start
+    grid = make_grid(1, 2, edge_levels=1)
+    f = SampledFunction(grid=grid, samples=_inv_quarter(grid.nodes))
+    w = make_weight(1)
+    limit = grid.node_count // 4
+    assert best_poly_l1w(f, w, limit).fejer_error is not None
+    assert best_poly_l1w(f, w, limit + 1).fejer_error is None
 
 
 def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):
     seen = []
 
-    def ends_above(A, y, c, start, cfg):
+    def ends_above(A, y, c, start):
         seen.append(start)
         return np.zeros_like(start), y, False, 3, [1.0]
 

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fejerlab.circle import (
-    FourierCoefficients,
-    SampledFunction,
-    fejer_mean,
-    fourier_window,
-    make_grid,
-    poisson_extend,
-)
+from fejerlab.circle import FourierCoefficients, fejer_mean, poisson_extend
 from fejerlab.hardy import (
     coefficient_product,
     is_hardy,
@@ -48,15 +41,6 @@ def test_geometric_boundary_closed_form_is_hardy():
     # boundary values of 1/(1 - z/2): coefficients 2^{-n}, none negative
     f = FourierCoefficients.from_dict(24, {k: 2.0**-k for k in range(25)})
     assert is_hardy(f, 1e-12)
-
-
-def test_geometric_boundary_sampled_is_hardy_at_quadrature_tolerance():
-    # midpoint sums on the composite grid see the true (zero) negative
-    # coefficients up to the second-order quadrature error of the mesh
-    grid = make_grid(1, 16, max_cell=1e-3)
-    boundary = 1.0 / (1.0 - 0.5 * np.exp(1j * grid.nodes))
-    window = fourier_window(SampledFunction(grid=grid, samples=boundary), 16)
-    assert is_hardy(window, 1e-6)
 
 
 def test_is_hardy_rejects_bad_tolerance():

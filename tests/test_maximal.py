@@ -57,8 +57,8 @@ def _oracle_input(case):
     """(input, grid, node samples), with N <= 43 since the oracle is cubic."""
     if case == "weight-profile":
         grid = make_grid(2, 2, edge_levels=1)
-        profile = make_weight(2).profile
-        return profile, grid, profile(grid.nodes)
+        f = SampledFunction.from_callable(make_weight(2).profile, grid)
+        return f, grid, f.samples
     extra = [0.3] if case == "asymmetric" else []
     grid = make_grid(1, 3, edge_levels=2, extra_breakpoints=extra)
     if case == "seam":
@@ -79,7 +79,7 @@ def _oracle_input(case):
 @pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam", "hole"])
 def test_maximal_profile_matches_bruteforce_oracle(case):
     f, grid, samples = _oracle_input(case)
-    fast = maximal_function(f, grid).values
+    fast = maximal_function(f).values
     slow = brute_force_maximal(samples, grid.quad_weights)
     assert np.max(np.abs(fast - slow)) <= 1e-13
 
@@ -92,7 +92,7 @@ def test_maximal_of_constant(grid_m1):
 
 def test_maximal_of_arc_indicator(grid_m1):
     arc = PiecewiseConstant.indicator(0.0, PI / 2)
-    prof = maximal_function(arc, grid_m1)
+    prof = maximal_function(SampledFunction.from_callable(arc, grid_m1))
     inside = (grid_m1.nodes > 0) & (grid_m1.nodes < PI / 2)
     assert np.max(np.abs(prof.values[inside] - 1.0)) <= 1e-9
     assert np.all(prof.values <= 1.0 + 1e-9)
@@ -105,7 +105,7 @@ def test_maximal_at_endpoint_neighbor_matches_double_resolution_oracle():
     arc = PiecewiseConstant.indicator(0.0, PI / 2)
     coarse = make_grid(1, 3, edge_levels=1)
     fine = make_grid(1, 6, edge_levels=1)
-    prof = maximal_function(arc, coarse)
+    prof = maximal_function(SampledFunction.from_callable(arc, coarse))
     fine_samples = np.abs(arc(fine.nodes)).astype(float)
     oracle = brute_force_maximal(fine_samples, fine.quad_weights)
     neighbor = np.argmin(np.abs(coarse.nodes - (PI / 2 + 0.02)))
@@ -153,7 +153,7 @@ def test_maximal_wraps_around_the_seam():
     onseam = PiecewiseConstant(
         edges=np.array([-PI, -2.8, 2.8, PI]), values=np.array([1.0, 0.0, 1.0])
     )
-    prof = maximal_function(onseam, grid)
+    prof = maximal_function(SampledFunction.from_callable(onseam, grid))
     near_pi = np.abs(np.abs(grid.nodes) - PI) < 0.2
     assert np.max(np.abs(prof.values[near_pi] - 1.0)) <= 1e-9
 
@@ -179,13 +179,6 @@ def test_weight_ratio_lower_bound_from_single_arc():
     sliver = lo - below
     expected = (math.sqrt(M) * spike_len + sliver) / (spike_len + sliver)
     assert ratio >= expected - 1e-12
-
-
-def test_maximal_rejects_unknown_representation(grid_m1):
-    with pytest.raises(TypeError):
-        maximal_function(lambda t: t)
-    with pytest.raises(ValueError):
-        maximal_function(PiecewiseConstant.constant(1.0))
 
 
 def test_weight_ratio_stable_across_two_resolutions():
@@ -269,10 +262,3 @@ def test_sweep_updates_once_per_run_start_and_direction(monkeypatch):
     monkeypatch.setattr(maximal, "_fold_nested", counted)
     maximal_function(SampledFunction(grid=grid, samples=samples))
     assert (starts, len(calls)) == (60, 120)
-
-
-def test_maximal_rejects_grid_other_than_the_samples_grid(grid_m1):
-    f = SampledFunction(grid=grid_m1, samples=np.ones(grid_m1.node_count))
-    assert maximal_function(f, grid_m1).grid is grid_m1
-    with pytest.raises(ValueError):
-        maximal_function(f, make_grid(1, 8))

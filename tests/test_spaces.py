@@ -291,5 +291,6 @@ def test_value_arrays_are_frozen(weight_m4, grid_m4):
     for res in operator_norm(A, weight_m4).values():
         with pytest.raises(ValueError):
             res.extremal[0] = 0.0
+    f = SampledFunction.from_callable(weight_m4.profile, grid_m4)
     with pytest.raises(ValueError):
-        maximal_function(weight_m4.profile, grid_m4).values[0] = 0.0
+        maximal_function(f).values[0] = 0.0
