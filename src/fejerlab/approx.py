@@ -312,7 +312,7 @@ def _stage_errors(grid, wv, parts, orders):
     errors = []
     for n in orders:
         conv = np.empty(grid.node_count)
-        for rows, block in kernel_blocks(KernelSpec.fejer(n), grid.nodes, grid.nodes[idx]):
+        for rows, _, block in kernel_blocks([KernelSpec.fejer(n)], grid.nodes, grid.nodes[idx]):
             conv[rows] = block @ fq
         errors.append(float(np.sum(np.abs(conv - f_full) * wv * grid.quad_weights)))
     return errors
@@ -350,8 +350,8 @@ def gliding_hump_witness(
         for n in ladder:
             if orders and n <= orders[-1]:
                 continue
-            A = assemble_operator(KernelSpec.fejer(n), grid)
-            j = operator_norm(A, w)[SpaceTag.WEIGHTED_L1].arg_index
+            [norms] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
+            j = norms[SpaceTag.WEIGHTED_L1].arg_index
             amp = coeffs[k] / (wv[j] * grid.quad_weights[j])
             trial_parts = parts + [(j, amp)]
             errs = _stage_errors(grid, wv, trial_parts, orders + [n])

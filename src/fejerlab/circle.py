@@ -19,7 +19,9 @@ written in place into one workspace of three such tables, allocated once
 per call and reused for every block.  Fejér and Poisson tables come from
 per-angle phase factors by angle addition, O(rows + columns) sines per
 block; near the diagonal each sine carries about 1e-16 absolute error where
-fl(theta_i - s_j) would be exact.
+fl(theta_i - s_j) would be exact.  A family of kernels of one kind builds
+each block's angle table once, sin(t/2) for every Fejér order and cos t
+for every Poisson radius, and every kernel finishes its own table from it.
 
 `trig_sum` phases over frequencies k0..k0+K-1 come from the binary powers
 e^{+-i 2^j theta} (2^j theta is exact) by column doubling, TRIG_BLOCK (1 MB)
@@ -342,7 +344,39 @@ def _sin_table(a: float, theta, sources, out, tmp):
     return out
 
 
-def fejer_kernel_eval(n: int, theta, sources=0.0, work=None):
+def _half_angle_sines(theta, sources, s, tmp):
+    """The table every Fejér order shares: sin((theta_i - sources_j)/2),
+    written into `s` with the removable singularities (|sin| < 1e-9, where
+    the kernel is n + 1) set to 1, and the flat indices of those entries."""
+    _sin_table(0.5, theta, sources, s, tmp)
+    tiny = np.flatnonzero(np.abs(s, out=tmp) < 1e-9)
+    np.put(s, tiny, 1.0)
+    return s, tiny
+
+
+def _cosines(theta, sources, c, tmp):
+    """The table every Poisson radius shares: cos(theta_i - sources_j) =
+    cos theta_i cos sources_j + sin theta_i sin sources_j, written into `c`."""
+    _outer(np.cos(theta), np.cos(sources), c)
+    c += _outer(np.sin(theta), np.sin(sources), tmp)
+    return c
+
+
+def _shared(angles, kind, build, *args):
+    """The angle table of `kind` in the dict `angles`, built by
+    `build(*args)` unless a kernel of that kind, sampled at the same
+    angles, stored it there; a kernel of another kind rebuilds it, since
+    both kinds keep theirs in the first plane of the workspace.  With no
+    dict (None) nothing is shared."""
+    if angles is None:
+        return build(*args)
+    if kind not in angles:
+        angles.clear()
+        angles[kind] = build(*args)
+    return angles[kind]
+
+
+def fejer_kernel_eval(n: int, theta, sources=0.0, work=None, angles=None):
     """Fejér kernel of order n >= 0 at t = theta_i - sources_j, as a table of
     shape theta.shape + sources.shape.
 
@@ -352,16 +386,17 @@ def fejer_kernel_eval(n: int, theta, sources=0.0, work=None):
     sources = 0 its factors are 1 and 0, so they are the sines of theta/2
     and (n+1) theta/2 bit for bit.  `work`, if given, holds three tables of
     the result's shape; the floating-point passes run in place in them and
-    the result is one of them (the `tiny` mask takes one byte per sample).
+    the result is the second (the `tiny` mask takes one byte per sample).
+    The sin(t/2) table, in the first, depends only on the angles: kernels
+    sampled at the same angles pass one dict `angles`, and the first Fejér
+    kernel stores the table there for the other orders to read.
     """
     if n < 0:
         raise ValueError("kernel order must be >= 0")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
     s, out, tmp = _planes(work, 3, t.shape + u.shape)
-    _sin_table(0.5, t, u, s, tmp)
-    tiny = np.flatnonzero(np.abs(s, out=tmp) < 1e-9)
-    np.put(s, tiny, 1.0)
+    s, tiny = _shared(angles, "fejer", _half_angle_sines, t, u, s, tmp)
     _sin_table(0.5 * (n + 1), t, u, out, tmp)
     out /= s
     out *= out
@@ -370,23 +405,25 @@ def fejer_kernel_eval(n: int, theta, sources=0.0, work=None):
     return out if out.ndim else float(out)
 
 
-def poisson_kernel_eval(r: float, theta, sources=0.0, work=None):
+def poisson_kernel_eval(r: float, theta, sources=0.0, work=None, angles=None):
     """Poisson kernel (1 - r^2) / (1 - 2 r cos t + r^2) for 0 <= r < 1 at
     t = theta_i - sources_j, as a table of shape theta.shape + sources.shape.
 
-    cos t = cos theta_i cos sources_j + sin theta_i sin sources_j from
-    per-angle factors; with the default sources = 0 it is cos theta bit for
-    bit.  `work`, if given, holds at least two tables of the result's
-    shape; the result is written into the first.
+    cos t comes from per-angle factors (`_cosines`); with the default
+    sources = 0 it is cos theta bit for bit.  `work`, if given, holds at
+    least two tables of the result's shape; the result is written into the
+    second.
+    The cos t table, in the first, depends only on the angles and is shared
+    through `angles` as in `fejer_kernel_eval`.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
-    out, tmp = _planes(work, 2, t.shape + u.shape)
-    _outer(np.cos(t), np.cos(u), out)
-    out += _outer(np.sin(t), np.sin(u), tmp)
-    out *= -2.0 * r
+    c, out = _planes(work, 2, t.shape + u.shape)
+    # the result's plane is free while the shared table is built
+    c = _shared(angles, "poisson", _cosines, t, u, c, out)
+    np.multiply(c, -2.0 * r, out=out)
     out += 1.0
     out += r * r
     np.divide(1.0 - r * r, out, out=out)
@@ -421,16 +458,17 @@ class KernelSpec:
             raise TypeError("custom kernels take a PiecewiseConstant")
         return KernelSpec(kind="custom", profile=profile)
 
-    def __call__(self, theta, sources=0.0, work=None):
+    def __call__(self, theta, sources=0.0, work=None, angles=None):
         """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape.
 
         A Fejér or Poisson table is written into the workspace `work` of
-        three such tables when one is given; a step profile's is fresh.
+        three such tables when one is given, and reads or stores its kind's
+        angle table in the dict `angles`; a step profile's is fresh.
         """
         if self.kind == "fejer":
-            return fejer_kernel_eval(self.n, theta, sources, work=work)
+            return fejer_kernel_eval(self.n, theta, sources, work=work, angles=angles)
         if self.kind == "poisson":
-            return poisson_kernel_eval(self.r, theta, sources, work=work)
+            return poisson_kernel_eval(self.r, theta, sources, work=work, angles=angles)
         return self.profile(np.subtract.outer(theta, sources))
 
 
@@ -501,23 +539,29 @@ def synthesize(f: FourierCoefficients, theta):
     return out if np.ndim(theta) else complex(out[0])
 
 
-def kernel_blocks(kernel, targets, sources):
-    """Kernel samples K(targets[rows] - sources), one block of rows at a time.
+def kernel_blocks(kernels, targets, sources):
+    """Samples K(targets[rows] - sources) of a family of kernels, one block
+    of rows at a time.
 
-    Yields (rows, block) with `rows` a slice of `targets` and `block` of
-    shape (len(rows), len(sources)), about KERNEL_BLOCK samples each, from
-    kernel(targets[rows], sources, work=...).  One workspace of three
-    block-sized tables is allocated per call and every block is written
-    into it, so a block is valid only until the next one is drawn: the
-    caller may overwrite it but must not keep it.  This is the only place
-    an N x N kernel is sampled.  Fejér and Poisson blocks come from
-    per-angle phase factors in O(len(rows) + len(sources)) sines and are
-    exactly symmetric when targets and sources are the same nodes; near the
-    diagonal a Fejér entry differs from the closed form at the rounded
-    difference by about 1e-16 (n+1) / |sin(t/2)|.  A step profile looks up
-    the rounded differences targets[rows, None] - sources[None, :].
+    Yields (rows, k, block) for every block of rows and, within it, every
+    kernel k of the sequence `kernels` in turn: `rows` is a slice of
+    `targets` and `block` of shape (len(rows), len(sources)), about
+    KERNEL_BLOCK samples, from kernels[k](targets[rows], sources,
+    work=..., angles=...).  One workspace of three block-sized tables is
+    allocated per call and every block is written into it, so a block is
+    valid only until the next one is drawn: the caller may overwrite it but
+    must not keep it.  The kernels of a block share one dict `angles`, so
+    Fejér orders share one sin(t/2) table and Poisson radii one cos t
+    table per block, and each kernel's block is the one it gives alone.
+    A lone kernel is a family of one.  This is the only place an N x N
+    kernel is sampled.  Fejér and Poisson blocks come from per-angle phase
+    factors in O(len(rows) + len(sources)) sines and are exactly symmetric
+    when targets and sources are the same nodes; near the diagonal a Fejér
+    entry differs from the closed form at the rounded difference by about
+    1e-16 (n+1) / |sin(t/2)|.  A step profile looks up the rounded
+    differences targets[rows, None] - sources[None, :].
 
-    Raises ValueError when the kernel produces a non-finite sample.
+    Raises ValueError when a kernel produces a non-finite sample.
     """
     targets = np.asarray(targets, dtype=float)
     sources = np.asarray(sources, dtype=float)
@@ -526,10 +570,12 @@ def kernel_blocks(kernel, targets, sources):
     for start in range(0, targets.size, step):
         rows = slice(start, start + step)
         t = targets[rows]
-        block = np.asarray(kernel(t, sources, work=work[:, : t.size]))
-        if not np.all(np.isfinite(block)):
-            raise ValueError("kernel produced non-finite samples")
-        yield rows, block
+        angles = {}
+        for k, kernel in enumerate(kernels):
+            block = np.asarray(kernel(t, sources, work=work[:, : t.size], angles=angles))
+            if not np.all(np.isfinite(block)):
+                raise ValueError("kernel produced non-finite samples")
+            yield rows, k, block
 
 
 def poisson_extend(f: FourierCoefficients, r: float, theta):

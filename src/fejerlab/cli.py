@@ -104,42 +104,44 @@ def cmd_duality(args) -> list:
     fejer_orders = list(range(0, args.max_order + 1, max(1, args.max_order // 32)))
     poisson_radii = [round(0.05 + 0.02 * i, 2) for i in range(30)]
 
-    grids, weights = {}, {}
+    # (label, weight_M, kernel, report_norms) in draw order
+    jobs = [(f"fejer:{n}", 1 + n % args.grid_M, KernelSpec.fejer(n), True) for n in fejer_orders]
+    jobs += [
+        (f"poisson:{r}", 1 + int(100 * r) % args.grid_M, KernelSpec.poisson(r), True)
+        for r in poisson_radii
+    ]
+    for t in range(args.trials):
+        M = int(rng.integers(1, args.grid_M + 1))
+        # step kernels are reported gap-only: pointwise sampling of their jumps
+        # is first-order in the mesh, so their norms are not refinement-stable
+        jobs.append((f"step:{t}", M, _random_even_nonneg_step_kernel(rng), False))
 
-    def setup(M):
+    # one operator family per grid and kernel kind, in order of first use: one
+    # weight lookup, and the family's kernels share their angle tables and
+    # step-kernel seam searches; rows go back in draw order
+    families = {}
+    for i, (_, M, kernel, _) in enumerate(jobs):
+        families.setdefault((M, kernel.kind), []).append(i)
+    grids = {}
+    rows = [None] * len(jobs)
+    for (M, _), members in families.items():
         if M not in grids:
-            grids[M] = grid_for_kernels(M, args.ppi, args.max_order)
-            weights[M] = make_weight(M)
-        return grids[M], weights[M]
-
-    rows = []
-
-    def run(kernel, label, M, report_norms):
-        grid, w = setup(M)
-        A = assemble_operator(kernel, grid)
+            grids[M] = grid_for_kernels(M, args.ppi, args.max_order), make_weight(M)
+        grid, w = grids[M]
+        A = assemble_operator([jobs[i][2] for i in members], grid)
         if A.spectral:
             # both norms would be one spectral vector: the gap would be 0 unchecked
             raise ConfigError(
-                f"{label} on weight_M={M} needs {grid.node_count}^2 samples, past the "
-                f"spectral switch ({SPECTRAL_SWITCH}); lower --max-order or --ppi"
+                f"{jobs[members[0]][0]} on weight_M={M} needs {grid.node_count}^2 samples, "
+                f"past the spectral switch ({SPECTRAL_SWITCH}); lower --max-order or --ppi"
             )
-        norms = operator_norm(A, w)
-        n1 = norms[SpaceTag.WEIGHTED_L1].value
-        ninf = norms[SpaceTag.WEIGHTED_LINF].value
-        gap = abs(n1 - ninf)
-        shown = (n1, ninf) if report_norms else ("", "")
-        rows.append((label, M, *shown, gap, gap / max(n1, ninf)))
-
-    for n in fejer_orders:
-        run(KernelSpec.fejer(n), f"fejer:{n}", 1 + n % args.grid_M, True)
-    for r in poisson_radii:
-        run(KernelSpec.poisson(r), f"poisson:{r}", 1 + int(100 * r) % args.grid_M, True)
-    for t in range(args.trials):
-        M = int(rng.integers(1, args.grid_M + 1))
-        kernel = _random_even_nonneg_step_kernel(rng)
-        # step kernels are reported gap-only: pointwise sampling of their jumps
-        # is first-order in the mesh, so their norms are not refinement-stable
-        run(kernel, f"step:{t}", M, False)
+        for i, norms in zip(members, operator_norm(A, w)):
+            label, _, _, report_norms = jobs[i]
+            n1 = norms[SpaceTag.WEIGHTED_L1].value
+            ninf = norms[SpaceTag.WEIGHTED_LINF].value
+            gap = abs(n1 - ninf)
+            shown = (n1, ninf) if report_norms else ("", "")
+            rows[i] = (label, M, *shown, gap, gap / max(n1, ninf))
 
     if args.out:
         csvio.write_rows(

@@ -14,21 +14,29 @@ That is the discrete counterpart of the norm equality between a space and
 its associate, and it is an identity of the model, not a grid-convergence
 statement.
 
-An operator never stores its matrix.  Fejér and Poisson sums sample the
+An operator holds a family of kernels of one kind on one grid (a lone
+kernel is a family of one) and never stores a matrix; `operator_norm`
+looks the weight up once per family.  Fejér and Poisson sums sample each
 kernel once, block by block, and take the row sums and the column sums as
 two contractions of each block; each block is built from per-node phase
 factors in O(N) sines (`kernel_blocks`) and is exactly symmetric, so the
-two contractions read one sampled matrix.  A Fejér operator whose matrix
-has more than SPECTRAL_SWITCH samples uses its 2n+1 frequencies instead,
+two contractions read one sampled matrix.  In each block the family
+shares one angle table, sin(t/2) for every Fejér order and cos t for every
+Poisson radius, and each kernel's block is bit for bit the one it gives
+alone.  A Fejér operator whose matrix has more than SPECTRAL_SWITCH
+samples uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
 O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
 its row sums and column sums are one vector.  A step kernel is never
 sampled: its sums come from prefix sums of the weights over the 3N nodes
-extended periodically, [x - 2 pi, x, x + 2 pi], with one search of N (P+1)
-targets for the rows and another for the columns, in O(N P log N) for P
-pieces.  Each node counts once, by its copy in the window around the
-pivot, and ties take the dense lookup's own cell index, so a node at
-wrapped difference pi stays in the last piece.
+extended periodically, [x - 2 pi, x, x + 2 pi], with searches of its N (P+1)
+cuts for the rows and others for the columns, in O(N P log N) for P
+pieces.  The two end cuts of every profile are the +-pi seams, which do
+not depend on the profile, so a family searches them once per direction
+and each kernel searches only its interior edges.  Each node counts once,
+by its copy in the window around the pivot, and ties take the dense
+lookup's own cell index, so a node at wrapped difference pi stays in the
+last piece.
 """
 
 from __future__ import annotations
@@ -81,56 +89,59 @@ class GridTooCoarse(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The operator with kernel K(theta_i - theta_j) on a grid's quadrature.
+    """The operators with kernels K_k(theta_i - theta_j), k < K, of one kind
+    on a grid's quadrature.
 
-    The matrix is never stored: `weighted_sums` samples the kernel through
-    `kernel_blocks`, block by block, on every call, unless the kernel is
-    Fejér and N^2 > SPECTRAL_SWITCH (those sums come from its 2n+1
-    frequencies) or a step kernel (those sums come from prefix sums).
+    No matrix is stored: `weighted_sums` samples the kernels through
+    `kernel_blocks`, block by block, on every call, unless they are Fejér
+    and N^2 > SPECTRAL_SWITCH (those sums come from their 2n+1
+    frequencies) or step kernels (those sums come from prefix sums).
     """
 
     grid: CircleGrid
-    kernel: KernelSpec
+    kernels: tuple[KernelSpec, ...]
     # not a field: the benchmark tracer's `operators.assemble` counter reads it
     entries = None
 
     @property
     def spectral(self) -> bool:
-        """Whether `weighted_sums` returns one spectral vector as both sums."""
-        return self.kernel.kind == "fejer" and self.grid.node_count**2 > SPECTRAL_SWITCH
+        """Whether `weighted_sums` returns one spectral array as both sums."""
+        return self.kernels[0].kind == "fejer" and self.grid.node_count**2 > SPECTRAL_SWITCH
 
     def weighted_sums(self, weights: np.ndarray):
-        """Row sums sum_j |K_ij| c_j and column sums sum_i |K_ij| c_i.
+        """Row sums sum_j |K_k,ij| c_j and column sums sum_i |K_k,ij| c_i,
+        as two (K, N) arrays, row k for kernel k.
 
-        Both come from one pass over the kernel, as two contractions of each
-        block, so they stay independent computations of the two norms; Fejér
-        and Poisson entries are nonnegative, so the blocks are |K|.  A
-        Fejér operator past the spectral switch returns one spectral vector,
-        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.  A
-        step kernel takes `_step_sums` once for the rows and once for the
+        Both come from one pass over each kernel, as two contractions of
+        each block, so they stay independent computations of the two norms;
+        Fejér and Poisson entries are nonnegative, so the blocks are |K|.
+        Fejér operators past the spectral switch return one spectral array,
+        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
+        Step kernels take `_step_sums` once for the rows and once for the
         columns; a non-finite step value raises ValueError, as sampling it
         would.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
         if self.spectral:
-            n = self.kernel.n
-            k = np.arange(-n, n + 1)
-            damp = 1.0 - np.abs(k) / (n + 1.0)
-            sums = trig_sum(nodes, k, damp * trig_sum(k, nodes, c, -1), 1).real
+            sums = np.empty((len(self.kernels), nodes.size))
+            for row, kernel in zip(sums, self.kernels):
+                k = np.arange(-kernel.n, kernel.n + 1)
+                damp = 1.0 - np.abs(k) / (kernel.n + 1.0)
+                row[:] = trig_sum(nodes, k, damp * trig_sum(k, nodes, c, -1), 1).real
             return sums, sums
-        if self.kernel.kind == "custom":
-            profile = self.kernel.profile
-            if not np.all(np.isfinite(profile.values)):
+        if self.kernels[0].kind == "custom":
+            profiles = [kernel.profile for kernel in self.kernels]
+            if not all(np.all(np.isfinite(profile.values)) for profile in profiles):
                 raise ValueError("kernel produced non-finite samples")
             prefix = _prefix_sums(c)
-            rowsums = _step_sums(profile, nodes, prefix, 1)
-            return rowsums, _step_sums(profile, nodes, prefix, -1)
-        rowsums = np.empty(nodes.size)
-        colsums = np.zeros(nodes.size)
-        for rows, block in kernel_blocks(self.kernel, nodes, nodes):
-            rowsums[rows] = block @ c
-            colsums += c[rows] @ block
+            rowsums = _step_sums(profiles, nodes, prefix, 1)
+            return rowsums, _step_sums(profiles, nodes, prefix, -1)
+        rowsums = np.empty((len(self.kernels), nodes.size))
+        colsums = np.zeros((len(self.kernels), nodes.size))
+        for rows, k, block in kernel_blocks(self.kernels, nodes, nodes):
+            rowsums[k, rows] = block @ c
+            colsums[k] += c[rows] @ block
         return rowsums, colsums
 
 
@@ -179,51 +190,78 @@ def _search(y, targets, holds):
     return b
 
 
-def _step_sums(profile: PiecewiseConstant, x, prefix, sign: int) -> np.ndarray:
-    """Row sums sum_j |K(x_i - x_j)| c_j (sign +1) or column sums
-    sum_i |K(x_i - x_j)| c_i (sign -1) of a step kernel K, from the
-    compensated prefix sums of c over the sorted nodes x.
+def _cuts(x, edges, past, sign: int) -> np.ndarray:
+    """Where the cuts x_piv - sign * edges[r] fall among the 3N extended
+    nodes y = [x - 2 pi, x, x + 2 pi], for every pivot: an (len(edges), N)
+    array of indices into y.
 
-    One search places the N (P+1) targets x_piv - sign * e_p, for all
-    P+1 edges of the P pieces, among the 3N extended nodes
-    y = [x - 2 pi, x, x + 2 pi].  The end edges are taken at the +-pi
-    seams: the lookup clips there, so the end cuts are the ends of the
-    window (-pi, pi] around the pivot, whatever the profile's end edges
-    within 1e-12 of +-pi.  Each node has one copy in that window, so a
-    piece is one slice of y and its weight a difference of the prefix sums
-    over the three copies.  Ties follow the dense lookup exactly: with
-    d = sign * (x_piv - x_j) rounded as `kernel_blocks` rounds x_i - x_j
-    and w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) is in the
-    window; copies below it come before every cut and copies above it
-    after, and the window copy comes before cut p when its cell,
-    `profile.cell(d)`, is >= p for rows and < p for columns.  So a node
-    with w = pi stays in the last piece.
+    Ties follow the dense lookup exactly: with d = sign * (x_piv - x_j)
+    rounded as `kernel_blocks` rounds x_i - x_j and w = wrap_angle(d), the
+    copy rint(sign * (d - w) / 2 pi) of node j is in the window (-pi, pi]
+    around the pivot; copies below it come before every cut and copies
+    above it after, and the window copy comes before cut r when past(r, d),
+    its cell is at or past the cut, for rows (sign +1) and when not for
+    columns (sign -1).
     """
     n = x.size
-    edges = np.concatenate([[-math.pi], profile.edges[1:-1], [math.pi]])
     y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
-    total = prefix[-1]
-    S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
 
     def before_cut(entries, idx):
-        p, piv = np.divmod(entries, n)
+        r, piv = np.divmod(entries, n)
         copy, j = np.divmod(idx, n)
         d = sign * (x[piv] - x[j])
         window = np.rint(sign * (d - wrap_angle(d)) / TWO_PI) + 1
-        inside = (profile.cell(d) >= p) == (sign > 0)
+        inside = past(r, d) == (sign > 0)
         return (copy < window) | ((copy == window) & inside)
 
     # edge by edge, each edge's N targets are one sorted run, which
     # searchsorted walks fastest
-    b = _search(y, x - sign * edges[:, None], before_cut)
-    # the pieces run down the extended nodes for rows and up them for columns
-    pieces = sign * (S[b[:-1]] - S[b[1:]])
-    return np.abs(profile.values) @ pieces
+    return _search(y, x - sign * np.asarray(edges)[:, None], before_cut)
 
 
-def assemble_operator(kernel: KernelSpec, grid: CircleGrid) -> OperatorMatrix:
-    """The operator of `kernel` on `grid`; the kernel is sampled on use."""
-    return OperatorMatrix(grid=grid, kernel=kernel)
+def _seam_cuts(x, sign: int) -> np.ndarray:
+    """The cuts at the -pi and +pi seams, the end cuts of every step
+    profile: every cell is past the first and none reaches the last, so
+    they do not depend on the profile, and a node at wrapped difference pi
+    stays in the last piece."""
+    return _cuts(x, [-math.pi, math.pi], lambda r, d: r == 0, sign)
+
+
+def _step_sums(profiles, x, prefix, sign: int) -> np.ndarray:
+    """Row sums sum_j |K(x_i - x_j)| c_j (sign +1) or column sums
+    sum_i |K(x_i - x_j)| c_i (sign -1) of step kernels K, one row per
+    profile, from the compensated prefix sums of c over the sorted nodes x.
+
+    A profile with P pieces cuts the extended nodes at its P+1 edges
+    (`_cuts`).  The end edges are taken at the +-pi seams: the lookup clips
+    there, so the end cuts are the ends of the window (-pi, pi] around the
+    pivot, whatever the profile's end edges within 1e-12 of +-pi, and one
+    search places them for every profile (`_seam_cuts`); each profile's
+    P-1 interior edges take one more.  Each node has one copy in that
+    window, so a piece is one slice of the extended nodes and its weight a
+    difference of the prefix sums over the three copies.
+    """
+    total = prefix[-1]
+    S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
+    seams = _seam_cuts(x, sign)
+    sums = np.empty((len(profiles), x.size))
+    for out, profile in zip(sums, profiles):
+        # interior edge r is cut r + 1: the cells at or past it are those > r
+        inner = _cuts(x, profile.edges[1:-1], lambda r, d: profile.cell(d) > r, sign)
+        b = np.concatenate([seams[:1], inner, seams[1:]])
+        # the pieces run down the extended nodes for rows and up them for columns
+        pieces = sign * (S[b[:-1]] - S[b[1:]])
+        out[:] = np.abs(profile.values) @ pieces
+    return sums
+
+
+def assemble_operator(kernels, grid: CircleGrid) -> OperatorMatrix:
+    """The operators of a non-empty sequence of kernels of one kind on
+    `grid`; the kernels are sampled on use."""
+    kernels = tuple(kernels)
+    if len({kernel.kind for kernel in kernels}) != 1:
+        raise ValueError("an operator family needs kernels of exactly one kind")
+    return OperatorMatrix(grid=grid, kernels=kernels)
 
 
 @dataclass(frozen=True)
@@ -236,10 +274,11 @@ class NormResult:
         object.__setattr__(self, "extremal", _frozen(self.extremal))
 
 
-def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormResult]:
-    """Exact norms of the discrete operator on both weighted spaces.
+def operator_norm(A: OperatorMatrix, w: Weight | None) -> list[dict[SpaceTag, NormResult]]:
+    """Exact norms of the discrete operators on both weighted spaces.
 
-    Returns {WEIGHTED_L1: ..., WEIGHTED_LINF: ...} from one pass over the
+    Returns one {WEIGHTED_L1: ..., WEIGHTED_LINF: ...} per kernel of A, in
+    its order, from one lookup of the weight and one pass over each
     kernel.  Each result carries an extremal input: a scaled single-node
     indicator for the weighted-L1 norm, and the pattern f_j = w_j
     sign(K_{i*,j}) for the weighted-Linf norm.  Applying the operator to the
@@ -249,21 +288,22 @@ def operator_norm(A: OperatorMatrix, w: Weight | None) -> dict[SpaceTag, NormRes
     nodes = A.grid.nodes
     q = A.grid.quad_weights
     wv = np.ones(nodes.size) if w is None else w(nodes)
-    rowsums, colsums = A.weighted_sums(wv * q)
+    norms = []
+    for kernel, rowsums, colsums in zip(A.kernels, *A.weighted_sums(wv * q)):
+        ratios = colsums / wv
+        j = int(np.argmax(ratios))
+        extremal = np.zeros(nodes.size)
+        extremal[j] = 1.0 / (wv[j] * q[j])
+        l1 = NormResult(value=float(ratios[j]), extremal=extremal, arg_index=j)
 
-    ratios = colsums / wv
-    j = int(np.argmax(ratios))
-    extremal = np.zeros(nodes.size)
-    extremal[j] = 1.0 / (wv[j] * q[j])
-    l1 = NormResult(value=float(ratios[j]), extremal=extremal, arg_index=j)
-
-    ratios = rowsums / wv
-    i = int(np.argmax(ratios))
-    [(_, row)] = kernel_blocks(A.kernel, nodes[i : i + 1], nodes)
-    signs = np.sign(row[0])
-    signs[signs == 0] = 1.0
-    linf = NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
-    return {SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf}
+        ratios = rowsums / wv
+        i = int(np.argmax(ratios))
+        [(_, _, row)] = kernel_blocks([kernel], nodes[i : i + 1], nodes)
+        signs = np.sign(row[0])
+        signs[signs == 0] = 1.0
+        linf = NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
+        norms.append({SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf})
+    return norms
 
 
 def make_bump(m: int) -> PiecewiseConstant:
@@ -481,14 +521,14 @@ def fejer_blowup(
         bump_q = bump_vals[support] * q[support]
         pointwise_min = min(
             float(np.min(block @ bump_q))
-            for _, block in kernel_blocks(
-                lambda t, s, work: fejer_kernel_eval(p.n_of_m, t, s, work=work),
+            for _, _, block in kernel_blocks(
+                [lambda t, s, work, angles: fejer_kernel_eval(p.n_of_m, t, s, work, angles)],
                 grid.nodes[window],
                 grid.nodes[support],
             )
         )
 
-        norms = operator_norm(assemble_operator(KernelSpec.fejer(p.n_of_m), grid), w)
+        [norms] = operator_norm(assemble_operator([KernelSpec.fejer(p.n_of_m)], grid), w)
         rows.append(
             BlowupRow(
                 m=m,

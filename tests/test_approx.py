@@ -230,8 +230,9 @@ def test_witness_single_stage_triangle_inequality():
     w = make_weight(25)
     report = gliding_hump_witness(w, 1, growth_target=1.0)
     n1 = report.orders[0]
-    A = assemble_operator(KernelSpec.fejer(n1), report.grid)
-    res = operator_norm(A, w)[SpaceTag.WEIGHTED_L1]
+    A = assemble_operator([KernelSpec.fejer(n1)], report.grid)
+    [norms] = operator_norm(A, w)
+    res = norms[SpaceTag.WEIGHTED_L1]
     c1 = report.coefficients[0]
     # the triangle inequality guarantees error >= c1 (L - 1); the recomputed
     # error beats that bound, and a fortiori meets the target whenever the

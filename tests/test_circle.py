@@ -365,7 +365,7 @@ def test_kernel_blocks_match_closed_form_of_differences(build):
         colsums = np.zeros(x.size)
         ref_rows = np.empty(x.size)
         ref_cols = np.zeros(x.size)
-        for rows, block in kernel_blocks(kernel, x, x):
+        for rows, _, block in kernel_blocks([kernel], x, x):
             diff = x[rows, None] - x[None, :]
             ref = _closed_form(kernel, diff)
             assert np.all(np.abs(block - ref) <= _entry_bound(kernel, diff, ref)), kernel
@@ -393,7 +393,7 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
     for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32)] + [
         KernelSpec.poisson(r) for r in (0.05, 0.63)
     ]:
-        stacked = np.vstack([block.copy() for _, block in kernel_blocks(kernel, x, x)])
+        stacked = np.vstack([block.copy() for _, _, block in kernel_blocks([kernel], x, x)])
         table = kernel(x, x)
         assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64)), kernel
         assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64)), kernel
@@ -401,7 +401,7 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
     step = PiecewiseConstant(
         edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
     )
-    stacked = np.vstack([b.copy() for _, b in kernel_blocks(KernelSpec.custom(step), x, x)])
+    stacked = np.vstack([b.copy() for _, _, b in kernel_blocks([KernelSpec.custom(step)], x, x)])
     table = step(x[:, None] - x[None, :])
     assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64))
 
@@ -411,23 +411,23 @@ def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():
     step = KERNEL_BLOCK // x.size
     assert x.size % step  # N = 536: four blocks of 122 rows and one of 48
     for kernel in (KernelSpec.fejer(32), KernelSpec.poisson(0.63)):
-        blocks = list(kernel_blocks(kernel, x, x))
+        blocks = list(kernel_blocks([kernel], x, x))
         starts = list(range(0, x.size, step))
-        assert [rows for rows, _ in blocks] == [slice(a, a + step) for a in starts]
-        assert [b.shape for _, b in blocks] == [(step, x.size)] * (len(starts) - 1) + [
+        assert [rows for rows, _, _ in blocks] == [slice(a, a + step) for a in starts]
+        assert [b.shape for _, _, b in blocks] == [(step, x.size)] * (len(starts) - 1) + [
             (x.size - starts[-1], x.size)
         ]
         # every block lives in the one workspace; the last one is intact
-        assert all(np.shares_memory(b, blocks[0][1]) for _, b in blocks)
-        assert np.array_equal(blocks[-1][1], kernel(x[starts[-1] :], x)), kernel
+        assert all(np.shares_memory(b, blocks[0][2]) for _, _, b in blocks)
+        assert np.array_equal(blocks[-1][2], kernel(x[starts[-1] :], x)), kernel
         # a NaN target in the partial last block still fails that block
         targets = x.copy()
         targets[-1] = np.nan
         seen = []
         with pytest.raises(ValueError, match="non-finite"):
-            for rows, _ in kernel_blocks(kernel, targets, x):
+            for rows, _, _ in kernel_blocks([kernel], targets, x):
                 seen.append(rows)
-        assert seen == [rows for rows, _ in blocks[:-1]], kernel
+        assert seen == [rows for rows, _, _ in blocks[:-1]], kernel
 
 
 def test_kernel_tables_of_distinct_targets_and_sources():

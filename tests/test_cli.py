@@ -2,9 +2,20 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fejerlab.cli import ContractViolation, _check, build_parser, main
+from fejerlab.circle import KernelSpec
+from fejerlab.cli import (
+    ContractViolation,
+    _check,
+    _random_even_nonneg_step_kernel,
+    build_parser,
+    main,
+)
+from fejerlab.csvio import write_rows
+from fejerlab.operators import assemble_operator, grid_for_kernels, operator_norm
+from fejerlab.spaces import SpaceTag, Weight, make_weight
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -217,6 +228,54 @@ def test_duality_determinism_and_pass(tmp_path, capsys):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _duality_reference(out, seed, trials, max_order, grid_M, ppi):
+    """`duality`'s CSV from one operator norm per kernel, in draw order."""
+    rng = np.random.default_rng(seed)
+    setups = {}
+    rows = []
+
+    def run(kernel, label, M, report_norms):
+        if M not in setups:
+            setups[M] = grid_for_kernels(M, ppi, max_order), make_weight(M)
+        grid, w = setups[M]
+        [norms] = operator_norm(assemble_operator([kernel], grid), w)
+        n1, ninf = norms[SpaceTag.WEIGHTED_L1].value, norms[SpaceTag.WEIGHTED_LINF].value
+        gap = abs(n1 - ninf)
+        shown = (n1, ninf) if report_norms else ("", "")
+        rows.append((label, M, *shown, gap, gap / max(n1, ninf)))
+
+    for n in range(0, max_order + 1, max(1, max_order // 32)):
+        run(KernelSpec.fejer(n), f"fejer:{n}", 1 + n % grid_M, True)
+    for r in [round(0.05 + 0.02 * i, 2) for i in range(30)]:
+        run(KernelSpec.poisson(r), f"poisson:{r}", 1 + int(100 * r) % grid_M, True)
+    for t in range(trials):
+        M = int(rng.integers(1, grid_M + 1))
+        run(_random_even_nonneg_step_kernel(rng), f"step:{t}", M, False)
+    write_rows(out, ["kernel", "weight_M", "norm_l1w", "norm_linfw", "gap", "rel_gap"], rows)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_duality_families_write_the_per_kernel_csv(seed, tmp_path, monkeypatch, capsys):
+    # `duality` takes one operator family per grid and kernel kind, then
+    # writes the rows back in draw order: the bytes are those of one norm
+    # per kernel, and the weight is looked up once per family, not per norm
+    args = ["--trials", "20", "--max-order", "32", "--grid-M", "2", "--ppi", "8"]
+    expected = tmp_path / "reference.csv"
+    _duality_reference(expected, seed, 20, 32, 2, 8)
+    lookups = []
+    original = Weight.__call__
+
+    def counted(self, theta):
+        lookups.append(np.size(theta))
+        return original(self, theta)
+
+    monkeypatch.setattr(Weight, "__call__", counted)
+    out = tmp_path / "d.csv"
+    assert main(["duality", *args, "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert 0 < len(lookups) <= 6
 
 
 @pytest.mark.parametrize(

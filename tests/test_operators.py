@@ -13,7 +13,7 @@ from fejerlab.circle import (
     make_grid,
     wrap_angle,
 )
-from fejerlab import operators
+from fejerlab import cli, operators
 from fejerlab.operators import (
     DELTA_SUBDIVISION,
     SPECTRAL_SWITCH,
@@ -52,17 +52,25 @@ def grid_past_spectral_switch_asymmetric():
     return grid
 
 
+DUALITY_RADII = [round(0.05 + 0.02 * i, 2) for i in range(30)]
+
+
+def _random_step_kernels(rng, count):
+    """Even nonnegative step kernels on mirrored breakpoints, as `duality` draws them."""
+    return [cli._random_even_nonneg_step_kernel(rng) for _ in range(count)]
+
+
 # ----------------------------------------------------------------- assembly
 
 
 def test_constant_kernel_maps_to_mean(grid_m1):
     kernel = KernelSpec.fejer(0)
-    A = assemble_operator(kernel, grid_m1)
+    A = assemble_operator([kernel], grid_m1)
     rng = np.random.default_rng(0)
     f = rng.normal(size=grid_m1.node_count)
     mean = np.sum(f * grid_m1.quad_weights)
     # |K| = K = 1, so both weighted sums of f q are the mean of f
-    for sums in A.weighted_sums(f * grid_m1.quad_weights):
+    for [sums] in A.weighted_sums(f * grid_m1.quad_weights):
         assert np.max(np.abs(sums - mean)) <= 1e-14
     conv = dense_convolution(kernel, grid_m1, f)
     assert np.max(np.abs(conv - mean)) <= 1e-14
@@ -71,17 +79,17 @@ def test_constant_kernel_maps_to_mean(grid_m1):
 def test_fejer_row_sums_close_to_one():
     n = 16
     grid = grid_for_kernels(2, 8, n, oversample=64)
-    A = assemble_operator(KernelSpec.fejer(n), grid)
-    rowsums, colsums = A.weighted_sums(grid.quad_weights)
+    A = assemble_operator([KernelSpec.fejer(n)], grid)
+    [rowsums], [colsums] = A.weighted_sums(grid.quad_weights)
     assert np.max(np.abs(rowsums - 1.0)) <= 1e-4
     assert np.max(np.abs(colsums - 1.0)) <= 1e-4
 
 
 def test_fejer_matrix_symmetric_on_symmetric_grid(grid_m4):
     # a symmetric |K| has equal row and column sums against any weights
-    A = assemble_operator(KernelSpec.fejer(9), grid_m4)
+    A = assemble_operator([KernelSpec.fejer(9)], grid_m4)
     c = np.random.default_rng(2).uniform(0.1, 1.0, size=grid_m4.node_count)
-    rowsums, colsums = A.weighted_sums(c)
+    [rowsums], [colsums] = A.weighted_sums(c)
     assert np.max(np.abs(rowsums - colsums)) <= 1e-12 * np.max(rowsums)
 
 
@@ -91,7 +99,7 @@ def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch):
     )
     # assembling samples nothing; the kernel is checked on first use
     for grid in (grid_m1, grid_past_spectral_switch):
-        A = assemble_operator(bad, grid)
+        A = assemble_operator([bad], grid)
         for use in (
             lambda: A.weighted_sums(grid.quad_weights),
             lambda: operator_norm(A, None),
@@ -119,15 +127,16 @@ def test_weighted_sums_match_dense_matrix(
         (grid_m4, grid_past_spectral_switch, grid_past_spectral_switch_asymmetric),
     ):
         dense = np.abs(kernel(grid.nodes[:, None] - grid.nodes[None, :]))
-        A = assemble_operator(kernel, grid)
+        A = assemble_operator([kernel], grid)
         wv = w(grid.nodes)
         wq = wv * grid.quad_weights
         rowsums, colsums = A.weighted_sums(wq)
         spectral = kernel.kind == "fejer" and grid is not grid_m4
         assert A.spectral == spectral and (rowsums is colsums) == spectral
+        [rowsums], [colsums] = rowsums, colsums
         assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
         assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
-        norms = operator_norm(A, w)
+        [norms] = operator_norm(A, w)
         for tag, sums in ((L1, dense.T @ wq), (LINF, dense @ wq)):
             assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
         i = norms[LINF].arg_index
@@ -150,12 +159,12 @@ def test_duality_norms_match_closed_form_of_differences(M):
         KernelSpec.poisson(r) for r in (0.05, 0.63)
     ]:
         dense = np.abs(kernel(diff))
-        A = assemble_operator(kernel, grid)
+        A = assemble_operator([kernel], grid)
         assert not A.spectral
-        rowsums, colsums = A.weighted_sums(wq)
+        [rowsums], [colsums] = A.weighted_sums(wq)
         assert np.max(np.abs(rowsums - dense @ wq) / (dense @ wq)) <= 1e-13, kernel
         assert np.max(np.abs(colsums - wq @ dense) / (wq @ dense)) <= 1e-13, kernel
-        norms = operator_norm(A, w)
+        [norms] = operator_norm(A, w)
         for tag, sums in ((L1, wq @ dense), (LINF, dense @ wq)):
             assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
         assert abs(norms[L1].value - norms[LINF].value) <= 1e-14 * norms[L1].value
@@ -172,12 +181,12 @@ def test_spectral_switch_keeps_duality_dense_and_turns_spikes_spectral(monkeypat
     duality_grids.append(grid_for_kernels(2, 16, 32))
     assert duality_grids[-1].node_count == 536
     for grid in duality_grids:
-        assert not assemble_operator(fejer, grid).spectral, grid.node_count
+        assert not assemble_operator([fejer], grid).spectral, grid.node_count
     built = []
     original = operators.assemble_operator
 
-    def recording(kernel, grid):
-        built.append(original(kernel, grid))
+    def recording(kernels, grid):
+        built.append(original(kernels, grid))
         return built[-1]
 
     monkeypatch.setattr(operators, "assemble_operator", recording)
@@ -194,7 +203,7 @@ def test_weighted_sums_peak_memory_is_three_cache_sized_blocks():
     N = grid.node_count
     wq = make_weight(2)(grid.nodes) * grid.quad_weights
     for kernel in (KernelSpec.fejer(32), KernelSpec.poisson(0.63)):
-        A = assemble_operator(kernel, grid)
+        A = assemble_operator([kernel], grid)
         A.weighted_sums(wq)
         tracemalloc.start()
         try:
@@ -203,6 +212,27 @@ def test_weighted_sums_peak_memory_is_three_cache_sized_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * 2**16 + 64 * 8 * N, (kernel, peak)
+
+
+def test_family_sums_peak_memory_adds_only_the_sum_arrays():
+    # the 28 Poisson radii `duality` puts on weight_M = 2, at N = 536: one
+    # call holds the same workspace as a lone kernel plus the family's two
+    # (K, N) sum arrays
+    grid = grid_for_kernels(2, 16, 32)
+    N = grid.node_count
+    family = [KernelSpec.poisson(r) for r in DUALITY_RADII if int(100 * r) % 2]
+    K = len(family)
+    assert (N, K) == (536, 28)
+    A = assemble_operator(family, grid)
+    wq = make_weight(2)(grid.nodes) * grid.quad_weights
+    A.weighted_sums(wq)
+    tracemalloc.start()
+    try:
+        A.weighted_sums(wq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 2**16 + 64 * 8 * N + 2 * K * 8 * N, peak
 
 
 def test_blowup_window_rows_match_closed_form_of_differences():
@@ -258,7 +288,7 @@ def test_step_kernel_sums_follow_dense_lookup_at_ties(case, grid_m4):
     nodes = grid.nodes
     dense = np.abs(kernel(nodes[:, None] - nodes[None, :]))
     wq = make_weight(4)(nodes) * grid.quad_weights
-    rowsums, colsums = assemble_operator(kernel, grid).weighted_sums(wq)
+    [rowsums], [colsums] = assemble_operator([kernel], grid).weighted_sums(wq)
     assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
     assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
 
@@ -287,19 +317,23 @@ def test_step_kernel_sums_follow_dense_lookup_on_duality_grids(M, ppi):
         values = rng.normal(size=edges.size - 1)
         kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
         dense = np.abs(kernel(D))
-        rowsums, colsums = assemble_operator(kernel, grid).weighted_sums(wq)
+        [rowsums], [colsums] = assemble_operator([kernel], grid).weighted_sums(wq)
         assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
         assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
 
 
 def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
-    # one search per sum vector: N (P+1) targets among the 3N nodes
-    # [x - 2 pi, x, x + 2 pi], and rows and columns still two searches
+    # per sum vector, one search of the 2N seam targets for the whole family
+    # and one of the N (P-1) interior targets per kernel, among the 3N nodes
+    # [x - 2 pi, x, x + 2 pi]; rows and columns are still separate searches
     grid = grid_for_kernels(1, 8, 32)
     kernel = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
         )
+    )
+    two_pieces = KernelSpec.custom(
+        PiecewiseConstant(edges=np.array([-PI, 0.4, PI]), values=np.array([2.0, 1.0]))
     )
     calls = []
     search = operators._search
@@ -309,9 +343,12 @@ def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
         return search(y, targets, holds)
 
     monkeypatch.setattr(operators, "_search", counted)
-    assemble_operator(kernel, grid).weighted_sums(grid.quad_weights)
+    assemble_operator([kernel], grid).weighted_sums(grid.quad_weights)
     N = grid.node_count
-    assert calls == [(3 * N, N * 5)] * 2
+    assert calls == [(3 * N, N * 2), (3 * N, N * 3)] * 2
+    calls.clear()
+    assemble_operator([kernel, two_pieces, kernel], grid).weighted_sums(grid.quad_weights)
+    assert calls == [(3 * N, N * 2), (3 * N, N * 3), (3 * N, N), (3 * N, N * 3)] * 2
 
 
 def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
@@ -329,12 +366,104 @@ def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
     assert np.all(np.abs(operators._prefix_sums(c) - exact) <= np.spacing(exact))
 
 
+@pytest.mark.parametrize("M,ppi", [(1, 8), (1, 16), (2, 8), (2, 16)])
+def test_family_sums_are_each_kernels_own_bit_for_bit(M, ppi):
+    # the four duality grids: a family shares each block's angle table (and
+    # its step kernels the seam searches), yet every kernel's row and column
+    # sums are the ones it gives as a family of one, compared as uint64
+    grid = grid_for_kernels(M, ppi, 32)
+    wq = make_weight(M)(grid.nodes) * grid.quad_weights
+    rng = np.random.default_rng(10 * M + ppi)
+    for family in (
+        [KernelSpec.fejer(n) for n in range(33)],
+        [KernelSpec.poisson(r) for r in DUALITY_RADII],
+        _random_step_kernels(rng, 24),
+    ):
+        rowsums, colsums = assemble_operator(family, grid).weighted_sums(wq)
+        assert rowsums.shape == colsums.shape == (len(family), grid.node_count)
+        for kernel, rows, cols in zip(family, rowsums, colsums):
+            [alone_rows], [alone_cols] = assemble_operator([kernel], grid).weighted_sums(wq)
+            assert np.array_equal(rows.view(np.uint64), alone_rows.view(np.uint64)), kernel
+            assert np.array_equal(cols.view(np.uint64), alone_cols.view(np.uint64)), kernel
+
+
+def test_family_with_a_nonfinite_kernel_in_the_middle_raises():
+    grid = grid_for_kernels(2, 8, 32)
+    bad = KernelSpec.custom(
+        PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.nan]))
+    )
+    steps = _random_step_kernels(np.random.default_rng(0), 4)
+    A = assemble_operator(steps[:2] + [bad] + steps[2:], grid)
+    for use in (lambda: A.weighted_sums(grid.quad_weights), lambda: operator_norm(A, None)):
+        with pytest.raises(ValueError, match="non-finite"):
+            use()
+    # a sampled family meets the NaN in its first block, after the kernels before it
+    def nan_kernel(t, s, work, angles):
+        return np.full((t.size, s.size), np.nan)
+
+    family = [KernelSpec.fejer(3), nan_kernel, KernelSpec.fejer(5)]
+    seen = []
+    with pytest.raises(ValueError, match="non-finite"):
+        for rows, k, _ in kernel_blocks(family, grid.nodes, grid.nodes):
+            seen.append((rows.start, k))
+    assert seen == [(0, 0)]
+
+
+def test_assemble_rejects_a_family_of_mixed_kinds():
+    grid = grid_for_kernels(1, 8, 32)
+    for kernels in ([], [KernelSpec.fejer(2), KernelSpec.poisson(0.5)]):
+        with pytest.raises(ValueError, match="one kind"):
+            assemble_operator(kernels, grid)
+
+
+def test_seam_cuts_do_not_depend_on_the_kernel():
+    # on the 410-node M = 1 duality grid, 440 seam targets per direction lie
+    # within TIE of a node; the shared seam cuts are rows 0 and P of a full
+    # per-kernel search of all P+1 edges, for several profiles
+    grid = grid_for_kernels(1, 8, 32)
+    x = grid.nodes
+    assert x.size == 410
+    y = np.concatenate([x - 2 * PI, x, x + 2 * PI])
+    profiles = [k.profile for k in _random_step_kernels(np.random.default_rng(4), 4)]
+    profiles += [
+        PiecewiseConstant(
+            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+        ),
+        # end edges just inside +-pi
+        PiecewiseConstant(
+            edges=np.array([-PI + 9e-13, 0.2, PI - 9e-13]), values=np.array([1.0, 2.0])
+        ),
+    ]
+    for sign in (1, -1):
+        targets = x - sign * np.array([[-PI], [PI]])
+        b = np.searchsorted(y, targets)
+        gap = np.minimum(targets - y[b - 1], y[b] - targets)
+        assert np.count_nonzero(gap < operators.TIE) == 440
+        seams = operators._seam_cuts(x, sign)
+        for profile in profiles:
+            edges = np.concatenate([[-PI], profile.edges[1:-1], [PI]])
+            full = operators._cuts(x, edges, lambda r, d: profile.cell(d) >= r, sign)
+            assert np.array_equal(seams, full[[0, -1]]), (sign, profile)
+    # a node at wrapped difference pi stays in the last piece, [0.5, pi]
+    last = KernelSpec.custom(
+        PiecewiseConstant(edges=np.array([-PI, 0.5, PI]), values=np.array([0.0, 1.0]))
+    )
+    in_last = wrap_angle(x[:, None] - x[None, :]) >= 0.5
+    at_pi = np.abs(x[:, None] - x[None, :]) == PI
+    assert np.count_nonzero(at_pi) == 184 and np.all(in_last[at_pi])
+    c = at_pi.any(axis=0) * 1.0  # the nodes with a partner pi away
+    [rowsums], [colsums] = assemble_operator([last], grid).weighted_sums(c)
+    assert np.array_equal(rowsums, in_last @ c)
+    assert np.array_equal(colsums, c @ in_last)
+
+
 # ------------------------------------------------------------ operator_norm
 
 
 def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
-    A = assemble_operator(KernelSpec.fejer(0), grid_m4)
-    res = operator_norm(A, weight_m4)[L1]
+    A = assemble_operator([KernelSpec.fejer(0)], grid_m4)
+    [norms] = operator_norm(A, weight_m4)
+    res = norms[L1]
     wq = weight_m4(grid_m4.nodes) * grid_m4.quad_weights
     assert abs(res.value - np.sum(wq)) <= 1e-13
     # maximizing column sits where the weight equals 1
@@ -344,15 +473,17 @@ def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
 def test_unweighted_fejer_norm_close_to_one():
     n = 12
     grid = grid_for_kernels(1, 8, n, oversample=64)
-    A = assemble_operator(KernelSpec.fejer(n), grid)
-    for tag, res in operator_norm(A, None).items():
+    A = assemble_operator([KernelSpec.fejer(n)], grid)
+    [norms] = operator_norm(A, None)
+    for tag, res in norms.items():
         assert abs(res.value - 1.0) <= 1e-4, tag
 
 
 @pytest.mark.parametrize("tag", [L1, LINF])
 def test_norm_dominates_random_probes_and_extremal_attains(tag, weight_m4, grid_m4):
     kernel = KernelSpec.fejer(6)
-    res = operator_norm(assemble_operator(kernel, grid_m4), weight_m4)[tag]
+    [norms] = operator_norm(assemble_operator([kernel], grid_m4), weight_m4)
+    res = norms[tag]
     nodes, q = grid_m4.nodes, grid_m4.quad_weights
     dense = kernel(nodes[:, None] - nodes[None, :])  # built once for the probes
     rng = np.random.default_rng(1)
@@ -378,9 +509,9 @@ def test_norm_dominates_random_probes_and_extremal_attains(tag, weight_m4, grid_
 def test_duality_gap_fejer_sweep(weight_m4):
     grid = grid_for_kernels(4, 8, 64)
     for n in (0, 1, 3, 8, 21, 64):
-        A = assemble_operator(KernelSpec.fejer(n), grid)
+        A = assemble_operator([KernelSpec.fejer(n)], grid)
         assert not A.spectral
-        norms = operator_norm(A, weight_m4)
+        [norms] = operator_norm(A, weight_m4)
         gap = abs(norms[L1].value - norms[LINF].value)
         assert gap <= 1e-10 * norms[L1].value, n
 
@@ -390,12 +521,12 @@ def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monke
     # independent, so the gap is a couple of ulps rather than literal zero
     sampled = []
 
-    def counting_blocks(kernel, targets, sources):
+    def counting_blocks(kernels, targets, sources):
         sampled.append((len(targets), len(sources)))
-        return kernel_blocks(kernel, targets, sources)
+        return kernel_blocks(kernels, targets, sources)
 
     monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
-    norms = operator_norm(assemble_operator(KernelSpec.fejer(0), grid_m4), weight_m4)
+    [norms] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
     assert abs(norms[L1].value - norms[LINF].value) <= 5e-15
     # the whole N x N kernel went through kernel_blocks, not the spectral path
     N = grid_m4.node_count
@@ -415,7 +546,7 @@ def test_duality_gap_random_step_kernels_property():
         half = rng.uniform(0.0, 5.0, size=npos + 1)
         values = np.concatenate([half[::-1], half[1:]])
         kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
-        norms = operator_norm(assemble_operator(kernel, grid), w)
+        [norms] = operator_norm(assemble_operator([kernel], grid), w)
         gap = abs(norms[L1].value - norms[LINF].value)
         assert gap <= 1e-10 * max(norms[L1].value, 1e-30), trial
         gaps.append(gap)
@@ -573,8 +704,8 @@ def test_blowup_bound_persists_for_larger_sampled_orders():
     bound = math.sqrt(m) / (8 * PI)
     for n in (p.n_of_m, p.n_of_m + 1, 2 * p.n_of_m, 4 * p.n_of_m):
         grid = grid_for_kernels(m, 8, n)
-        A = assemble_operator(KernelSpec.fejer(n), grid)
-        assert operator_norm(A, w)[LINF].value >= bound, n
+        [norms] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
+        assert norms[LINF].value >= bound, n
 
 
 def test_blowup_accepts_fine_user_grid():

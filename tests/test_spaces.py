@@ -287,8 +287,9 @@ def test_value_arrays_are_frozen(weight_m4, grid_m4):
         weight_m4.profile.values[0] = 7.0
     with pytest.raises(ValueError):
         grid_m4.nodes[0] = 0.0
-    A = assemble_operator(KernelSpec.fejer(3), grid_m4)
-    for res in operator_norm(A, weight_m4).values():
+    A = assemble_operator([KernelSpec.fejer(3)], grid_m4)
+    [norms] = operator_norm(A, weight_m4)
+    for res in norms.values():
         with pytest.raises(ValueError):
             res.extremal[0] = 0.0
     f = SampledFunction.from_callable(weight_m4.profile, grid_m4)
