@@ -28,7 +28,7 @@ from .operators import (
     make_bump,
     operator_norm,
 )
-from .maximal import MaximalProfile, maximal_function, weight_maximal_ratio
+from .maximal import maximal_function, weight_maximal_ratio
 from .hardy import is_hardy, product_hardy_check, taylor_fourier_check
 from .approx import (
     PolyCoeffs,

@@ -276,6 +276,11 @@ def cmd_maximal(args) -> list:
         csvio.write_rows(args.out, ["M", "ratio"], rows)
     for M, ratio in rows:
         print(f"M={M} sup (Mw)/w = {ratio:.6f}")
+    print(
+        "untruncated weight: sup (Mw)/w is infinite, so the maximal operator is"
+        " unbounded on X' = Linf(1/w), the hypothesis the paper's counterexample"
+        " must violate"
+    )
     ratios = [r for _, r in rows]
     _check("maximal-growth", np.min(np.diff(ratios), initial=np.inf), 0.0, ">")
     # sqrt(M) scaling doubles the ratio exactly at 4x, where grid error
@@ -316,7 +321,7 @@ def cmd_taylor_fourier(args) -> list:
 
 def _number(convert, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False):
     """argparse type: one `convert` value inside the interval from lo to hi,
-    each end closed unless marked open.  NaN is never inside."""
+    each end closed unless marked open.  NaN and +-inf are never inside."""
     if hi == math.inf:
         interval = f"{'>' if open_lo else '>='} {lo}"
     else:
@@ -329,6 +334,8 @@ def _number(convert, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False)
             raise argparse.ArgumentTypeError(
                 f"not a valid {convert.__name__}: {text!r}"
             ) from exc
+        if not -math.inf < x < math.inf:
+            raise argparse.ArgumentTypeError(f"{text.strip()} is not finite")
         if not ((x > lo if open_lo else x >= lo) and (x < hi if open_hi else x <= hi)):
             raise argparse.ArgumentTypeError(f"{text.strip()} is not {interval}")
         return x

@@ -17,9 +17,15 @@ left end when the right end lands on c+1) leaves four kinds of arc:
 single cell c and (iv) the N-1-cell arcs, each of which leaves out one
 cell.  Kind (iii) needs no pass of its own: the arc from the start of c's
 run through c has the same average (kind i), and with no run start |f| is
-constant and any kind (iv) arc has it too.  Kinds (i) and (ii) are nested
-families of N-1 arcs per run start and kind (iv) takes O(N), so the sweep
-costs O(N R) instead of O(N^2).
+constant and any kind (iv) arc has it too.  Kind (ii) is kind (i) on the
+mirrored cells, since an arc that ends at a run start starts at one when
+the circle is read backwards.  Kinds (i) and (ii) are nested families of
+N-1 arcs per run start, and kind (iv) is found by the cell it leaves out in
+O(N), so the sweep costs O(N R) instead of O(N^2).
+
+Each arc's mass and length are summed from its own start, so an arc over a
+few of the tiny cells at a weight jump is as accurate as its own cells, not
+the difference of two prefix sums of size about 1.
 
 The companion experiment tracks sup (Mw)/w for the truncated spiked
 weights.  In the discrete model this ratio is the norm of the maximal
@@ -32,33 +38,21 @@ that Fejér means fail to converge in norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circle import CircleGrid, SampledFunction, _frozen, make_grid
+from .circle import SampledFunction, make_grid
 from .spaces import make_weight
 
 __all__ = [
-    "MaximalProfile",
     "maximal_function",
     "weight_maximal_ratio",
 ]
 
 
-@dataclass(frozen=True)
-class MaximalProfile:
-    grid: CircleGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-
-
-def maximal_function(f: SampledFunction) -> MaximalProfile:
+def maximal_function(f: SampledFunction) -> SampledFunction:
     """Largest arc average of |f| over grid-edge arcs containing each node,
-    from the samples of f on its grid.  A step function is sampled at the
-    nodes first; the averages are exact when its jumps lie on grid edges.
+    as samples on the grid of f.  A step function is sampled at the nodes
+    first; the averages are exact when its jumps lie on grid edges.
 
     Arcs run over every contiguous block of 1 .. N-1 cells (the full circle
     is excluded as improper).  Since nodes lie strictly inside their cells,
@@ -67,43 +61,41 @@ def maximal_function(f: SampledFunction) -> MaximalProfile:
     A run start is an edge whose two cells differ in |f|.  Moving an arc end
     inside a run of value v moves the average monotonically toward v, so
     the maximum at each cell is attained by (i) an arc starting at a run
-    start, (ii) an arc ending at one, (iii) the cell alone, which (i) or
-    (iv) matches, or (iv) an arc of N-1 cells (see the module docstring).
-    The arcs from (or into) one run start are nested, so the best of them
-    at each covered cell is a running maximum of their averages ordered by
-    length: O(N) per run start, and O(N R) in all for R run starts.
+    start, (ii) an arc ending at one, which is (i) on the mirrored cells,
+    (iii) the cell alone, which (i) or (iv) matches, or (iv) an arc of N-1
+    cells, found by the one cell it leaves out (see the module docstring).
+    Every arc of kinds (i) and (ii) is summed from its own start.  The arcs
+    from one run start are nested, so the best of them at each covered cell
+    is a running maximum of their averages ordered by length: O(N) per run
+    start and direction, and O(N R) in all for R run starts.
     """
     g = f.grid
-    n = g.node_count
-    q = g.quad_weights
     a = np.abs(f.samples)
+    q = g.quad_weights
+    out = np.maximum(_from_run_starts(a, q), _from_run_starts(a[::-1], q[::-1])[::-1])
+    # (iv) the arc of n-1 cells that leaves out cell c covers every other cell
     mass = a * q
+    full = (np.sum(mass) - mass) / (np.sum(q) - q)
+    best = int(np.argmax(full))
+    cover = np.full(g.node_count, full[best])
+    cover[best] = np.max(np.delete(full, best))
+    np.maximum(out, cover, out=out)
+    return SampledFunction(grid=g, samples=out)
 
-    # doubled cumulative sums so wrapped arcs are plain differences; every
-    # arc [s, s + L) is taken with its start s in [0, n), as in the full
-    # enumeration, so each average here is bitwise one of its values
-    cmass = np.concatenate([[0.0], np.cumsum(np.concatenate([mass, mass]))])
-    cq = np.concatenate([[0.0], np.cumsum(np.concatenate([q, q]))])
 
+def _from_run_starts(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Best average of `a` at each cell over the arcs that start at a run
+    start and cover it (kind i), each arc's mass and length summed from its
+    start: the real and imaginary parts of one cumulative sum."""
+    n = a.size
+    cells = np.tile(a * q + 1j * q, 2)
     # out[c] for c in [0, 2n) collects cell c mod n
     out = np.full(2 * n, -np.inf)
     for s in np.flatnonzero(a != np.roll(a, 1)):
-        # (i) arcs s .. s+L-1 for L = 1 .. n-1; cell s+j lies in those with L > j
-        avg = (cmass[s + 1 : s + n] - cmass[s]) / (cq[s + 1 : s + n] - cq[s])
-        _fold_nested(out[s : s + n - 1], avg)
-        # (ii) arcs ending at cell s-1 (s+n-1 doubled), by start t = s+1 ..
-        # s+n-1 taken mod n; cell s+n-1-j lies in those longer than j cells
-        head = (cmass[s + n] - cmass[s + 1 : n]) / (cq[s + n] - cq[s + 1 : n])
-        tail = (cmass[s] - cmass[:s]) / (cq[s] - cq[:s])
-        _fold_nested(out[s + 1 : s + n][::-1], np.concatenate([head, tail])[::-1])
-    out = np.maximum(out[:n], out[n:])
-    # (iv) the arc from s of n-1 cells omits cell s-1 and covers every other
-    full = (cmass[n - 1 : 2 * n - 1] - cmass[:n]) / (cq[n - 1 : 2 * n - 1] - cq[:n])
-    best = int(np.argmax(full))
-    cover = np.full(n, full[best])
-    cover[best - 1] = np.max(np.delete(full, best))
-    np.maximum(out, cover, out=out)
-    return MaximalProfile(grid=g, values=out)
+        # arcs s .. s+L-1 for L = 1 .. n-1; cell s+j lies in those with L > j
+        sums = np.cumsum(cells[s : s + n - 1])
+        _fold_nested(out[s : s + n - 1], sums.real / sums.imag)
+    return np.maximum(out[:n], out[n:])
 
 
 def _fold_nested(covered: np.ndarray, avg: np.ndarray) -> None:
@@ -112,9 +104,7 @@ def _fold_nested(covered: np.ndarray, avg: np.ndarray) -> None:
     np.maximum(covered, np.maximum.accumulate(avg[::-1])[::-1], out=covered)
 
 
-def weight_maximal_ratio(
-    M_list, *, points_per_interval: int = 8, edge_levels: int = 12
-) -> list[tuple[int, float]]:
+def weight_maximal_ratio(M_list, *, points_per_interval: int = 8) -> list[tuple[int, float]]:
     """sup over nodes of (Mw)/w for each truncation order M.
 
     The maximizing arcs hug single spikes from just outside, where the weight
@@ -122,9 +112,8 @@ def weight_maximal_ratio(
     """
     rows = []
     for M in sorted({int(M) for M in M_list}):
-        w = make_weight(M)
-        grid = make_grid(M, points_per_interval, edge_levels=edge_levels)
-        profile = maximal_function(SampledFunction.from_callable(w.profile, grid))
-        ratio = float(np.max(profile.values / w(grid.nodes)))
-        rows.append((M, ratio))
+        grid = make_grid(M, points_per_interval)
+        w = make_weight(M)(grid.nodes)
+        profile = maximal_function(SampledFunction(grid=grid, samples=w))
+        rows.append((M, float(np.max(profile.samples / w))))
     return rows

@@ -45,6 +45,8 @@ def test_invalid_flag_value_is_config_error(capsys):
         ["fejer-converge", "--orders", ","],
         ["witness", "--stages", "0"],
         ["witness", "--target", "nan"],
+        ["witness", "--target", "inf"],
+        ["witness", "--target", "1e400"],
         ["taylor-fourier", "--radii", "1.5"],
         ["duality", "--max-order", "-2", "--grid-M", "1"],
         ["density", "--degrees", "-1", "--grid-M", "2"],
@@ -312,6 +314,10 @@ def test_maximal_subcommand_small(capsys, tmp_path):
     code = main(["maximal", "--orders", "2,16", "--ppi", "4", "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "M,ratio"
+    # the paper's statement follows the table: the CSV holds only its rows
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("untruncated weight: sup (Mw)/w is infinite")
+    assert "unbounded on X' = Linf(1/w)" in lines[2]
 
 
 @pytest.mark.parametrize(

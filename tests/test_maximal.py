@@ -30,17 +30,17 @@ def brute_force_maximal(samples, q):
     return out
 
 
-def quadratic_sweep(samples, q):
-    """Every grid-edge arc from every start cell, O(N^2): the nested arcs
-    from start s cover cell s+j when longer than j cells, so each start
-    contributes one suffix maximum of its averages ordered by length."""
+def quadratic_sweep(samples, q, dtype=float):
+    """Every grid-edge arc from every start cell, O(N^2), each summed from
+    its own start in `dtype`: the nested arcs from start s cover cell s+j
+    when longer than j cells, so each start contributes one suffix maximum
+    of its averages ordered by length."""
     n = samples.size
-    mass = np.abs(samples) * q
-    cmass = np.concatenate([[0.0], np.cumsum(np.concatenate([mass, mass]))])
-    cq = np.concatenate([[0.0], np.cumsum(np.concatenate([q, q]))])
-    out = np.full(2 * n, -np.inf)
+    length = np.tile(np.asarray(q, dtype), 2)
+    mass = np.abs(np.tile(samples, 2)).astype(dtype) * length
+    out = np.full(2 * n, -np.inf, dtype)
     for s in range(n):
-        avg = (cmass[s + 1 : s + n] - cmass[s]) / (cq[s + 1 : s + n] - cq[s])
+        avg = np.cumsum(mass[s : s + n - 1]) / np.cumsum(length[s : s + n - 1])
         covered = out[s : s + n - 1]
         np.maximum(covered, np.maximum.accumulate(avg[::-1])[::-1], out=covered)
     return np.maximum(out[:n], out[n:])
@@ -49,8 +49,16 @@ def quadratic_sweep(samples, q):
 def _weight_profile(M):
     """The step weight w_M on the grid `weight_maximal_ratio` builds for it."""
     w = make_weight(M)
-    grid = make_grid(M, 8, edge_levels=12)
-    return w, grid, np.abs(w.profile(grid.nodes))
+    grid = make_grid(M, 8)
+    return w, grid, w(grid.nodes)
+
+
+def _grid_ratio(M, ppi, levels):
+    """sup (Mw)/w over the nodes of make_grid(M, ppi, edge_levels=levels)."""
+    grid = make_grid(M, ppi, edge_levels=levels)
+    w = make_weight(M)(grid.nodes)
+    profile = maximal_function(SampledFunction(grid=grid, samples=w)).samples
+    return float(np.max(profile / w))
 
 
 def _oracle_input(case):
@@ -79,7 +87,7 @@ def _oracle_input(case):
 @pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam", "hole"])
 def test_maximal_profile_matches_bruteforce_oracle(case):
     f, grid, samples = _oracle_input(case)
-    fast = maximal_function(f).values
+    fast = maximal_function(f).samples
     slow = brute_force_maximal(samples, grid.quad_weights)
     assert np.max(np.abs(fast - slow)) <= 1e-13
 
@@ -87,16 +95,16 @@ def test_maximal_profile_matches_bruteforce_oracle(case):
 def test_maximal_of_constant(grid_m1):
     f = SampledFunction(grid=grid_m1, samples=np.full(grid_m1.node_count, -3.0))
     prof = maximal_function(f)
-    assert np.max(np.abs(prof.values - 3.0)) <= 1e-9
+    assert np.max(np.abs(prof.samples - 3.0)) <= 1e-9
 
 
 def test_maximal_of_arc_indicator(grid_m1):
     arc = PiecewiseConstant.indicator(0.0, PI / 2)
     prof = maximal_function(SampledFunction.from_callable(arc, grid_m1))
     inside = (grid_m1.nodes > 0) & (grid_m1.nodes < PI / 2)
-    assert np.max(np.abs(prof.values[inside] - 1.0)) <= 1e-9
-    assert np.all(prof.values <= 1.0 + 1e-9)
-    assert np.all(prof.values > 0.0)
+    assert np.max(np.abs(prof.samples[inside] - 1.0)) <= 1e-9
+    assert np.all(prof.samples <= 1.0 + 1e-9)
+    assert np.all(prof.samples > 0.0)
 
 
 def test_maximal_at_endpoint_neighbor_matches_double_resolution_oracle():
@@ -112,30 +120,30 @@ def test_maximal_at_endpoint_neighbor_matches_double_resolution_oracle():
     fine_neighbor = np.argmin(np.abs(fine.nodes - coarse.nodes[neighbor]))
     # the fine grid offers a superset of arcs, so its maximum dominates, and
     # both sit below 1
-    assert prof.values[neighbor] <= oracle[fine_neighbor] + 1e-13
+    assert prof.samples[neighbor] <= oracle[fine_neighbor] + 1e-13
     assert oracle[fine_neighbor] <= 1.0 + 1e-14
 
 
 def test_maximal_invariants(grid_m1):
     rng = np.random.default_rng(2)
     f = rng.normal(size=grid_m1.node_count)
-    prof_f = maximal_function(SampledFunction(grid=grid_m1, samples=f)).values
+    prof_f = maximal_function(SampledFunction(grid=grid_m1, samples=f)).samples
     assert np.all(prof_f >= np.abs(f) - 1e-9)
     assert np.max(prof_f) <= np.max(np.abs(f)) + 1e-9
     # homogeneity
     a = -2.5
-    prof_af = maximal_function(SampledFunction(grid=grid_m1, samples=a * f)).values
+    prof_af = maximal_function(SampledFunction(grid=grid_m1, samples=a * f)).samples
     assert np.max(np.abs(prof_af - abs(a) * prof_f)) <= 1e-9
     # monotone in |f|
     g = f * rng.uniform(0, 1, f.size)
-    prof_g = maximal_function(SampledFunction(grid=grid_m1, samples=g)).values
+    prof_g = maximal_function(SampledFunction(grid=grid_m1, samples=g)).samples
     assert np.all(prof_g <= prof_f + 1e-9)
 
 
 def test_maximal_sub_averaging(grid_m1):
     rng = np.random.default_rng(3)
     f = rng.normal(size=grid_m1.node_count)
-    prof = maximal_function(SampledFunction(grid=grid_m1, samples=f)).values
+    prof = maximal_function(SampledFunction(grid=grid_m1, samples=f)).samples
     q = grid_m1.quad_weights
     mass = np.abs(f) * q
     n = grid_m1.node_count
@@ -155,12 +163,11 @@ def test_maximal_wraps_around_the_seam():
     )
     prof = maximal_function(SampledFunction.from_callable(onseam, grid))
     near_pi = np.abs(np.abs(grid.nodes) - PI) < 0.2
-    assert np.max(np.abs(prof.values[near_pi] - 1.0)) <= 1e-9
+    assert np.max(np.abs(prof.samples[near_pi] - 1.0)) <= 1e-9
 
 
 def test_weight_ratio_grows_like_sqrt_m():
-    rows = weight_maximal_ratio([2, 4, 9], points_per_interval=4, edge_levels=6)
-    ratios = dict(rows)
+    ratios = {M: _grid_ratio(M, 4, 6) for M in (2, 4, 9)}
     assert all(r >= 1.0 for r in ratios.values())
     assert ratios[4] > 1.0
     values = [ratios[m] for m in (2, 4, 9)]
@@ -170,8 +177,7 @@ def test_weight_ratio_grows_like_sqrt_m():
 def test_weight_ratio_lower_bound_from_single_arc():
     # arc = spike plus the adjacent cell just below it gives an explicit bound
     M, ppi, levels = 4, 4, 6
-    rows = weight_maximal_ratio([M], points_per_interval=ppi, edge_levels=levels)
-    ratio = rows[0][1]
+    ratio = _grid_ratio(M, ppi, levels)
     lo, hi = spike_interval(M)
     grid = make_grid(M, ppi, edge_levels=levels)
     below = np.max(grid.edges[grid.edges < lo])
@@ -185,66 +191,76 @@ def test_weight_ratio_stable_across_two_resolutions():
     # the enumeration itself is the oracle: refining the mesh may only move
     # the ratio up (more arcs), and only marginally (a finer hugging sliver)
     for M in (4, 9):
-        coarse = weight_maximal_ratio([M], points_per_interval=4, edge_levels=8)[0][1]
-        fine = weight_maximal_ratio([M], points_per_interval=8, edge_levels=10)[0][1]
+        coarse = _grid_ratio(M, 4, 8)
+        fine = _grid_ratio(M, 8, 10)
         assert fine >= coarse - 1e-12
         assert abs(fine - coarse) <= 2e-3 * coarse
 
 
 @pytest.mark.parametrize("M", [4, 16])
 def test_weight_ratio_matches_quadratic_sweep(M):
-    w, grid, samples = _weight_profile(M)
-    slow = np.max(quadratic_sweep(samples, grid.quad_weights) / w(grid.nodes))
+    _, grid, samples = _weight_profile(M)
+    slow = np.max(quadratic_sweep(samples, grid.quad_weights) / samples)
     fast = weight_maximal_ratio([M])[0][1]
     assert abs(fast - slow) <= 1e-12 * slow
 
 
-@pytest.mark.parametrize("M", [4, 16])
-def test_profile_within_cumsum_rounding_of_quadratic_sweep(M):
-    """Both sweeps take every arc average as (C_b - C_a) / (Q_b - Q_a) from
-    the same doubled cumulative sums, with the start a in [0, N), so each
-    value of the fast sweep is bitwise one of the quadratic sweep's and
-    fast <= slow holds exactly.  The gap is rounding only: the slow maximum
-    may sit on an arc whose rounded average exceeds the exact maximum.
-
-    With u = 2^-53, T = sum |f| q and sum q = 1, the sequential prefix sum
-    C_k of nonnegative terms (the products |f_j| q_j included) is off by at
-    most k u C_k <= 2N u (2T) to first order, and Q_k by at most 2N u (2),
-    for k <= 2N.  So an arc of length Q >= q_c with average A <= |f|max has
-    its numerator off by 8N u T + u A Q, its length by 8N u + u Q, and its
-    rounded average off by at most 8N u (T + |f|max) / q_c + 3 u |f|max.
-    Twice that bounds slow - fast at cell c: once for the slow sweep's
-    rounded maximizer and once for the exact maximizer, which the lemma puts
-    among the fast sweep's arcs.
-    """
+@pytest.mark.parametrize("M", [16, 32])
+def test_profile_matches_long_double_sweep(M):
+    """Against every arc from every start, each summed from its start in
+    long double.  Differences of prefix sums over the whole circle lose
+    about 1e-8 relative on arcs over a few of the 2^-12 cascade cells."""
     _, grid, samples = _weight_profile(M)
-    q = grid.quad_weights
-    slow = quadratic_sweep(samples, q)
-    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).values
-    u = 2.0**-53
-    n, top, total = samples.size, np.max(samples), np.sum(samples * q)
-    bound = 2.0 * (8 * n * u * (total + top) / q + 3 * u * top)
-    assert np.all(fast <= slow)
-    assert np.all(slow - fast <= bound)
+    exact = quadratic_sweep(samples, grid.quad_weights, np.longdouble)
+    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).samples
+    assert np.max(np.abs(fast - exact) / exact) <= 1e-13
+
+
+def _assert_mirrored(grid, samples):
+    """The profile of the reversed samples is the reversed profile, within
+    1e-13 of its largest value.  Reversing the cells reflects theta to
+    -theta on a grid that is its own mirror."""
+    assert np.array_equal(grid.quad_weights, grid.quad_weights[::-1])
+    fwd = maximal_function(SampledFunction(grid=grid, samples=samples)).samples
+    back = maximal_function(SampledFunction(grid=grid, samples=samples[::-1])).samples
+    assert np.max(np.abs(back[::-1] - fwd)) <= 1e-13 * np.max(fwd)
+
+
+@pytest.mark.parametrize("case", ["weight", "random-steps"])
+def test_mirrored_samples_give_mirrored_profile(case):
+    # w_16 is even, so its profile must be too; the random steps are not
+    grid = make_grid(16, 8)
+    samples = make_weight(16)(grid.nodes)
+    if case == "random-steps":
+        samples = samples * np.random.default_rng(4).uniform(0.5, 2.0, grid.node_count)
+    _assert_mirrored(grid, samples)
 
 
 _PALETTE = [0.0, 0.5, -0.5, 1.0, 3.0]
-
-
-@given(
-    runs=st.lists(
-        st.tuples(st.integers(1, 6), st.sampled_from(_PALETTE)), min_size=1, max_size=42
-    ),
-    shift=st.integers(0, 41),
+# runs of equal |f| (0.5 and -0.5 share one), rotated across +-pi
+_RUNS = st.lists(
+    st.tuples(st.integers(1, 6), st.sampled_from(_PALETTE)), min_size=1, max_size=42
 )
-def test_run_structured_samples_match_bruteforce(runs, shift):
-    # runs of equal |f| (0.5 and -0.5 share one), rotated across +-pi
-    grid = make_grid(1, 3, edge_levels=2)
+
+
+def _run_samples(grid, runs, shift):
     lengths, values = zip(*runs)
-    samples = np.roll(np.resize(np.repeat(values, lengths), grid.node_count), shift)
-    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).values
+    return np.roll(np.resize(np.repeat(values, lengths), grid.node_count), shift)
+
+
+@given(runs=_RUNS, shift=st.integers(0, 41))
+def test_run_structured_samples_match_bruteforce(runs, shift):
+    grid = make_grid(1, 3, edge_levels=2)
+    samples = _run_samples(grid, runs, shift)
+    fast = maximal_function(SampledFunction(grid=grid, samples=samples)).samples
     slow = brute_force_maximal(samples, grid.quad_weights)
     assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+@given(runs=_RUNS, shift=st.integers(0, 41))
+def test_run_structured_samples_give_mirrored_profile(runs, shift):
+    grid = make_grid(1, 3, edge_levels=2)
+    _assert_mirrored(grid, _run_samples(grid, runs, shift))
 
 
 def test_sweep_updates_once_per_run_start_and_direction(monkeypatch):

@@ -294,4 +294,4 @@ def test_value_arrays_are_frozen(weight_m4, grid_m4):
             res.extremal[0] = 0.0
     f = SampledFunction.from_callable(weight_m4.profile, grid_m4)
     with pytest.raises(ValueError):
-        maximal_function(f).values[0] = 0.0
+        maximal_function(f).samples[0] = 0.0
