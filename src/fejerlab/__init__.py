@@ -18,7 +18,6 @@ from .circle import (
 )
 from .spaces import SpaceTag, Weight, holder_pairing, make_weight, norm, weight_l1_norm_series
 from .operators import (
-    GridTooCoarse,
     LocalizationParams,
     NoQualifyingN,
     OperatorMatrix,

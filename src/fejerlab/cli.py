@@ -10,9 +10,10 @@ negative on a failure and 0 at equality, which passes only <= and >=.
 
 Exit codes: 0 when every in-run contract holds, 2 when a contract is
 violated (the violated invariant is named on stderr), 1 on configuration
-errors.  Only `duality` and `taylor-fourier` draw random inputs, so only
-they read --seed; with a fixed seed every CSV output is byte-identical
-across re-runs.
+errors, a --config file that cannot be read or an --out path that cannot
+be written among them.  Only `duality` and `taylor-fourier` draw random
+inputs, so only they read --seed; with a fixed seed every CSV output is
+byte-identical across re-runs.
 
 A subcommand accepts only the flags it reads; any other flag is a
 configuration error.  Options may also come from a config file of
@@ -40,7 +41,6 @@ from .hardy import taylor_fourier_check
 from .maximal import weight_maximal_ratio
 from .operators import (
     SPECTRAL_SWITCH,
-    GridTooCoarse,
     NoQualifyingN,
     assemble_operator,
     fejer_blowup,
@@ -157,9 +157,7 @@ def cmd_duality(args) -> list:
 
 def cmd_blowup(args) -> list:
     w = make_weight(max(args.grid_M, max(args.m)))
-    rows = fejer_blowup(
-        args.m, w, points_per_interval=args.ppi, oversample=args.oversample
-    )
+    rows = fejer_blowup(args.m, w, points_per_interval=args.ppi)
     if args.out:
         csvio.write_rows(
             args.out,
@@ -383,7 +381,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("blowup", help="unbounded operator norms along the spikes")
     common(p, "--grid-M", "--ppi")
     p.add_argument("--m", type=_list_of(int, 1), default=[1, 4, 9, 16, 25])
-    p.add_argument("--oversample", type=_number(int, 1), default=8)
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("fejer-converge", help="unweighted L1 convergence of Fejér means")
@@ -428,18 +425,15 @@ def build_parser() -> _Parser:
 def _config_flags(path):
     """The `key = value` lines of a config file as `--key value` arguments."""
     flags = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line: {line!r}")
-                key, value = (s.strip() for s in line.split("=", 1))
-                flags += [f"--{key.replace('_', '-')}", value]
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"bad config line: {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            flags += [f"--{key.replace('_', '-')}", value]
     return flags
 
 
@@ -453,10 +447,11 @@ def main(argv=None) -> int:
             # options); file entries go before the explicit flags, which win
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         args.func(args)
-    except ConfigError as exc:
+    # a file that cannot be read or written is a configuration problem too
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NoQualifyingN, GridTooCoarse, StageFailure, ValueError) as exc:
+    except (NoQualifyingN, StageFailure, ValueError) as exc:
         print(f"contract violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

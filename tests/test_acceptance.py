@@ -55,9 +55,7 @@ def blowup_runs():
     runs = {}
     for ppi in (8, 16):
         t0 = time.monotonic()
-        rows = cmd_blowup(
-            _args(ppi=ppi, grid_M=25, m=[1, 4, 9, 16, 25], oversample=8)
-        )
+        rows = cmd_blowup(_args(ppi=ppi, grid_M=25, m=[1, 4, 9, 16, 25]))
         runs[ppi] = (rows, time.monotonic() - t0)
     return runs
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fejerlab.circle import KernelSpec
 from fejerlab.cli import (
@@ -53,7 +57,7 @@ def test_invalid_flag_value_is_config_error(capsys):
         ["duality", "--grid-M", "0"],
         ["duality", "--trials", "-1"],
         ["duality", "--seed", "-1"],
-        ["blowup", "--oversample", "0"],
+        ["blowup", "--oversample", "8"],
         ["fejer-converge", "--arc-length", "4"],
         ["taylor-fourier", "--radii", "nan"],
     ],
@@ -108,6 +112,58 @@ def test_readme_examples_parse():
 
 def test_missing_config_file_is_config_error(capsys):
     assert main(["duality", "--config", "/nonexistent/file"]) == 1
+
+
+def test_undecodable_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"ppi = 4\n\xff = 3\n")
+    assert main(["maximal", "--config", str(cfg)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+# valid (flag, value) pairs per subcommand, and tokens no value flag accepts
+VALID_FLAGS = {
+    "duality": [("--trials", "3"), ("--grid-M", "2"), ("--max-order", "8"), ("--ppi", "4"),
+                ("--seed", "1")],
+    "blowup": [("--m", "1,4"), ("--grid-M", "4"), ("--ppi", "4")],
+    "fejer-converge": [("--orders", "16,256"), ("--ppi", "4"), ("--arc-length", "1.0")],
+    "witness": [("--stages", "1"), ("--target", "0.5"), ("--grid-M", "9"), ("--ppi", "4")],
+    "density": [("--function", "t3"), ("--degrees", "3,5"), ("--grid-M", "2"), ("--ppi", "4")],
+    "maximal": [("--orders", "2,16"), ("--ppi", "4")],
+    "taylor-fourier": [("--radii", "0.5,0.9"), ("--seed", "1")],
+}
+BAD_TOKENS = ["-1", "abc", "nan", "inf", "1e400", ""]
+
+
+@st.composite
+def _invalid_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID_FLAGS)))
+    valid = VALID_FLAGS[command]
+    good = draw(st.lists(st.sampled_from(valid), max_size=3))
+    bad_value = st.tuples(st.sampled_from([flag for flag, _ in valid]), st.sampled_from(BAD_TOKENS))
+    unknown = st.tuples(st.sampled_from(["--bogus", "--oversample"]), st.just("8"))
+    bad = draw(st.lists(bad_value | unknown, min_size=1, max_size=2))
+    pairs = draw(st.permutations(good + bad))
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=60)
+@given(argv=_invalid_argv())
+def test_random_invalid_argv_is_config_error(argv):
+    # every drawn argv fails while parsing, so no experiment prints anything
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1, argv
+    assert out.getvalue() == ""
+    assert "configuration error" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    assert main(["maximal", "--orders", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_taylor_fourier_passes_and_writes_csv(tmp_path, capsys):
@@ -409,3 +465,15 @@ def test_witness_subcommand_writes_sidecar(tmp_path):
     assert out.exists()
     sidecar = out.with_name(out.name + ".txt")
     assert "stage 1" in sidecar.read_text()
+
+
+def test_unwritable_witness_sidecar_is_config_error(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    out.with_name(out.name + ".txt").mkdir()
+    code = main(
+        ["witness", "--stages", "1", "--target", "0.5", "--grid-M", "9", "--out", str(out)]
+    )
+    assert code == 1
+    # the CSV is written before the sidecar fails
+    assert out.read_text().startswith("stage,n,coefficient,bump_theta,error")
+    assert "configuration error" in capsys.readouterr().err

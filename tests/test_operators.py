@@ -17,7 +17,6 @@ from fejerlab import cli, operators
 from fejerlab.operators import (
     DELTA_SUBDIVISION,
     SPECTRAL_SWITCH,
-    GridTooCoarse,
     NoQualifyingN,
     assemble_operator,
     fejer_blowup,
@@ -78,7 +77,7 @@ def test_constant_kernel_maps_to_mean(grid_m1):
 
 def test_fejer_row_sums_close_to_one():
     n = 16
-    grid = grid_for_kernels(2, 8, n, oversample=64)
+    grid = make_grid(2, 8, max_cell=2 * PI / (64 * (n + 1)))
     A = assemble_operator([KernelSpec.fejer(n)], grid)
     [rowsums], [colsums] = A.weighted_sums(grid.quad_weights)
     assert np.max(np.abs(rowsums - 1.0)) <= 1e-4
@@ -238,12 +237,12 @@ def test_family_sums_peak_memory_adds_only_the_sum_arrays():
 def test_blowup_window_rows_match_closed_form_of_differences():
     # blow-up samples window nodes against bump nodes: distinct targets and
     # sources, on a grid past the spectral switch
-    m = 4
-    grid = make_grid(m, 8, max_cell=2e-3)
-    assert grid.node_count**2 > SPECTRAL_SWITCH
-    [row] = fejer_blowup([m], make_weight(m), grid=grid)
+    m = 25
     p = localization_params(m)
-    left, right = operators._window_for(m, p)
+    grid = operators._blowup_grid([p], m, 8)
+    assert grid.node_count**2 > SPECTRAL_SWITCH
+    [row] = fejer_blowup([m], make_weight(m))
+    left, right = operators._window_for(p)
     x = grid.nodes
     window = x[(x >= left) & (x <= right)]
     bump = make_bump(m)(x)
@@ -472,7 +471,7 @@ def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
 
 def test_unweighted_fejer_norm_close_to_one():
     n = 12
-    grid = grid_for_kernels(1, 8, n, oversample=64)
+    grid = make_grid(1, 8, max_cell=2 * PI / (64 * (n + 1)))
     A = assemble_operator([KernelSpec.fejer(n)], grid)
     [norms] = operator_norm(A, None)
     for tag, res in norms.items():
@@ -677,11 +676,18 @@ def test_blowup_requires_enough_spikes():
         fejer_blowup([1, 9], w)
 
 
-def test_blowup_grid_too_coarse():
-    w = make_weight(16)
-    coarse = make_grid(16, 2, edge_levels=0)
-    with pytest.raises(GridTooCoarse):
-        fejer_blowup([16], w, grid=coarse)
+@pytest.mark.parametrize("ppi", [2, 8, 16])
+@pytest.mark.parametrize("m", [1, 2, 4, 9, 25, 64])
+def test_blowup_grid_resolves_every_window(m, ppi):
+    # the built grid puts at least 4 cells across [0, pi/(2m)^2], 2 nodes on
+    # the bump and 1 in the certification window, at the coarsest --ppi too
+    p = localization_params(m)
+    grid = operators._blowup_grid([p], m, ppi)
+    inside = (grid.edges > 0) & (grid.edges < p.epsilon)
+    assert np.count_nonzero(inside) >= 3
+    assert np.count_nonzero(make_bump(m)(grid.nodes)) >= 2
+    left, right = operators._window_for(p)
+    assert np.count_nonzero((grid.nodes >= left) & (grid.nodes <= right)) >= 1
 
 
 def test_bump_convolution_matches_direct_path():
@@ -706,12 +712,3 @@ def test_blowup_bound_persists_for_larger_sampled_orders():
         grid = grid_for_kernels(m, 8, n)
         [norms] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
         assert norms[LINF].value >= bound, n
-
-
-def test_blowup_accepts_fine_user_grid():
-    m = 4
-    w = make_weight(m)
-    grid = make_grid(m, 8, max_cell=2e-3)
-    rows = fejer_blowup([m], w, grid=grid)
-    assert rows[0].pointwise_min >= rows[0].bound
-    assert rows[0].norm_linfw >= rows[0].bound
