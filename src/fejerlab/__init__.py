@@ -16,7 +16,7 @@ from .circle import (
     poisson_extend,
     synthesize,
 )
-from .spaces import SpaceTag, Weight, holder_pairing, make_weight, norm, weight_l1_norm_series
+from .spaces import Weight, make_weight
 from .operators import (
     LocalizationParams,
     NoQualifyingN,

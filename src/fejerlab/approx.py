@@ -42,7 +42,7 @@ from .operators import (
     localization_params,
     operator_norm,
 )
-from .spaces import SpaceTag, Weight
+from .spaces import Weight
 
 __all__ = [
     "PolyCoeffs",
@@ -66,10 +66,6 @@ class PolyCoeffs:
         c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, theta):
-        out = trig_sum(theta, np.arange(self.coeffs.size), self.coeffs, 1)
-        return out if np.ndim(theta) else complex(out[0])
 
 
 SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
@@ -350,8 +346,8 @@ def gliding_hump_witness(
         for n in ladder:
             if orders and n <= orders[-1]:
                 continue
-            [norms] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
-            j = norms[SpaceTag.WEIGHTED_L1].arg_index
+            [(l1, _)] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
+            j = l1.arg_index
             amp = coeffs[k] / (wv[j] * grid.quad_weights[j])
             trial_parts = parts + [(j, amp)]
             errs = _stage_errors(grid, wv, trial_parts, orders + [n])

@@ -82,8 +82,6 @@ class CircleGrid:
     edges: np.ndarray
     nodes: np.ndarray
     quad_weights: np.ndarray
-    M: int
-    points_per_interval: int
 
     @property
     def node_count(self) -> int:
@@ -153,8 +151,6 @@ def make_grid(
         edges=_frozen(edges),
         nodes=_frozen(nodes),
         quad_weights=_frozen(widths / TWO_PI),
-        M=M,
-        points_per_interval=points_per_interval,
     )
 
 
@@ -202,12 +198,6 @@ class PiecewiseConstant:
         return np.sum(self.values * np.diff(self.edges)) / TWO_PI
 
     @staticmethod
-    def constant(value) -> "PiecewiseConstant":
-        return PiecewiseConstant(
-            edges=np.array([-math.pi, math.pi]), values=np.array([value])
-        )
-
-    @staticmethod
     def indicator(a: float, b: float, value=1.0) -> "PiecewiseConstant":
         """Indicator of the arc [a, b] scaled by `value`, -pi <= a < b <= pi."""
         if not (-math.pi <= a < b <= math.pi):
@@ -219,13 +209,6 @@ class PiecewiseConstant:
         if b == math.pi:
             edges, vals = edges[:-1], vals[:-1]
         return PiecewiseConstant(edges=np.array(edges), values=np.array(vals))
-
-
-def merge_partitions(f: PiecewiseConstant, g: PiecewiseConstant):
-    """Common refinement of two step functions: (edges, f values, g values)."""
-    edges = np.unique(np.concatenate([f.edges, g.edges]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return edges, f(mids), g(mids)
 
 
 @dataclass(frozen=True)
@@ -248,9 +231,6 @@ class SampledFunction:
         if samples.size != self.grid.node_count:
             raise ValueError("one sample per grid node required")
         object.__setattr__(self, "samples", samples)
-
-    def integral(self):
-        return np.sum(self.samples * self.grid.quad_weights)
 
     @staticmethod
     def from_callable(fn, grid: CircleGrid) -> "SampledFunction":

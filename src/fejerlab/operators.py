@@ -58,7 +58,7 @@ from .circle import (
     trig_sum,
     wrap_angle,
 )
-from .spaces import SpaceTag, Weight, gap_interval, spike_interval
+from .spaces import Weight, gap_interval, spike_interval
 
 __all__ = [
     "OperatorMatrix",
@@ -269,11 +269,14 @@ class NormResult:
         object.__setattr__(self, "extremal", _frozen(self.extremal))
 
 
-def operator_norm(A: OperatorMatrix, w: Weight | None) -> list[dict[SpaceTag, NormResult]]:
+def operator_norm(
+    A: OperatorMatrix, w: Weight | None
+) -> list[tuple[NormResult, NormResult]]:
     """Exact norms of the discrete operators on both weighted spaces.
 
-    Returns one {WEIGHTED_L1: ..., WEIGHTED_LINF: ...} per kernel of A, in
-    its order, from one lookup of the weight and one pass over each
+    Returns one (l1, linf) pair per kernel of A, in its order: the norm on
+    weighted l1 (sum |f_j| w_j q_j), then the norm on weighted linf
+    (max |f_j| / w_j), from one lookup of the weight and one pass over each
     kernel.  Each result carries an extremal input: a scaled single-node
     indicator for the weighted-L1 norm, and the pattern f_j = w_j
     sign(K_{i*,j}) for the weighted-Linf norm.  Applying the operator to the
@@ -297,7 +300,7 @@ def operator_norm(A: OperatorMatrix, w: Weight | None) -> list[dict[SpaceTag, No
         signs = np.sign(row[0])
         signs[signs == 0] = 1.0
         linf = NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
-        norms.append({SpaceTag.WEIGHTED_L1: l1, SpaceTag.WEIGHTED_LINF: linf})
+        norms.append((l1, linf))
     return norms
 
 
@@ -349,11 +352,11 @@ MASS_TIE = 1e-12  # order masses this close to 1/3 are recomputed term by term
 ORDER_CHUNK = 1 << 16  # orders scored per pass of the order search
 
 
-def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
+def localization_params(m: int) -> LocalizationParams:
     """Find the smallest qualifying kernel order and its offset for spike m.
 
-    The order search is exhaustive from n = 1 up to n_max (by default
-    4 (2m)^2 + 64, since the window [-pi/(2m)^2, 0] shrinks like 1/(2m)^2),
+    The order search is exhaustive from n = 1 up to n_max = 4 (2m)^2 + 64,
+    since the window [-pi/(2m)^2, 0] shrinks like 1/(2m)^2,
     using the exact kernel mass: running sums over the frequencies give
     every order's mass in one pass, and `fejer_kernel_mass` decides the
     orders whose mass lies within MASS_TIE of 1/3.  Delta is the largest
@@ -362,8 +365,7 @@ def localization_params(m: int, n_max: int | None = None) -> LocalizationParams:
     """
     if m < 1:
         raise ValueError("spike index must be >= 1")
-    if n_max is None:
-        n_max = 4 * (2 * m) ** 2 + 64
+    n_max = 4 * (2 * m) ** 2 + 64
     eps = math.pi / (2 * m) ** 2
     # each order's mass is eps + 2 sum_k sin(k eps)/k - 2/(n+1) sum_k sin(k eps),
     # from running sums over k, ORDER_CHUNK orders at a time
@@ -508,7 +510,7 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
             )
         )
 
-        [norms] = operator_norm(assemble_operator([KernelSpec.fejer(p.n_of_m)], grid), w)
+        [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(p.n_of_m)], grid), w)
         rows.append(
             BlowupRow(
                 m=m,
@@ -516,8 +518,8 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
                 delta_n=p.delta_n,
                 bound=bound,
                 pointwise_min=pointwise_min,
-                norm_linfw=norms[SpaceTag.WEIGHTED_LINF].value,
-                norm_l1w=norms[SpaceTag.WEIGHTED_L1].value,
+                norm_linfw=linf.value,
+                norm_l1w=l1.value,
             )
         )
     return rows

@@ -56,3 +56,12 @@ def dense_convolution(kernel, grid, samples):
         rows = slice(start, start + step)
         out[rows] = kernel(x[rows, None] - x[None, cols]) @ fq[cols]
     return out
+
+
+def norm(f, w, space):
+    """Reference weighted norm of grid samples f (a SampledFunction):
+    space "l1" is sum |f| w q over the nodes, "linf" is max |f| / w."""
+    wv = w(f.grid.nodes)
+    if space == "l1":
+        return float(np.sum(np.abs(f.samples) * wv * f.grid.quad_weights))
+    return float(np.max(np.abs(f.samples) / wv))

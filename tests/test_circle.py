@@ -346,20 +346,20 @@ def _entry_bound(kernel, diff, reference):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "M, build",
     [
         # the duality grids at --ppi 8 and --max-order 32: 184 and 28 node
         # pairs exactly pi apart, and differences within 6e-6 of +-2 pi
-        lambda: grid_for_kernels(1, 8, 32),
-        lambda: grid_for_kernels(2, 8, 32),
-        lambda: make_grid(4, 8, max_cell=2 * PI / 2500),  # N = 2,940: 134 blocks
+        (1, lambda: grid_for_kernels(1, 8, 32)),
+        (2, lambda: grid_for_kernels(2, 8, 32)),
+        (4, lambda: make_grid(4, 8, max_cell=2 * PI / 2500)),  # N = 2,940: 134 blocks
     ],
     ids=["duality-M1", "duality-M2", "two-blocks"],
 )
-def test_kernel_blocks_match_closed_form_of_differences(build):
+def test_kernel_blocks_match_closed_form_of_differences(M, build):
     grid = build()
     x = grid.nodes
-    c = make_weight(grid.M)(x) * grid.quad_weights
+    c = make_weight(M)(x) * grid.quad_weights
     for kernel in SAMPLED_KERNELS:
         rowsums = np.empty(x.size)
         colsums = np.zeros(x.size)
@@ -565,4 +565,4 @@ def test_integral_helpers_and_refine():
     grid = make_grid(1, 4)
     f = SampledFunction(grid=grid, samples=pc(grid.nodes).astype(float))
     # both arc edges are grid edges, so the midpoint sum is the exact integral
-    assert abs(f.integral() - pc.integral()) <= 1e-15
+    assert abs(np.sum(f.samples * grid.quad_weights) - pc.integral()) <= 1e-15

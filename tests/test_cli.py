@@ -19,7 +19,7 @@ from fejerlab.cli import (
 )
 from fejerlab.csvio import write_rows
 from fejerlab.operators import assemble_operator, grid_for_kernels, operator_norm
-from fejerlab.spaces import SpaceTag, Weight, make_weight
+from fejerlab.spaces import Weight, make_weight
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -298,8 +298,8 @@ def _duality_reference(out, seed, trials, max_order, grid_M, ppi):
         if M not in setups:
             setups[M] = grid_for_kernels(M, ppi, max_order), make_weight(M)
         grid, w = setups[M]
-        [norms] = operator_norm(assemble_operator([kernel], grid), w)
-        n1, ninf = norms[SpaceTag.WEIGHTED_L1].value, norms[SpaceTag.WEIGHTED_LINF].value
+        [(l1, linf)] = operator_norm(assemble_operator([kernel], grid), w)
+        n1, ninf = l1.value, linf.value
         gap = abs(n1 - ninf)
         shown = (n1, ninf) if report_norms else ("", "")
         rows.append((label, M, *shown, gap, gap / max(n1, ninf)))
@@ -377,13 +377,20 @@ def test_maximal_subcommand_small(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["maximal", "--orders", "4,4"], ["blowup", "--m", "4,4", "--grid-M", "4"]]
+    "argv, rows",
+    [
+        (["maximal", "--orders", "4,4"], 1),
+        (["blowup", "--m", "4,4", "--grid-M", "4"], 1),
+        # spikes 1 and 2 both certify at n = 1: two rows of one operator
+        (["blowup", "--m", "1,2", "--grid-M", "2"], 2),
+    ],
+    ids=["argv0", "argv1", "argv2"],
 )
-def test_repeated_order_runs_once(argv, tmp_path):
+def test_repeated_order_runs_once(argv, rows, tmp_path):
     # a repeated order is one experiment, not a zero rise in a growth contract
     out = tmp_path / "rows.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2
+    assert len(out.read_text().splitlines()) == 1 + rows
 
 
 def test_density_t3_small(capsys):

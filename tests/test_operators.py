@@ -26,12 +26,11 @@ from fejerlab.operators import (
     make_bump,
     operator_norm,
 )
-from fejerlab.spaces import SpaceTag, make_weight, norm
+from fejerlab.spaces import make_weight
 
-from conftest import dense_convolution
+from conftest import dense_convolution, norm
 
 PI = math.pi
-L1, LINF = SpaceTag.WEIGHTED_L1, SpaceTag.WEIGHTED_LINF
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +134,12 @@ def test_weighted_sums_match_dense_matrix(
         [rowsums], [colsums] = rowsums, colsums
         assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
         assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
-        [norms] = operator_norm(A, w)
-        for tag, sums in ((L1, dense.T @ wq), (LINF, dense @ wq)):
-            assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
-        i = norms[LINF].arg_index
+        [(l1, linf)] = operator_norm(A, w)
+        for res, sums in ((l1, dense.T @ wq), (linf, dense @ wq)):
+            assert abs(res.value - np.max(sums / wv)) <= 1e-13 * res.value
+        i = linf.arg_index
         signs = np.where(kernel(grid.nodes[i] - grid.nodes) < 0, -1.0, 1.0)
-        assert np.array_equal(norms[LINF].extremal, wv * signs)
+        assert np.array_equal(linf.extremal, wv * signs)
 
 
 @pytest.mark.parametrize("M", [1, 2])
@@ -163,10 +162,10 @@ def test_duality_norms_match_closed_form_of_differences(M):
         [rowsums], [colsums] = A.weighted_sums(wq)
         assert np.max(np.abs(rowsums - dense @ wq) / (dense @ wq)) <= 1e-13, kernel
         assert np.max(np.abs(colsums - wq @ dense) / (wq @ dense)) <= 1e-13, kernel
-        [norms] = operator_norm(A, w)
-        for tag, sums in ((L1, wq @ dense), (LINF, dense @ wq)):
-            assert abs(norms[tag].value - np.max(sums / wv)) <= 1e-13 * norms[tag].value
-        assert abs(norms[L1].value - norms[LINF].value) <= 1e-14 * norms[L1].value
+        [(l1, linf)] = operator_norm(A, w)
+        for res, sums in ((l1, wq @ dense), (linf, dense @ wq)):
+            assert abs(res.value - np.max(sums / wv)) <= 1e-13 * res.value
+        assert abs(l1.value - linf.value) <= 1e-14 * l1.value
 
 
 def test_spectral_switch_keeps_duality_dense_and_turns_spikes_spectral(monkeypatch):
@@ -461,8 +460,7 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
 
 def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
     A = assemble_operator([KernelSpec.fejer(0)], grid_m4)
-    [norms] = operator_norm(A, weight_m4)
-    res = norms[L1]
+    [(res, _)] = operator_norm(A, weight_m4)
     wq = weight_m4(grid_m4.nodes) * grid_m4.quad_weights
     assert abs(res.value - np.sum(wq)) <= 1e-13
     # maximizing column sits where the weight equals 1
@@ -474,29 +472,29 @@ def test_unweighted_fejer_norm_close_to_one():
     grid = make_grid(1, 8, max_cell=2 * PI / (64 * (n + 1)))
     A = assemble_operator([KernelSpec.fejer(n)], grid)
     [norms] = operator_norm(A, None)
-    for tag, res in norms.items():
-        assert abs(res.value - 1.0) <= 1e-4, tag
+    for res in norms:
+        assert abs(res.value - 1.0) <= 1e-4
 
 
-@pytest.mark.parametrize("tag", [L1, LINF])
-def test_norm_dominates_random_probes_and_extremal_attains(tag, weight_m4, grid_m4):
+@pytest.mark.parametrize("space", ["l1", "linf"])
+def test_norm_dominates_random_probes_and_extremal_attains(space, weight_m4, grid_m4):
     kernel = KernelSpec.fejer(6)
     [norms] = operator_norm(assemble_operator([kernel], grid_m4), weight_m4)
-    res = norms[tag]
+    res = norms[["l1", "linf"].index(space)]
     nodes, q = grid_m4.nodes, grid_m4.quad_weights
     dense = kernel(nodes[:, None] - nodes[None, :])  # built once for the probes
     rng = np.random.default_rng(1)
     for _ in range(1000):
         f = rng.normal(size=grid_m4.node_count)
-        fn = norm(SampledFunction(grid=grid_m4, samples=f), weight_m4, tag)
+        fn = norm(SampledFunction(grid=grid_m4, samples=f), weight_m4, space)
         if fn == 0:
             continue
-        an = norm(SampledFunction(grid=grid_m4, samples=dense @ (f * q)), weight_m4, tag)
+        an = norm(SampledFunction(grid=grid_m4, samples=dense @ (f * q)), weight_m4, space)
         assert an <= res.value * fn * (1 + 1e-12)
     ext = SampledFunction(grid=grid_m4, samples=res.extremal)
-    fn = norm(ext, weight_m4, tag)
+    fn = norm(ext, weight_m4, space)
     conv = dense_convolution(kernel, grid_m4, res.extremal)
-    an = norm(SampledFunction(grid=grid_m4, samples=conv), weight_m4, tag)
+    an = norm(SampledFunction(grid=grid_m4, samples=conv), weight_m4, space)
     assert abs(an / fn - res.value) <= 1e-12 * res.value
 
 
@@ -510,9 +508,9 @@ def test_duality_gap_fejer_sweep(weight_m4):
     for n in (0, 1, 3, 8, 21, 64):
         A = assemble_operator([KernelSpec.fejer(n)], grid)
         assert not A.spectral
-        [norms] = operator_norm(A, weight_m4)
-        gap = abs(norms[L1].value - norms[LINF].value)
-        assert gap <= 1e-10 * norms[L1].value, n
+        [(l1, linf)] = operator_norm(A, weight_m4)
+        gap = abs(l1.value - linf.value)
+        assert gap <= 1e-10 * l1.value, n
 
 
 def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monkeypatch):
@@ -525,8 +523,8 @@ def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monke
         return kernel_blocks(kernels, targets, sources)
 
     monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
-    [norms] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
-    assert abs(norms[L1].value - norms[LINF].value) <= 5e-15
+    [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
+    assert abs(l1.value - linf.value) <= 5e-15
     # the whole N x N kernel went through kernel_blocks, not the spectral path
     N = grid_m4.node_count
     assert (N, N) in sampled
@@ -545,9 +543,9 @@ def test_duality_gap_random_step_kernels_property():
         half = rng.uniform(0.0, 5.0, size=npos + 1)
         values = np.concatenate([half[::-1], half[1:]])
         kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
-        [norms] = operator_norm(assemble_operator([kernel], grid), w)
-        gap = abs(norms[L1].value - norms[LINF].value)
-        assert gap <= 1e-10 * max(norms[L1].value, 1e-30), trial
+        [(l1, linf)] = operator_norm(assemble_operator([kernel], grid), w)
+        gap = abs(l1.value - linf.value)
+        assert gap <= 1e-10 * max(l1.value, 1e-30), trial
         gaps.append(gap)
     # rows and columns are two searches and two contractions, not one vector
     # reported twice, so some gaps show rounding
@@ -558,7 +556,7 @@ def test_duality_gap_random_step_kernels_property():
 
 
 def test_localization_m1_closed_form():
-    p = localization_params(1, 16)
+    p = localization_params(1)
     assert p.n_of_m == 1
     # kernel of order one integrates to theta + sin(theta)
     expected = PI / 4 + math.sin(PI / 4)
@@ -601,7 +599,7 @@ def test_localization_condition_persists_for_larger_orders():
 
 
 def test_localization_minimality_and_delta_condition():
-    p = localization_params(4, 2000)
+    p = localization_params(4)
     assert p.n_of_m >= 1
     if p.n_of_m > 1:
         assert fejer_kernel_mass(p.n_of_m - 1, -p.epsilon, 0.0) < 1.0 / 3.0
@@ -634,9 +632,11 @@ def test_localization_params_unchanged_by_running_sums():
             assert [x >= 1 / 3 for x in masses].index(True) + 1 == n, m
 
 
-def test_localization_no_qualifying_order():
-    with pytest.raises(NoQualifyingN):
-        localization_params(4, 1)
+def test_localization_no_qualifying_order(monkeypatch):
+    # the mass over [-pi/(2m)^2, 0] is below pi, half of the kernel's, at every order
+    monkeypatch.setattr(operators, "ONE_THIRD", PI)
+    with pytest.raises(NoQualifyingN, match=r"no order n <= 320 .* m=4"):
+        localization_params(4)
 
 
 # ------------------------------------------------------------------- blowup
@@ -706,9 +706,9 @@ def test_blowup_bound_persists_for_larger_sampled_orders():
     # the lower bound holds for every order at or beyond the certified one
     m = 4
     w = make_weight(m)
-    p = localization_params(m, 2000)
+    p = localization_params(m)
     bound = math.sqrt(m) / (8 * PI)
     for n in (p.n_of_m, p.n_of_m + 1, 2 * p.n_of_m, 4 * p.n_of_m):
         grid = grid_for_kernels(m, 8, n)
-        [norms] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
-        assert norms[LINF].value >= bound, n
+        [(_, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(n)], grid), w)
+        assert linf.value >= bound, n
