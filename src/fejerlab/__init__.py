@@ -30,7 +30,6 @@ from .operators import (
 from .maximal import maximal_function, weight_maximal_ratio
 from .hardy import is_hardy, product_hardy_check, taylor_fourier_check
 from .approx import (
-    PolyCoeffs,
     WitnessReport,
     best_poly_l1w,
     density_curve,

@@ -12,9 +12,11 @@ degree's polynomial.  The Fourier design
 A_ik = exp(i k theta_i) is the binary-power phase table of `circle.trig_sum`,
 and A^H diag(u) A is Hermitian Toeplitz, so each sweep solves the Toeplitz
 normal equations: two matrix-vector products with A and one (d+1) x (d+1)
-solve.  Correctness is certified externally: for Hardy-class data the
-Fejér mean of matching order is a feasible polynomial, so the achieved
-objective must not exceed the Fejér mean's objective.
+solve.  The Fejér start reads the same design, as the damped midpoint sums
+A^H (f q), so a fit builds one phase table.  Correctness is certified
+externally: for Hardy-class data the Fejér mean of matching order is a
+feasible polynomial, so the achieved objective must not exceed the Fejér
+mean's objective.
 """
 
 from __future__ import annotations
@@ -25,16 +27,15 @@ import numpy as np
 
 from .circle import (
     CircleGrid,
-    FourierCoefficients,
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
+    _frozen,
     _phases,
     fejer_mean,
     fourier_window,
     kernel_blocks,
     synthesize,
-    trig_sum,
 )
 from .operators import (
     assemble_operator,
@@ -45,7 +46,6 @@ from .operators import (
 from .spaces import Weight
 
 __all__ = [
-    "PolyCoeffs",
     "FitResult",
     "StageFailure",
     "WitnessReport",
@@ -56,18 +56,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Analytic polynomial q(t) = sum_k alpha_k t^k on the circle."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
 SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
 MAX_ITERS = 200  # IRLS sweeps per fit
 TOL = 1e-10  # converged once a sweep gains at most TOL max(objective, 1)
@@ -75,7 +63,8 @@ TOL = 1e-10  # converged once a sweep gains at most TOL max(objective, 1)
 
 @dataclass(frozen=True)
 class FitResult:
-    poly: PolyCoeffs
+    # read-only alpha_0..alpha_d of q(t) = sum_k alpha_k t^k on the circle
+    poly: np.ndarray
     error: float
     converged: bool
     iterations: int
@@ -144,50 +133,48 @@ def _irls(A, y, c, start):
     return alpha, r, converged, len(trace) - 1, trace
 
 
-def _fejer_candidate(f: SampledFunction, degree: int):
-    """Fejér mean of matching order as a feasible polynomial, from midpoint
-    sums of the samples.  None past degree N/4, where those sums alias."""
+def _fejer_candidate(f: SampledFunction, A):
+    """Fejér mean of order d as a feasible polynomial: the midpoint sums
+    A^H (f q) of the samples against the fit's design A, with d + 1 columns,
+    damped by 1 - k/(d+1).  None past degree N/4, where those sums alias."""
+    degree = A.shape[1] - 1
     if degree > f.grid.node_count // 4:
         return None
-    ks = np.arange(-degree, degree + 1)
-    coeffs = trig_sum(ks, f.grid.nodes, f.samples * f.grid.quad_weights, -1)
-    damped = fejer_mean(FourierCoefficients(window=degree, coeffs=coeffs), degree)
-    return PolyCoeffs(coeffs=damped.coeffs[degree:])
+    damp = 1.0 - np.arange(degree + 1) / (degree + 1.0)
+    return damp * np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
 
 
 def best_poly_l1w(
     f: SampledFunction,
-    w: Weight | None,
+    w: Weight,
     degree: int,
     *,
-    warm_start: PolyCoeffs | None = None,
+    warm_start: np.ndarray | None = None,
 ) -> FitResult:
     """Approximately minimize ||f - q||_{L1(w)} over polynomials of `degree`.
 
     The starts are the weighted least squares fit, the Fejér mean of order
-    `degree` from midpoint sums of the samples (up to degree N/4; above it
-    `fejer_error` is None) and the zero-padded warm start.  IRLS runs once,
-    at most MAX_ITERS sweeps, from the start with the smallest raw
-    objective: the smoothed objective is convex, so every start leads to the
-    same minimum.  If the run ends above its start, the start is kept, so
+    `degree` from the midpoint sums of the samples against the fit's design
+    (up to degree N/4; above it `fejer_error` is None) and the zero-padded
+    warm start.  IRLS runs once, at most MAX_ITERS sweeps, from the start
+    with the smallest raw objective: the smoothed objective is convex, so
+    every start leads to the same minimum.  If the run ends above its start, the start is kept, so
     the result is never above any start.  The reported error is the plain
     discrete weighted-L1 objective of the returned polynomial.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     nodes = f.grid.nodes
-    c = (np.ones(nodes.size) if w is None else w(nodes)) * f.grid.quad_weights
+    c = w(nodes) * f.grid.quad_weights
     A = _phases(nodes, 0, degree + 1, 1)
     y = f.samples.astype(complex)
 
     starts = [_weighted_ls(A, y, c)]
-    fejer_poly = _fejer_candidate(f, degree)
+    fejer_poly = _fejer_candidate(f, A)
     if fejer_poly is not None:
-        starts.append(fejer_poly.coeffs)
+        starts.append(fejer_poly)
     if warm_start is not None:
-        padded = np.zeros(degree + 1, dtype=complex)
-        padded[: warm_start.coeffs.size] = warm_start.coeffs
-        starts.append(padded)
+        starts.append(np.pad(warm_start, (0, degree + 1 - warm_start.size)))
     objectives = [_raw_objective(y - A @ s, c) for s in starts]
     fejer_error = objectives[1] if fejer_poly is not None else None
 
@@ -197,7 +184,7 @@ def best_poly_l1w(
     if objectives[k] < raw:  # the start itself is a valid feasible point
         alpha, raw, conv = starts[k], objectives[k], True
     return FitResult(
-        poly=PolyCoeffs(coeffs=alpha),
+        poly=_frozen(alpha, complex),
         error=raw,
         converged=conv,
         iterations=iters,
@@ -206,7 +193,7 @@ def best_poly_l1w(
     )
 
 
-def density_curve(f: SampledFunction, w: Weight | None, degrees) -> list[FitResult]:
+def density_curve(f: SampledFunction, w: Weight, degrees) -> list[FitResult]:
     """Best-approximation errors along increasing degrees.
 
     Each fit is warm-started with the previous polynomial, so the reported

@@ -478,7 +478,8 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
     All rows share one grid (`_blowup_grid`): cells of at most
     2 pi / (8 (n + 1)) for the largest certified order n, with each window
     split into four cells and -pi/(2m)^2 a cell edge, so every bump and
-    every window holds grid nodes.
+    every window holds grid nodes.  The norms come from one operator family
+    of the distinct certified orders; spikes of one order read one pair.
     """
     m_list = sorted({int(m) for m in m_list})
     if w.M < max(m_list):
@@ -486,6 +487,9 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
 
     params = [localization_params(m) for m in m_list]
     grid = _blowup_grid(params, w.M, points_per_interval)
+    orders = list(dict.fromkeys(p.n_of_m for p in params))
+    family = assemble_operator([KernelSpec.fejer(n) for n in orders], grid)
+    norms = dict(zip(orders, operator_norm(family, w)))
 
     rows = []
     q = grid.quad_weights
@@ -510,7 +514,7 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
             )
         )
 
-        [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(p.n_of_m)], grid), w)
+        l1, linf = norms[p.n_of_m]
         rows.append(
             BlowupRow(
                 m=m,

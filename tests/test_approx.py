@@ -54,9 +54,11 @@ def test_recovers_exact_polynomial(fit_grid, weight4):
     target = rng.normal(size=4) + 1j * rng.normal(size=4)
     f = SampledFunction(grid=fit_grid, samples=_poly_values(target, fit_grid.nodes))
     res = best_poly_l1w(f, weight4, 5)
+    assert res.poly.dtype == complex and res.poly.shape == (6,)
+    assert not res.poly.flags.writeable
     assert res.error <= 1e-8
-    assert np.max(np.abs(res.poly.coeffs[:4] - target)) <= 1e-6
-    assert np.max(np.abs(res.poly.coeffs[4:])) <= 1e-6
+    assert np.max(np.abs(res.poly[:4] - target)) <= 1e-6
+    assert np.max(np.abs(res.poly[4:])) <= 1e-6
 
 
 def test_error_bounded_by_fejer_candidate(fit_grid, weight4):
@@ -140,9 +142,9 @@ def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):
     f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
     res = best_poly_l1w(f, weight4, 8)
     [start] = seen
-    assert np.array_equal(res.poly.coeffs, start)
+    assert np.array_equal(res.poly, start)
     c = weight4(fit_grid.nodes) * fit_grid.quad_weights
-    raw_start = np.sum(np.abs(f.samples - _poly_values(res.poly.coeffs, fit_grid.nodes)) * c)
+    raw_start = np.sum(np.abs(f.samples - _poly_values(res.poly, fit_grid.nodes)) * c)
     assert res.error == pytest.approx(raw_start, rel=1e-12)
     assert res.error <= res.fejer_error
     assert res.converged

@@ -12,6 +12,7 @@ from fejerlab.circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
+    _phases,
     fejer_kernel_eval,
     fejer_mean,
     fourier_window,
@@ -116,7 +117,7 @@ def _undamped_fejer_start(f, degree):
     """Midpoint-sum coefficients c(0..degree) of the samples, read back from
     the Fejér start of the weighted-L1 fit by undoing its 1 - k/(d+1)."""
     damp = 1.0 - np.arange(degree + 1) / (degree + 1.0)
-    return _fejer_candidate(f, degree).coeffs / damp
+    return _fejer_candidate(f, _phases(f.grid.nodes, 0, degree + 1, 1)) / damp
 
 
 def test_fourier_coeff_pure_mode_sampled():

@@ -383,14 +383,17 @@ def test_maximal_subcommand_small(capsys, tmp_path):
         (["blowup", "--m", "4,4", "--grid-M", "4"], 1),
         # spikes 1 and 2 both certify at n = 1: two rows of one operator
         (["blowup", "--m", "1,2", "--grid-M", "2"], 2),
+        (["maximal", "--orders", "4"], 1),
     ],
-    ids=["argv0", "argv1", "argv2"],
+    ids=["argv0", "argv1", "argv2", "argv3"],
 )
-def test_repeated_order_runs_once(argv, rows, tmp_path):
-    # a repeated order is one experiment, not a zero rise in a growth contract
+def test_repeated_order_runs_once(argv, rows, tmp_path, capsys):
+    # a repeated order is one experiment, and a growth contract over one
+    # distinct order would compare nothing, so it prints no line
     out = tmp_path / "rows.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + rows
+    assert "growth" not in capsys.readouterr().out
 
 
 def test_density_t3_small(capsys):

@@ -173,7 +173,7 @@ def test_spectral_switch_keeps_duality_dense_and_turns_spikes_spectral(monkeypat
     # --max-order 64) and the 536-node grid of `duality --ppi 16 --max-order
     # 32` stay below the switch, so a Fejér table is read by two
     # contractions; the 3,284-node grid of `blowup --m 1,4 --grid-M 25` is
-    # past it
+    # past it, and holds one family of both certified orders
     fejer = KernelSpec.fejer(64)
     duality_grids = [grid_for_kernels(M, 8, 64) for M in range(1, 9)]
     duality_grids.append(grid_for_kernels(2, 16, 32))
@@ -189,8 +189,26 @@ def test_spectral_switch_keeps_duality_dense_and_turns_spikes_spectral(monkeypat
 
     monkeypatch.setattr(operators, "assemble_operator", recording)
     fejer_blowup([1, 4], make_weight(25), points_per_interval=8)
-    assert [A.grid.node_count for A in built] == [3284, 3284]
-    assert all(A.spectral for A in built)
+    [A] = built
+    assert A.grid.node_count == 3284 and A.spectral
+    assert [kernel.n for kernel in A.kernels] == [1, 6]
+
+
+def test_blowup_measures_each_certified_order_once(monkeypatch):
+    # spikes 1 and 2 both certify at n = 1 and spike 3 at n = 3: one norm
+    # call on the family (1, 3), and spikes 1 and 2 read one pair
+    calls = []
+    original = operators.operator_norm
+
+    def recording(A, w):
+        calls.append([kernel.n for kernel in A.kernels])
+        return original(A, w)
+
+    monkeypatch.setattr(operators, "operator_norm", recording)
+    rows = fejer_blowup([1, 2, 3], make_weight(4))
+    assert calls == [[1, 3]]
+    assert [r.n_of_m for r in rows] == [1, 1, 3]
+    assert (rows[0].norm_linfw, rows[0].norm_l1w) == (rows[1].norm_linfw, rows[1].norm_l1w)
 
 
 def test_weighted_sums_peak_memory_is_three_cache_sized_blocks():
