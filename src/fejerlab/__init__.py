@@ -5,12 +5,12 @@ checks, and weighted-L1 polynomial approximation."""
 
 from .circle import (
     CircleGrid,
-    FourierCoefficients,
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
     fejer_kernel_eval,
     fejer_mean,
+    fejer_multiplier,
     fourier_window,
     make_grid,
     poisson_extend,
@@ -28,7 +28,7 @@ from .operators import (
     operator_norm,
 )
 from .maximal import maximal_function, weight_maximal_ratio
-from .hardy import is_hardy, product_hardy_check, taylor_fourier_check
+from .hardy import hardy_violation, product_hardy_check, taylor_fourier_check
 from .approx import (
     WitnessReport,
     best_poly_l1w,

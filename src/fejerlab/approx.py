@@ -33,6 +33,7 @@ from .circle import (
     _frozen,
     _phases,
     fejer_mean,
+    fejer_multiplier,
     fourier_window,
     kernel_blocks,
     synthesize,
@@ -68,7 +69,7 @@ class FitResult:
     error: float
     converged: bool
     iterations: int
-    fejer_error: float | None = None
+    fejer_error: float
     objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
 
@@ -136,12 +137,10 @@ def _irls(A, y, c, start):
 def _fejer_candidate(f: SampledFunction, A):
     """Fejér mean of order d as a feasible polynomial: the midpoint sums
     A^H (f q) of the samples against the fit's design A, with d + 1 columns,
-    damped by 1 - k/(d+1).  None past degree N/4, where those sums alias."""
+    damped by 1 - k/(d+1)."""
     degree = A.shape[1] - 1
-    if degree > f.grid.node_count // 4:
-        return None
-    damp = 1.0 - np.arange(degree + 1) / (degree + 1.0)
-    return damp * np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
+    damped = fejer_multiplier(degree)[degree:]
+    return damped * np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
 
 
 def best_poly_l1w(
@@ -155,28 +154,30 @@ def best_poly_l1w(
 
     The starts are the weighted least squares fit, the Fejér mean of order
     `degree` from the midpoint sums of the samples against the fit's design
-    (up to degree N/4; above it `fejer_error` is None) and the zero-padded
-    warm start.  IRLS runs once, at most MAX_ITERS sweeps, from the start
-    with the smallest raw objective: the smoothed objective is convex, so
-    every start leads to the same minimum.  If the run ends above its start, the start is kept, so
-    the result is never above any start.  The reported error is the plain
-    discrete weighted-L1 objective of the returned polynomial.
+    and the zero-padded warm start.  Past degree N/4 those sums alias, so
+    such a degree raises ValueError.  IRLS runs once, at most MAX_ITERS
+    sweeps, from the start with the smallest raw objective: the smoothed
+    objective is convex, so every start leads to the same minimum.  If the
+    run ends above its start, the start is kept, so the result is never
+    above any start.  The reported error is the plain discrete weighted-L1
+    objective of the returned polynomial.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if degree > f.grid.node_count // 4:
+        raise ValueError(
+            f"degree {degree} is past node_count / 4 = {f.grid.node_count // 4}, "
+            "where the Fejér start's midpoint sums alias"
+        )
     nodes = f.grid.nodes
     c = w(nodes) * f.grid.quad_weights
     A = _phases(nodes, 0, degree + 1, 1)
     y = f.samples.astype(complex)
 
-    starts = [_weighted_ls(A, y, c)]
-    fejer_poly = _fejer_candidate(f, A)
-    if fejer_poly is not None:
-        starts.append(fejer_poly)
+    starts = [_weighted_ls(A, y, c), _fejer_candidate(f, A)]
     if warm_start is not None:
         starts.append(np.pad(warm_start, (0, degree + 1 - warm_start.size)))
     objectives = [_raw_objective(y - A @ s, c) for s in starts]
-    fejer_error = objectives[1] if fejer_poly is not None else None
 
     k = int(np.argmin(objectives))
     alpha, r, conv, iters, trace = _irls(A, y, c, starts[k])
@@ -188,7 +189,7 @@ def best_poly_l1w(
         error=raw,
         converged=conv,
         iterations=iters,
-        fejer_error=fejer_error,
+        fejer_error=objectives[1],
         objective_trace=tuple(trace),
     )
 

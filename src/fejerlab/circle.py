@@ -13,6 +13,11 @@ node-sampled suprema stable under mesh refinement.  Quadrature is the
 composite midpoint rule: nodes are cell midpoints, weights are cell lengths
 divided by 2 pi.
 
+A Fourier window of half-width W is a read-only complex array of length
+2W + 1 with c(k) at index k + W; every function that takes one reads W as
+len(c) // 2.  `fejer_multiplier` is the one place the Fejér damping
+1 - |k|/(n+1) is written.
+
 Kernels are sampled as tables K(theta_i - s_j), block by block, in
 `kernel_blocks`: KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
 written in place into one workspace of three such tables, allocated once
@@ -43,13 +48,13 @@ __all__ = [
     "CircleGrid",
     "PiecewiseConstant",
     "SampledFunction",
-    "FourierCoefficients",
     "KernelSpec",
     "wrap_angle",
     "make_grid",
     "fourier_window",
     "fejer_kernel_eval",
     "poisson_kernel_eval",
+    "fejer_multiplier",
     "fejer_mean",
     "synthesize",
     "trig_sum",
@@ -237,59 +242,20 @@ class SampledFunction:
         return SampledFunction(grid=grid, samples=np.asarray(fn(grid.nodes)))
 
 
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Finite window of coefficients c(k) for |k| <= window."""
-
-    window: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = _frozen(np.asarray(self.coeffs), dtype=complex)
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
-        if coeffs.size != 2 * self.window + 1:
-            raise ValueError("need 2*window + 1 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __getitem__(self, k: int) -> complex:
-        if abs(k) > self.window:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + self.window])
-
-    @property
-    def ks(self):
-        return np.arange(-self.window, self.window + 1)
-
-    @staticmethod
-    def from_dict(window: int, entries: dict) -> "FourierCoefficients":
-        coeffs = np.zeros(2 * window + 1, dtype=complex)
-        for k, v in entries.items():
-            if abs(k) > window:
-                raise ValueError(f"index {k} outside window {window}")
-            coeffs[k + window] = v
-        return FourierCoefficients(window=window, coeffs=coeffs)
-
-
-def _pc_fourier_coeff(f: PiecewiseConstant, ks):
-    """Exact coefficients of a step function at the consecutive integers `ks`.
+def fourier_window(f: PiecewiseConstant, window: int) -> np.ndarray:
+    """All coefficients c(k) = integral of f(theta) e^{-ik theta} dm with
+    |k| <= window of a step function, c(k) at index k + window of a
+    read-only complex array, exact in closed form as one vectorized pass.
 
     Summation by parts turns the cell integrals into one sum over the jumps:
     c(k) = sum_j (v_j - v_{j-1}) e^{-ik e_j} / (2 pi i k) over the left edges
     e_j, with v_{-1} the last value, since e^{ik pi} = e^{-ik pi}.
     """
+    ks = np.arange(-window, window + 1)
     jumps = f.values - np.roll(f.values, 1)
     out = trig_sum(ks, f.edges[:-1], jumps, -1) / (TWO_PI * 1j * np.where(ks, ks, 1))
-    out[ks == 0] = f.integral()
-    return out
-
-
-def fourier_window(f: PiecewiseConstant, window: int) -> FourierCoefficients:
-    """All coefficients c(k) = integral of f(theta) e^{-ik theta} dm with
-    |k| <= window of a step function, exact in closed form, as one
-    vectorized pass."""
-    ks = np.arange(-window, window + 1)
-    return FourierCoefficients(window=window, coeffs=_pc_fourier_coeff(f, ks))
+    out[window] = f.integral()
+    return _frozen(out, complex)
 
 
 def _planes(work, count: int, shape):
@@ -452,20 +418,24 @@ class KernelSpec:
         return self.profile(np.subtract.outer(theta, sources))
 
 
-def fejer_mean(f: FourierCoefficients, n: int) -> FourierCoefficients:
-    """Coefficients of the n-th Fejér mean, c(k) (1 - |k|/(n+1)) for |k| <= n,
-    in a window of n.
+def fejer_multiplier(n: int) -> np.ndarray:
+    """The Fejér damping 1 - |k|/(n+1) at k = -n..n, index k + n."""
+    return 1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1.0)
 
-    The input window must be at least n, otherwise the mean is not
-    determined by the available coefficients.
+
+def fejer_mean(c: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the n-th Fejér mean, c(k) (1 - |k|/(n+1)) for |k| <= n,
+    as a read-only window of half-width n.
+
+    The input window (c(k) at index k + W, W = len(c) // 2) must be at least
+    n, otherwise the mean is not determined by the available coefficients.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    if f.window < n:
-        raise ValueError(f"window {f.window} too small for Fejér order {n}")
-    damp = 1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1.0)
-    coeffs = f.coeffs[f.window - n : f.window + n + 1] * damp
-    return FourierCoefficients(window=n, coeffs=coeffs)
+    W = len(c) // 2
+    if W < n:
+        raise ValueError(f"window {W} too small for Fejér order {n}")
+    return _frozen(c[W - n : W + n + 1] * fejer_multiplier(n), complex)
 
 
 def _phases(theta, k0: int, K: int, sign: int):
@@ -513,9 +483,11 @@ def trig_sum(a, b, x, sign: int):
     return out
 
 
-def synthesize(f: FourierCoefficients, theta):
-    """Evaluate sum_k c(k) e^{ik theta} at the given angles."""
-    out = trig_sum(theta, f.ks, f.coeffs, 1)
+def synthesize(c: np.ndarray, theta):
+    """Evaluate sum_k c(k) e^{ik theta} at the given angles, c(k) at index
+    k + len(c) // 2."""
+    W = len(c) // 2
+    out = trig_sum(theta, np.arange(-W, W + 1), c, 1)
     return out if np.ndim(theta) else complex(out[0])
 
 
@@ -558,7 +530,7 @@ def kernel_blocks(kernels, targets, sources):
             yield rows, k, block
 
 
-def poisson_extend(f: FourierCoefficients, r: float, theta):
+def poisson_extend(c: np.ndarray, r: float, theta):
     """Harmonic extension at radius r: sum_k c(k) r^{|k|} e^{ik theta}.
 
     For band-limited data this coincides with the Poisson integral of the
@@ -566,7 +538,5 @@ def poisson_extend(f: FourierCoefficients, r: float, theta):
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    damped = FourierCoefficients(
-        window=f.window, coeffs=f.coeffs * r ** np.abs(f.ks)
-    )
-    return synthesize(damped, theta)
+    W = len(c) // 2
+    return synthesize(c * r ** np.abs(np.arange(-W, W + 1)), theta)

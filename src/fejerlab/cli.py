@@ -30,13 +30,7 @@ import numpy as np
 
 from . import csvio
 from .approx import StageFailure, density_curve, fejer_error_curve, gliding_hump_witness
-from .circle import (
-    FourierCoefficients,
-    KernelSpec,
-    PiecewiseConstant,
-    SampledFunction,
-    make_grid,
-)
+from .circle import KernelSpec, PiecewiseConstant, SampledFunction, make_grid
 from .hardy import taylor_fourier_check
 from .maximal import weight_maximal_ratio
 from .operators import (
@@ -246,16 +240,11 @@ def cmd_density(args) -> list:
     degrees = sorted(args.degrees)
     results = density_curve(f, w, degrees)
     errors = [r.error for r in results]
-    rows = [
-        (d, r.error, r.fejer_error if r.fejer_error is not None else "")
-        for d, r in zip(degrees, results)
-    ]
+    rows = [(d, r.error, r.fejer_error) for d, r in zip(degrees, results)]
     if args.out:
         csvio.write_rows(args.out, ["degree", "error", "fejer_error"], rows)
     for d, r in zip(degrees, results):
-        # degrees above N/4 have no Fejér candidate
-        fejer = "n/a" if r.fejer_error is None else f"{r.fejer_error:.3e}"
-        print(f"degree={d} error={r.error:.3e} fejer_error={fejer}")
+        print(f"degree={d} error={r.error:.3e} fejer_error={r.fejer_error:.3e}")
     rise = np.max(np.diff(errors), initial=-np.inf)
     _check("density-monotone", rise, 1e-12, "<=")
     # below a fifth of the first error, or at most the 1e-8 floor: whichever
@@ -263,10 +252,8 @@ def cmd_density(args) -> list:
     if degrees[-1] > degrees[0]:
         threshold, sense = max((0.2 * errors[0], "<"), (1e-8, "<="))
         _check("density-decay", errors[-1], threshold, sense)
-    excess = [
-        r.error - r.fejer_error * (1 + 1e-12) for r in results if r.fejer_error is not None
-    ]
-    _check("density-fejer-bound", np.max(excess, initial=-np.inf), 1e-12, "<=")
+    excess = [r.error - r.fejer_error * (1 + 1e-12) for r in results]
+    _check("density-fejer-bound", np.max(excess), 1e-12, "<=")
     return rows
 
 
@@ -292,15 +279,20 @@ def cmd_maximal(args) -> list:
     return rows
 
 
+def _analytic_window(coeffs):
+    """The window of half-width W = len(coeffs) - 1 with c(k) = coeffs[k]
+    for k = 0..W and zeros at negative index."""
+    return np.pad(np.asarray(coeffs, dtype=complex), (len(coeffs) - 1, 0))
+
+
 def _taylor_fourier_inputs(seed):
     rng = np.random.default_rng(seed)
-    poly = FourierCoefficients.from_dict(8, {k: 1.0 for k in range(9)})
-    geo = FourierCoefficients.from_dict(32, {k: 2.0**-k for k in range(33)})
-    rand_coeffs = rng.normal(size=17) + 1j * rng.normal(size=17)
-    rand = FourierCoefficients.from_dict(
-        16, {k: rand_coeffs[k] for k in range(17)}
-    )
-    return [("unit-poly-8", poly), ("geometric-32", geo), ("random-16", rand)]
+    rand = rng.normal(size=17) + 1j * rng.normal(size=17)
+    return [
+        ("unit-poly-8", _analytic_window(np.ones(9))),
+        ("geometric-32", _analytic_window(2.0 ** -np.arange(33))),
+        ("random-16", _analytic_window(rand)),
+    ]
 
 
 def cmd_taylor_fourier(args) -> list:

@@ -1,60 +1,39 @@
-"""Hardy-class membership tests on coefficient windows, the Taylor-equals-
+"""Hardy-class membership on coefficient windows, the Taylor-equals-
 Fourier check of the disk extension, and the coefficient mechanics of
 products of Hardy functions.
 
-Everything here is band-limited: a function is Hardy-class when its negative
-Fourier coefficients vanish (up to a tolerance), its disk extension is the
-power series with the nonnegative coefficients, and products are handled
-through coefficient convolution.
+Everything here is band-limited: a window of half-width W is a complex
+array with c(k) at index k + W, as in `circle`.  A function is Hardy-class
+when its negative Fourier coefficients vanish (up to a tolerance each caller
+sets), its disk extension is the power series with the nonnegative
+coefficients, and products are handled through coefficient convolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import FourierCoefficients, poisson_extend, trig_sum
+from .circle import _frozen, poisson_extend, trig_sum
 
 __all__ = [
-    "HardyReport",
-    "is_hardy",
+    "hardy_violation",
     "taylor_fourier_check",
-    "coefficient_product",
     "ProductReport",
     "product_hardy_check",
 ]
 
 
-@dataclass(frozen=True)
-class HardyReport:
-    hardy: bool
-    tol: float
-    max_violation: float
-    violating_indices: tuple[int, ...] = field(default=())
-
-    def __bool__(self) -> bool:
-        return self.hardy
+def hardy_violation(c: np.ndarray) -> float:
+    """Largest modulus among the coefficients at negative index (0.0 when
+    there are none): a window is Hardy-class at tolerance tol when this is
+    at most tol."""
+    return float(np.max(np.abs(c[: len(c) // 2]), initial=0.0))
 
 
-def is_hardy(f: FourierCoefficients, tol: float) -> HardyReport:
-    """True when every coefficient at negative index is <= tol in modulus."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    neg = f.coeffs[: f.window]
-    mags = np.abs(neg)
-    bad = np.nonzero(mags > tol)[0]
-    max_violation = float(np.max(mags)) if neg.size else 0.0
-    return HardyReport(
-        hardy=bad.size == 0,
-        tol=tol,
-        max_violation=max_violation,
-        violating_indices=tuple(int(i) - f.window for i in bad),
-    )
-
-
-def taylor_fourier_check(f: FourierCoefficients, r: float) -> float:
+def taylor_fourier_check(c: np.ndarray, r: float) -> float:
     """Worst mismatch between measured and predicted extension coefficients.
 
     The harmonic extension at radius r is sampled on a uniform grid, its
@@ -65,28 +44,17 @@ def taylor_fourier_check(f: FourierCoefficients, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must be in (0, 1), got {r}")
-    report = is_hardy(f, 1e-10)
-    if not report:
-        raise ValueError(
-            f"not Hardy-class at tol={report.tol}: worst violation {report.max_violation:.3e}"
-        )
-    n_samples = max(256, 8 * (f.window + 1))
+    violation = hardy_violation(c)
+    if violation > 1e-10:
+        raise ValueError(f"not Hardy-class at tol=1e-10: worst violation {violation:.3e}")
+    W = len(c) // 2
+    n_samples = max(256, 8 * (W + 1))
     thetas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)
-    boundary = poisson_extend(f, r, thetas)
-    ks = np.arange(0, f.window + 1)
+    boundary = poisson_extend(c, r, thetas)
+    ks = np.arange(0, W + 1)
     measured = trig_sum(ks, thetas, boundary, -1) / n_samples
-    predicted = f.coeffs[f.window:] * r**ks
+    predicted = c[W:] * r**ks
     return float(np.max(np.abs(measured - predicted)))
-
-
-def coefficient_product(
-    f: FourierCoefficients, g: FourierCoefficients
-) -> FourierCoefficients:
-    """Coefficients of the pointwise product fg (full convolution window)."""
-    window = f.window + g.window
-    return FourierCoefficients(
-        window=window, coeffs=np.convolve(f.coeffs, g.coeffs)
-    )
 
 
 @dataclass(frozen=True)
@@ -94,15 +62,14 @@ class ProductReport:
     passed: bool
     max_negative: float
     zero_coeff_mismatch: float
-    product: FourierCoefficients
+    # read-only window of fg, half-width the sum of the factors' half-widths
+    product: np.ndarray
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def product_hardy_check(
-    f: FourierCoefficients, g: FourierCoefficients, tol: float
-) -> ProductReport:
+def product_hardy_check(f: np.ndarray, g: np.ndarray, tol: float) -> ProductReport:
     """Product of two Hardy-class windows is Hardy-class and multiplicative at 0.
 
     Checks that all negative-index coefficients of fg are <= tol and that the
@@ -112,19 +79,18 @@ def product_hardy_check(
     polynomials.
     """
     for name, h in (("first", f), ("second", g)):
-        report = is_hardy(h, tol)
-        if not report:
+        violation = hardy_violation(h)
+        if violation > tol:
             raise ValueError(
                 f"{name} factor not Hardy-class at tol={tol}: "
-                f"worst violation {report.max_violation:.3e}"
+                f"worst violation {violation:.3e}"
             )
-    prod = coefficient_product(f, g)
-    neg = np.abs(prod.coeffs[: prod.window])
-    max_negative = float(np.max(neg)) if neg.size else 0.0
-    mismatch = abs(prod[0] - f[0] * g[0])
+    prod = _frozen(np.convolve(f, g), complex)
+    max_negative = hardy_violation(prod)
+    mismatch = float(abs(prod[len(prod) // 2] - f[len(f) // 2] * g[len(g) // 2]))
     return ProductReport(
-        passed=max_negative <= tol and mismatch <= tol,
+        passed=bool(max_negative <= tol and mismatch <= tol),
         max_negative=max_negative,
-        zero_coeff_mismatch=float(mismatch),
+        zero_coeff_mismatch=mismatch,
         product=prod,
     )

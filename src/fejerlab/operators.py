@@ -53,6 +53,7 @@ from .circle import (
     PiecewiseConstant,
     _frozen,
     fejer_kernel_eval,
+    fejer_multiplier,
     kernel_blocks,
     make_grid,
     trig_sum,
@@ -122,8 +123,8 @@ class OperatorMatrix:
             sums = np.empty((len(self.kernels), nodes.size))
             for row, kernel in zip(sums, self.kernels):
                 k = np.arange(-kernel.n, kernel.n + 1)
-                damp = 1.0 - np.abs(k) / (kernel.n + 1.0)
-                row[:] = trig_sum(nodes, k, damp * trig_sum(k, nodes, c, -1), 1).real
+                damped = fejer_multiplier(kernel.n) * trig_sum(k, nodes, c, -1)
+                row[:] = trig_sum(nodes, k, damped, 1).real
             return sums, sums
         if self.kernels[0].kind == "custom":
             profiles = [kernel.profile for kernel in self.kernels]
@@ -269,9 +270,7 @@ class NormResult:
         object.__setattr__(self, "extremal", _frozen(self.extremal))
 
 
-def operator_norm(
-    A: OperatorMatrix, w: Weight | None
-) -> list[tuple[NormResult, NormResult]]:
+def operator_norm(A: OperatorMatrix, w: Weight) -> list[tuple[NormResult, NormResult]]:
     """Exact norms of the discrete operators on both weighted spaces.
 
     Returns one (l1, linf) pair per kernel of A, in its order: the norm on
@@ -285,7 +284,7 @@ def operator_norm(
     """
     nodes = A.grid.nodes
     q = A.grid.quad_weights
-    wv = np.ones(nodes.size) if w is None else w(nodes)
+    wv = w(nodes)
     norms = []
     for kernel, rowsums, colsums in zip(A.kernels, *A.weighted_sums(wv * q)):
         ratios = colsums / wv
@@ -322,8 +321,7 @@ def fejer_kernel_mass(n: int, a: float, b: float) -> float:
     (b - a) + 2 sum_{k=1..n} (1 - k/(n+1)) (sin k b - sin k a) / k.
     """
     k = np.arange(1, n + 1, dtype=float)
-    damp = 1.0 - k / (n + 1.0)
-    terms = damp * (np.sin(k * b) - np.sin(k * a)) / k
+    terms = fejer_multiplier(n)[n + 1 :] * (np.sin(k * b) - np.sin(k * a)) / k
     return float((b - a) + 2.0 * np.sum(terms))
 
 

@@ -11,8 +11,8 @@ settings.register_profile(
 )
 settings.load_profile("numeric")
 
-from fejerlab.circle import make_grid
-from fejerlab.spaces import make_weight
+from fejerlab.circle import PiecewiseConstant, make_grid
+from fejerlab.spaces import Weight, make_weight
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,22 @@ def weight_m4():
 @pytest.fixture(scope="session")
 def weight_m8():
     return make_weight(8)
+
+
+@pytest.fixture(scope="session")
+def unit_weight():
+    """The weight 1 on the whole circle: no spikes."""
+    return Weight(M=0, profile=PiecewiseConstant(edges=[-math.pi, math.pi], values=[1.0]))
+
+
+def coeff_window(W, entries):
+    """Window of half-width W, c(k) at index k + W: the {k: c(k)} of
+    `entries`, zero elsewhere."""
+    c = np.zeros(2 * W + 1, dtype=complex)
+    for k, v in entries.items():
+        assert abs(k) <= W, f"index {k} outside window {W}"
+        c[k + W] = v
+    return c
 
 
 def quadrature_oracle(fn, n_points=200_001):

@@ -20,8 +20,9 @@ from fejerlab.cli import (
     cmd_taylor_fourier,
     cmd_witness,
 )
-from fejerlab.circle import FourierCoefficients
 from fejerlab.hardy import product_hardy_check
+
+from conftest import coeff_window
 
 PI = math.pi
 
@@ -162,11 +163,11 @@ def test_criterion_7_product_mechanics():
     worst_neg, worst_mean = 0.0, 0.0
     for _ in range(100):
         df, dg = rng.integers(0, 17), rng.integers(0, 17)
-        f = FourierCoefficients.from_dict(
+        f = coeff_window(
             int(df),
             {k: rng.normal() + 1j * rng.normal() for k in range(int(df) + 1)},
         )
-        g = FourierCoefficients.from_dict(
+        g = coeff_window(
             int(dg),
             {k: rng.normal() + 1j * rng.normal() for k in range(int(dg) + 1)},
         )

@@ -122,13 +122,15 @@ def test_nonconvergence_flag_with_tiny_budget(fit_grid, weight4, monkeypatch):
 
 
 def test_fejer_start_up_to_a_quarter_of_the_nodes():
-    # past degree N/4 the midpoint sums alias, so the fit has no Fejér start
+    # past degree N/4 the midpoint sums alias, so the fit refuses the degree
     grid = make_grid(1, 2, edge_levels=1)
     f = SampledFunction(grid=grid, samples=_inv_quarter(grid.nodes))
     w = make_weight(1)
     limit = grid.node_count // 4
-    assert best_poly_l1w(f, w, limit).fejer_error is not None
-    assert best_poly_l1w(f, w, limit + 1).fejer_error is None
+    res = best_poly_l1w(f, w, limit)
+    assert res.error <= res.fejer_error * (1 + 1e-12)
+    with pytest.raises(ValueError, match="node_count / 4"):
+        best_poly_l1w(f, w, limit + 1)
 
 
 def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):

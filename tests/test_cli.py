@@ -433,24 +433,6 @@ def test_fejer_converge_rows_in_ascending_order(tmp_path):
     assert csv["256,16"].read_bytes() == csv["16,256"].read_bytes()
 
 
-def test_density_without_fejer_candidate_prints_na(monkeypatch, capsys):
-    # a degree above N/4 has no Fejér candidate: its fejer_error is None
-    import dataclasses
-
-    from fejerlab import cli
-
-    fit = cli.density_curve
-    monkeypatch.setattr(
-        cli,
-        "density_curve",
-        lambda *args: [dataclasses.replace(r, fejer_error=None) for r in fit(*args)],
-    )
-    code = main(["density", "--function", "t3", "--degrees", "3,5", "--grid-M", "2"])
-    out, err = capsys.readouterr()
-    assert code == 0 and "Traceback" not in err
-    assert out.count("fejer_error=n/a") == 2
-
-
 def test_write_rows_format(tmp_path):
     import numpy as np
 

@@ -91,7 +91,7 @@ def test_fejer_matrix_symmetric_on_symmetric_grid(grid_m4):
     assert np.max(np.abs(rowsums - colsums)) <= 1e-12 * np.max(rowsums)
 
 
-def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch):
+def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch, unit_weight):
     bad = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf]))
     )
@@ -100,7 +100,7 @@ def test_assemble_rejects_nonfinite_kernel(grid_m1, grid_past_spectral_switch):
         A = assemble_operator([bad], grid)
         for use in (
             lambda: A.weighted_sums(grid.quad_weights),
-            lambda: operator_norm(A, None),
+            lambda: operator_norm(A, unit_weight),
         ):
             with pytest.raises(ValueError):
                 use()
@@ -403,14 +403,17 @@ def test_family_sums_are_each_kernels_own_bit_for_bit(M, ppi):
             assert np.array_equal(cols.view(np.uint64), alone_cols.view(np.uint64)), kernel
 
 
-def test_family_with_a_nonfinite_kernel_in_the_middle_raises():
+def test_family_with_a_nonfinite_kernel_in_the_middle_raises(unit_weight):
     grid = grid_for_kernels(2, 8, 32)
     bad = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.nan]))
     )
     steps = _random_step_kernels(np.random.default_rng(0), 4)
     A = assemble_operator(steps[:2] + [bad] + steps[2:], grid)
-    for use in (lambda: A.weighted_sums(grid.quad_weights), lambda: operator_norm(A, None)):
+    for use in (
+        lambda: A.weighted_sums(grid.quad_weights),
+        lambda: operator_norm(A, unit_weight),
+    ):
         with pytest.raises(ValueError, match="non-finite"):
             use()
     # a sampled family meets the NaN in its first block, after the kernels before it
@@ -485,11 +488,11 @@ def test_norm_of_constant_kernel_is_weight_mass(weight_m4, grid_m4):
     assert weight_m4(grid_m4.nodes[res.arg_index]) == 1.0
 
 
-def test_unweighted_fejer_norm_close_to_one():
+def test_unweighted_fejer_norm_close_to_one(unit_weight):
     n = 12
     grid = make_grid(1, 8, max_cell=2 * PI / (64 * (n + 1)))
     A = assemble_operator([KernelSpec.fejer(n)], grid)
-    [norms] = operator_norm(A, None)
+    [norms] = operator_norm(A, unit_weight)
     for res in norms:
         assert abs(res.value - 1.0) <= 1e-4
 
