@@ -197,10 +197,11 @@ def best_poly_l1w(
 def density_curve(f: SampledFunction, w: Weight, degrees) -> list[FitResult]:
     """Best-approximation errors along increasing degrees.
 
-    Each fit is warm-started with the previous polynomial, so the reported
-    errors are nonincreasing by construction (feasible sets are nested).
+    Each distinct degree is fitted once, in ascending order, warm-started
+    with the previous polynomial, so the reported errors are nonincreasing
+    by construction (feasible sets are nested).
     """
-    degrees = sorted(int(d) for d in degrees)
+    degrees = sorted({int(d) for d in degrees})
     results = []
     prev = None
     for d in degrees:
@@ -211,20 +212,32 @@ def density_curve(f: SampledFunction, w: Weight, degrees) -> list[FitResult]:
 
 
 def fejer_error_curve(f: PiecewiseConstant, n_list, grid: CircleGrid):
-    """Unweighted errors ||f * F_n - f||_L1 of a step function, per order.
+    """Unweighted errors ||f * F_n - f||_L1 of a real step function, per
+    order; a complex-valued one raises ValueError.
 
     The Fejér means come from f's closed-form Fourier coefficients and are
     evaluated at the nodes of `grid`, so the mean itself carries no
-    quadrature error; the error integral is the grid's midpoint rule.
+    quadrature error; the error integral is the grid's midpoint rule.  f is
+    real, so c(-k) = conj c(k) and each mean is the real part of its
+    one-sided damped window, c(0) and then 2 c(k) for k > 0: every order's
+    window, zero-padded to the largest order, is one column of a single
+    `synthesize` call, which builds one phase table of max(n_list) + 1
+    frequencies for all the orders.
     """
+    if np.any(np.imag(f.values)):
+        raise ValueError("fejer_error_curve takes a real-valued step function")
     n_list = [int(n) for n in n_list]
-    window = fourier_window(f, max(n_list))
+    top = max(n_list)
+    window = fourier_window(f, top)
+    one_sided = np.zeros((2 * top + 1, len(n_list)), dtype=complex)
+    for j, n in enumerate(n_list):
+        one_sided[top : top + n + 1, j] = fejer_mean(window, n)[n:]
+    one_sided[top + 1 :] *= 2.0
+    means = synthesize(one_sided, grid.nodes).real
     f_vals = f(grid.nodes)
-    errors = []
-    for n in n_list:
-        mean_vals = synthesize(fejer_mean(window, n), grid.nodes)
-        errors.append(float(np.sum(np.abs(mean_vals - f_vals) * grid.quad_weights)))
-    return np.array(errors)
+    return np.array(
+        [np.sum(np.abs(mean - f_vals) * grid.quad_weights) for mean in means.T]
+    )
 
 
 class StageFailure(RuntimeError):

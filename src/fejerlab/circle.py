@@ -29,8 +29,12 @@ each block's angle table once, sin(t/2) for every Fejér order and cos t
 for every Poisson radius, and every kernel finishes its own table from it.
 
 `trig_sum` phases over frequencies k0..k0+K-1 come from the binary powers
-e^{+-i 2^j theta} (2^j theta is exact) by column doubling, TRIG_BLOCK (1 MB)
-at a time, each within (2 ceil(log2 K) + 2) eps when |k0| < K.
+e^{+-i 2^j theta} (2^j theta is exact) by doubling, TRIG_BLOCK (1 MB) at a
+time, each within (2 ceil(log2 K) + 2) eps when |k0| < K.  The table is
+built frequency-major, one contiguous row of angles per frequency, so each
+doubling step multiplies contiguous rows by one array.  Synthesis takes a
+(K, m) stack of coefficient columns against one table, and `synthesize`
+sums only the band between the first and last nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -439,18 +443,22 @@ def fejer_mean(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _phases(theta, k0: int, K: int, sign: int):
-    """Table P[i, m] = e^{sign i (k0 + m) theta_i}, m < K: column 0 is the
-    product of z_j = e^{sign i 2^j theta_i} over the bits of |k0| (conjugated
-    for k0 < 0), and column doubling P[:, w:2w] = P[:, :w] z_j, w = 2^j."""
+    """Table P[i, m] = e^{sign i (k0 + m) theta_i}, m < K, built
+    frequency-major: a C-contiguous (K, rows) table Q, returned as its
+    transpose P = Q.T.  Row 0 of Q is the product of
+    z_j = e^{sign i 2^j theta} over the bits of |k0| (conjugated for
+    k0 < 0), and row doubling Q[w:2w] = Q[:w] z_j, w = 2^j, multiplies
+    contiguous rows by one contiguous array, about half the cost per
+    element of broadcasting z_j down the columns of a row-major table."""
     bits = max(abs(k0), K - 1).bit_length()
-    z = np.exp(sign * 1j * (theta[:, None] * 2.0 ** np.arange(bits)))
-    P = np.empty((theta.size, K), dtype=complex)
-    base = np.prod(z[:, [j for j in range(bits) if abs(k0) >> j & 1]], axis=1)
-    P[:, 0] = base if k0 >= 0 else base.conj()
+    z = np.exp(sign * 1j * (2.0 ** np.arange(bits)[:, None] * theta))
+    Q = np.empty((K, theta.size), dtype=complex)
+    base = np.prod(z[[j for j in range(bits) if abs(k0) >> j & 1]], axis=0)
+    Q[0] = base if k0 >= 0 else base.conj()
     for j in range((K - 1).bit_length()):
         w = 1 << j
-        np.multiply(P[:, : min(w, K - w)], z[:, j, None], out=P[:, w : 2 * w])
-    return P
+        np.multiply(Q[: min(w, K - w)], z[j], out=Q[w : 2 * w])
+    return Q.T
 
 
 def trig_sum(a, b, x, sign: int):
@@ -461,7 +469,9 @@ def trig_sum(a, b, x, sign: int):
     at a time into `_phases`, whose binary powers of e^{+-i theta} keep each
     phase within (2 ceil(log2 K) + 2) eps for |k0| < K (about 4 eps measured
     at K = 16,385), where exp at a rounded k theta is off by about K eps.
-    Synthesis fills out[rows] = P @ x; analysis accumulates out += x[rows] @ P.
+    Synthesis (b the frequencies) fills out[rows] = P @ x, and x may be a
+    (K, m) stack of m coefficient columns, summed against one phase table,
+    giving a (len(a), m) result; analysis accumulates out += x[rows] @ P.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -471,7 +481,7 @@ def trig_sum(a, b, x, sign: int):
             break
     else:
         raise ValueError("trig_sum needs a consecutive integer range as a or b")
-    out = np.zeros(a.size, dtype=complex)
+    out = np.zeros((a.size,) + np.shape(x)[1:], dtype=complex)
     step = max(1, TRIG_BLOCK // ks.size)
     for start in range(0, angles.size, step):
         rows = slice(start, start + step)
@@ -485,10 +495,15 @@ def trig_sum(a, b, x, sign: int):
 
 def synthesize(c: np.ndarray, theta):
     """Evaluate sum_k c(k) e^{ik theta} at the given angles, c(k) at index
-    k + len(c) // 2."""
+    k + len(c) // 2; a (2W + 1, m) stack of windows gives one column per
+    window.  Only the band between the first and last nonzero coefficient
+    (of any column) is summed, so an analytic window, zero at negative k,
+    builds a phase table of W + 1 frequencies, not 2W + 1."""
     W = len(c) // 2
-    out = trig_sum(theta, np.arange(-W, W + 1), c, 1)
-    return out if np.ndim(theta) else complex(out[0])
+    band = np.flatnonzero(np.any(np.reshape(c, (len(c), -1)), axis=1))
+    lo, hi = (band[0], band[-1] + 1) if band.size else (W, W + 1)
+    out = trig_sum(theta, np.arange(lo - W, hi - W), c[lo:hi], 1)
+    return out if np.ndim(theta) else out[0]
 
 
 def kernel_blocks(kernels, targets, sources):

@@ -180,8 +180,8 @@ def cmd_blowup(args) -> list:
 
 def cmd_fejer_converge(args) -> list:
     arc = PiecewiseConstant.indicator(0.0, args.arc_length)
-    # the contracts read the errors in ascending order
-    orders = sorted(args.orders)
+    # the contracts read the errors in ascending order; a repeated order runs once
+    orders = sorted(set(args.orders))
     grid = make_grid(
         1,
         args.ppi,
@@ -236,8 +236,8 @@ def cmd_density(args) -> list:
     grid = grid_for_kernels(args.grid_M, args.ppi, max(args.degrees))
     w = make_weight(args.grid_M)
     f = SampledFunction.from_callable(fn, grid)
-    # density_curve fits the degrees in ascending order
-    degrees = sorted(args.degrees)
+    # density_curve fits each distinct degree once, in ascending order
+    degrees = sorted(set(args.degrees))
     results = density_curve(f, w, degrees)
     errors = [r.error for r in results]
     rows = [(d, r.error, r.fejer_error) for d, r in zip(degrees, results)]
@@ -297,8 +297,9 @@ def _taylor_fourier_inputs(seed):
 
 def cmd_taylor_fourier(args) -> list:
     rows = []
+    radii = list(dict.fromkeys(args.radii))  # a repeated radius runs once
     for name, f in _taylor_fourier_inputs(args.seed):
-        for r in args.radii:
+        for r in radii:
             mismatch = taylor_fourier_check(f, r)
             rows.append((name, r, mismatch))
             print(f"{name} r={r} mismatch={mismatch:.3e}")

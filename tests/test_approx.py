@@ -17,7 +17,10 @@ from fejerlab.circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
+    fejer_mean,
+    fourier_window,
     make_grid,
+    synthesize,
 )
 from fejerlab.operators import assemble_operator, grid_for_kernels, operator_norm
 from fejerlab.spaces import make_weight
@@ -217,6 +220,39 @@ def test_error_curve_arc_indicator_unweighted_decreases():
     errors = fejer_error_curve(arc, orders, grid)
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-2
+
+
+def _two_sided_error_curve(f, orders, grid):
+    """Per-order oracle: each Fejér mean synthesized from its own two-sided
+    window, sum_{|k| <= n} (1 - |k|/(n+1)) c(k) e^{ik theta}."""
+    window = fourier_window(f, max(orders))
+    f_vals = f(grid.nodes)
+    return np.array([
+        np.sum(np.abs(synthesize(fejer_mean(window, n), grid.nodes) - f_vals) * grid.quad_weights)
+        for n in orders
+    ])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PiecewiseConstant.indicator(0.0, PI / 2),
+        PiecewiseConstant(edges=np.array([-PI, -0.5, 2.0, PI]), values=np.array([0.25, -1.5, 1.0])),
+    ],
+    ids=["arc", "three-steps"],
+)
+def test_error_curve_matches_two_sided_oracle(f):
+    orders = (16, 64, 256, 1024)
+    grid = make_grid(1, 8, max_cell=2 * PI / (8 * 1025), extra_breakpoints=[-0.5, 2.0])
+    errors = fejer_error_curve(f, orders, grid)
+    oracle = _two_sided_error_curve(f, orders, grid)
+    assert np.max(np.abs(errors - oracle) / oracle) <= 1e-13
+
+
+def test_error_curve_rejects_complex_step_function():
+    f = PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, 1j]))
+    with pytest.raises(ValueError, match="real-valued"):
+        fejer_error_curve(f, (4,), make_grid(1, 8))
 
 
 # ------------------------------------------------------ gliding hump witness

@@ -24,6 +24,7 @@ from fejerlab.circle import (
     wrap_angle,
 )
 from fejerlab.approx import _fejer_candidate
+from fejerlab.cli import _analytic_window
 from fejerlab.operators import fejer_kernel_mass, grid_for_kernels
 from fejerlab.spaces import make_weight
 
@@ -174,6 +175,42 @@ def test_trig_sum_over_several_blocks_matches_direct_formula():
         out = trig_sum(b, a, y, sign)
         direct = [np.sum(y * np.exp(sign * 1j * bk * a)) for bk in b]
         assert np.max(np.abs(out - direct)) <= 1e-10 * np.sum(np.abs(y))
+
+
+def test_synthesis_stack_over_several_blocks_matches_single_windows():
+    # a (2W + 1, 3) stack sums every column against one phase table per
+    # block, over the band of all columns: a full window, an analytic one
+    # and a short middle band
+    rng = np.random.default_rng(6)
+    W = 400
+    theta = rng.uniform(-PI, PI, size=3 * (circle.TRIG_BLOCK // (2 * W + 1)) + 7)
+    stack = rng.normal(size=(2 * W + 1, 3)) + 1j * rng.normal(size=(2 * W + 1, 3))
+    stack[:W, 1] = 0.0
+    stack[: W - 50, 2] = stack[W + 90 :, 2] = 0.0
+    out = synthesize(stack, theta)
+    assert out.shape == (theta.size, 3)
+    for j in range(3):
+        single = synthesize(stack[:, j], theta)
+        assert np.max(np.abs(out[:, j] - single)) <= 1e-10 * np.sum(np.abs(stack[:, j]))
+
+
+def test_synthesize_window_with_zero_ends_matches_direct_sum():
+    # only the band between the first and last nonzero coefficient is
+    # summed; the zeros outside it add nothing to the two-sided sum
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(-PI, PI, size=61)
+    coeffs = rng.normal(size=17) + 1j * rng.normal(size=17)
+    for c in (
+        _analytic_window(coeffs),
+        coeff_window(20, {-3: 1.0, 5: 2j}),
+        coeff_window(6, {-6: 0.5}),
+        coeff_window(4, {}),
+    ):
+        W = len(c) // 2
+        direct = np.exp(1j * np.multiply.outer(theta, np.arange(-W, W + 1))) @ c
+        scale = max(1.0, np.sum(np.abs(c)))
+        assert np.max(np.abs(synthesize(c, theta) - direct)) <= 1e-13 * scale
+        assert abs(synthesize(c, theta[0]) - direct[0]) <= 1e-13 * scale
 
 
 def test_trig_sum_synthesis_and_analysis_are_adjoint():

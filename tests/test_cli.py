@@ -384,8 +384,13 @@ def test_maximal_subcommand_small(capsys, tmp_path):
         # spikes 1 and 2 both certify at n = 1: two rows of one operator
         (["blowup", "--m", "1,2", "--grid-M", "2"], 2),
         (["maximal", "--orders", "4"], 1),
+        (["fejer-converge", "--orders", "512,512,16"], 2),
+        # a second degree-4 fit would warm-start from the first and differ
+        (["density", "--degrees", "4,4", "--grid-M", "2"], 1),
+        # three inputs at one radius
+        (["taylor-fourier", "--radii", "0.5,0.5"], 3),
     ],
-    ids=["argv0", "argv1", "argv2", "argv3"],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"],
 )
 def test_repeated_order_runs_once(argv, rows, tmp_path, capsys):
     # a repeated order is one experiment, and a growth contract over one
