@@ -28,7 +28,7 @@ from .operators import (
     operator_norm,
 )
 from .maximal import maximal_function, weight_maximal_ratio
-from .hardy import hardy_violation, product_hardy_check, taylor_fourier_check
+from .hardy import hardy_violation, taylor_fourier_check
 from .approx import (
     WitnessReport,
     best_poly_l1w,

@@ -60,6 +60,7 @@ __all__ = [
 SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
 MAX_ITERS = 200  # IRLS sweeps per fit
 TOL = 1e-10  # converged once a sweep gains at most TOL max(objective, 1)
+MAX_ORDER = 600  # largest Fejér order on the witness's candidate ladder
 
 
 @dataclass(frozen=True)
@@ -212,20 +213,17 @@ def density_curve(f: SampledFunction, w: Weight, degrees) -> list[FitResult]:
 
 
 def fejer_error_curve(f: PiecewiseConstant, n_list, grid: CircleGrid):
-    """Unweighted errors ||f * F_n - f||_L1 of a real step function, per
-    order; a complex-valued one raises ValueError.
+    """Unweighted errors ||f * F_n - f||_L1 of a step function, per order.
 
     The Fejér means come from f's closed-form Fourier coefficients and are
     evaluated at the nodes of `grid`, so the mean itself carries no
-    quadrature error; the error integral is the grid's midpoint rule.  f is
-    real, so c(-k) = conj c(k) and each mean is the real part of its
-    one-sided damped window, c(0) and then 2 c(k) for k > 0: every order's
-    window, zero-padded to the largest order, is one column of a single
-    `synthesize` call, which builds one phase table of max(n_list) + 1
-    frequencies for all the orders.
+    quadrature error; the error integral is the grid's midpoint rule.  Every
+    step function is real, so c(-k) = conj c(k) and each mean is the real
+    part of its one-sided damped window, c(0) and then 2 c(k) for k > 0:
+    every order's window, zero-padded to the largest order, is one column
+    of a single `synthesize` call, which builds one phase table of
+    max(n_list) + 1 frequencies for all the orders.
     """
-    if np.any(np.imag(f.values)):
-        raise ValueError("fejer_error_curve takes a real-valued step function")
     n_list = [int(n) for n in n_list]
     top = max(n_list)
     window = fourier_window(f, top)
@@ -281,19 +279,19 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def _default_order_ladder(M: int, max_order: int):
-    """Candidate Fejér orders: certified localization orders of square spike
-    indices and their doublings."""
+def _default_order_ladder(M: int):
+    """Candidate Fejér orders up to MAX_ORDER: certified localization orders
+    of square spike indices and their doublings."""
     ladder = set()
     m = 2
     while m * m <= M:
         n = localization_params(m * m).n_of_m
         for mult in (1, 2):
-            if mult * n <= max_order:
+            if mult * n <= MAX_ORDER:
                 ladder.add(mult * n)
         m += 1
     ladder.update(
-        n for n in (64, 96, 128, 192, 256, 384, 512) if n <= max_order
+        n for n in (64, 96, 128, 192, 256, 384, 512) if n <= MAX_ORDER
     )
     return sorted(ladder)
 
@@ -321,7 +319,6 @@ def gliding_hump_witness(
     growth_target: float = 1.0,
     *,
     points_per_interval: int = 8,
-    max_order: int = 600,
 ) -> WitnessReport:
     """Assemble f = sum_k c_k g_k whose Fejér-mean errors meet the target.
 
@@ -335,7 +332,7 @@ def gliding_hump_witness(
     if stages < 1:
         raise ValueError("need at least one stage")
     coeffs = tuple(2.0 ** -(k + 1) for k in range(stages))
-    ladder = _default_order_ladder(w.M, max_order)
+    ladder = _default_order_ladder(w.M)
     grid = grid_for_kernels(w.M, points_per_interval, max(ladder))
 
     wv = w(grid.nodes)

@@ -13,6 +13,10 @@ node-sampled suprema stable under mesh refinement.  Quadrature is the
 composite midpoint rule: nodes are cell midpoints, weights are cell lengths
 divided by 2 pi.
 
+A step function (`PiecewiseConstant`) is real and finite, and its
+constructor is the one place that is checked; grid samples
+(`SampledFunction`) are finite, and may be complex.
+
 A Fourier window of half-width W is a read-only complex array of length
 2W + 1 with c(k) at index k + W; every function that takes one reads W as
 len(c) // 2.  `fejer_multiplier` is the one place the Fejér damping
@@ -165,24 +169,30 @@ def make_grid(
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Step function on the circle, exact on its own partition.
+    """Real, finite step function on the circle, exact on its own partition.
 
     Cells are left-closed: the value on [edges[j], edges[j+1]) is values[j],
     and the last cell is closed at pi.  Angles are wrapped to (-pi, pi]
-    before lookup.
+    before lookup.  Construction is the one check of a step function: it
+    raises ValueError unless the edges are finite, span [-pi, pi] and
+    increase strictly, and the values are real and finite, one per cell;
+    both are stored as read-only float arrays.
     """
 
     edges: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("step function values must be real")
         edges = _frozen(self.edges)
-        values = np.asarray(self.values)
-        values = _frozen(values, dtype=complex if np.iscomplexobj(values) else float)
+        values = _frozen(self.values)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least two edges")
         if values.size != edges.size - 1:
             raise ValueError("values must have one entry per cell")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
+            raise ValueError("step function edges and values must be finite")
         if not (
             abs(edges[0] + math.pi) <= 1e-12 and abs(edges[-1] - math.pi) <= 1e-12
         ):
@@ -202,7 +212,7 @@ class PiecewiseConstant:
     def __call__(self, theta):
         return self.values[self.cell(theta)]
 
-    def integral(self) -> complex | float:
+    def integral(self) -> float:
         """Exact integral with respect to dm."""
         return np.sum(self.values * np.diff(self.edges)) / TWO_PI
 
@@ -222,11 +232,11 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Node samples of a function on a circle grid.
+    """Finite node samples of a function on a circle grid.
 
     Quadrature treats the function as constant on each cell, which is exact
     whenever the underlying function is a step function whose jumps lie on
-    the grid edges.
+    the grid edges.  A NaN or infinite sample raises ValueError.
     """
 
     grid: CircleGrid
@@ -239,6 +249,8 @@ class SampledFunction:
         )
         if samples.size != self.grid.node_count:
             raise ValueError("one sample per grid node required")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     @staticmethod

@@ -18,9 +18,6 @@ def _fmt(x) -> str:
         return repr(float(x))
     if isinstance(x, (np.integer, int)):
         return str(int(x))
-    if isinstance(x, (np.complexfloating, complex)):
-        z = complex(x)
-        return f"{z.real!r}{z.imag:+}j"
     return str(x)
 
 

@@ -1,29 +1,23 @@
-"""Hardy-class membership on coefficient windows, the Taylor-equals-
-Fourier check of the disk extension, and the coefficient mechanics of
-products of Hardy functions.
+"""Hardy-class membership on coefficient windows and the Taylor-equals-
+Fourier check of the disk extension.
 
 Everything here is band-limited: a window of half-width W is a complex
 array with c(k) at index k + W, as in `circle`.  A function is Hardy-class
 when its negative Fourier coefficients vanish (up to a tolerance each caller
-sets), its disk extension is the power series with the nonnegative
-coefficients, and products are handled through coefficient convolution.
+sets), and its disk extension is the power series with the nonnegative
+coefficients.  A product of two windows is their `np.convolve`, whose
+window is Hardy-class when both factors are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import _frozen, poisson_extend, trig_sum
+from .circle import poisson_extend, trig_sum
 
-__all__ = [
-    "hardy_violation",
-    "taylor_fourier_check",
-    "ProductReport",
-    "product_hardy_check",
-]
+__all__ = ["hardy_violation", "taylor_fourier_check"]
 
 
 def hardy_violation(c: np.ndarray) -> float:
@@ -55,42 +49,3 @@ def taylor_fourier_check(c: np.ndarray, r: float) -> float:
     measured = trig_sum(ks, thetas, boundary, -1) / n_samples
     predicted = c[W:] * r**ks
     return float(np.max(np.abs(measured - predicted)))
-
-
-@dataclass(frozen=True)
-class ProductReport:
-    passed: bool
-    max_negative: float
-    zero_coeff_mismatch: float
-    # read-only window of fg, half-width the sum of the factors' half-widths
-    product: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def product_hardy_check(f: np.ndarray, g: np.ndarray, tol: float) -> ProductReport:
-    """Product of two Hardy-class windows is Hardy-class and multiplicative at 0.
-
-    Checks that all negative-index coefficients of fg are <= tol and that the
-    zeroth coefficient of the product equals c_f(0) c_g(0) within tol.  In
-    particular a factor with vanishing mean forces the product's mean to
-    vanish, which is the annihilation mechanism behind density of analytic
-    polynomials.
-    """
-    for name, h in (("first", f), ("second", g)):
-        violation = hardy_violation(h)
-        if violation > tol:
-            raise ValueError(
-                f"{name} factor not Hardy-class at tol={tol}: "
-                f"worst violation {violation:.3e}"
-            )
-    prod = _frozen(np.convolve(f, g), complex)
-    max_negative = hardy_violation(prod)
-    mismatch = float(abs(prod[len(prod) // 2] - f[len(f) // 2] * g[len(g) // 2]))
-    return ProductReport(
-        passed=bool(max_negative <= tol and mismatch <= tol),
-        max_negative=max_negative,
-        zero_coeff_mismatch=mismatch,
-        product=prod,
-    )

@@ -114,8 +114,7 @@ class OperatorMatrix:
         Fejér operators past the spectral switch return one spectral array,
         sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
         Step kernels take `_step_sums` once for the rows and once for the
-        columns; a non-finite step value raises ValueError, as sampling it
-        would.
+        columns; their values are finite by construction.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
@@ -128,8 +127,6 @@ class OperatorMatrix:
             return sums, sums
         if self.kernels[0].kind == "custom":
             profiles = [kernel.profile for kernel in self.kernels]
-            if not all(np.all(np.isfinite(profile.values)) for profile in profiles):
-                raise ValueError("kernel produced non-finite samples")
             prefix = _prefix_sums(c)
             rowsums = _step_sums(profiles, nodes, prefix, 1)
             return rowsums, _step_sums(profiles, nodes, prefix, -1)

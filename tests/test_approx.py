@@ -250,9 +250,21 @@ def test_error_curve_matches_two_sided_oracle(f):
 
 
 def test_error_curve_rejects_complex_step_function():
-    f = PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, 1j]))
-    with pytest.raises(ValueError, match="real-valued"):
-        fejer_error_curve(f, (4,), make_grid(1, 8))
+    # a complex step function is refused where it is built
+    with pytest.raises(ValueError, match="real"):
+        PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, 1j]))
+
+
+@pytest.mark.parametrize("p_len", [PI / 2, 1.0, 2.5])
+def test_error_curve_order_zero_is_two_p_one_minus_p(p_len):
+    # F_0 f is the constant c(0) = p for an arc of measure p, so the error is
+    # p (1 - p) + (1 - p) p; the arc's end is a grid edge, so the midpoint
+    # rule is exact
+    arc = PiecewiseConstant.indicator(0.0, p_len)
+    p = p_len / (2 * PI)
+    grid = make_grid(1, 8, extra_breakpoints=[p_len])
+    [error] = fejer_error_curve(arc, (0,), grid)
+    assert abs(error - 2 * p * (1 - p)) <= 1e-15
 
 
 # ------------------------------------------------------ gliding hump witness
@@ -307,4 +319,4 @@ def test_witness_bumps_have_unit_weighted_l1_norm(witness_small):
 
 def test_witness_stage_failure_for_absurd_target():
     with pytest.raises(StageFailure):
-        gliding_hump_witness(make_weight(4), 1, growth_target=1e6, max_order=64)
+        gliding_hump_witness(make_weight(4), 1, growth_target=1e6)

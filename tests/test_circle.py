@@ -104,6 +104,33 @@ def test_piecewise_constant_lookup_and_wrap():
     assert pc(-PI) == pc(PI)
 
 
+@pytest.mark.parametrize(
+    "edges, values, message",
+    [
+        ([PI], [], "two edges"),
+        ([-PI, 0.0, PI], [1.0], "one entry per cell"),
+        ([-PI, 0.0, 3.0], [1.0, 2.0], "span"),
+        ([-PI, 1.0, 0.5, PI], [1.0, 2.0, 3.0], "increasing"),
+        ([-PI, np.nan, PI], [1.0, 2.0], "finite"),
+        ([-PI, 0.0, PI], [1.0, np.inf], "finite"),
+        ([-PI, 0.0, PI], [1.0, 1j], "real"),
+    ],
+    ids=["one-edge", "value-count", "span", "not-increasing", "nan-edge", "inf-value", "complex"],
+)
+def test_piecewise_constant_refusals(edges, values, message):
+    with pytest.raises(ValueError, match=message):
+        PiecewiseConstant(edges=np.array(edges), values=np.array(values))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampled_function_rejects_nonfinite_samples(bad):
+    grid = make_grid(2, 4)
+    samples = np.ones(grid.node_count)
+    samples[grid.node_count // 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledFunction(grid=grid, samples=samples)
+
+
 def test_wrap_angle_convention():
     assert wrap_angle(PI) == PI
     assert wrap_angle(-PI) == PI

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fejerlab.circle import fejer_mean, poisson_extend
-from fejerlab.hardy import hardy_violation, product_hardy_check, taylor_fourier_check
+from fejerlab.hardy import hardy_violation, taylor_fourier_check
 
 from conftest import coeff_window
 
@@ -76,56 +76,6 @@ def test_poisson_extension_keeps_mean():
         vals = poisson_extend(f, r, thetas)
         mean = np.sum(vals) / n_samples
         assert abs(mean - f[5]) <= 1e-12
-
-
-# ------------------------------------------------------------------- product
-
-
-def test_product_of_t_with_itself():
-    t = coeff_window(1, {1: 1.0})
-    report = product_hardy_check(t, t, 1e-12)
-    assert report
-    assert abs(report.product[2 + 2] - 1.0) <= 1e-15
-    assert report.product[2] == 0.0
-    assert report.zero_coeff_mismatch == 0.0
-
-
-def test_product_mean_vanishes_when_one_factor_has_zero_mean():
-    rng = np.random.default_rng(2)
-    f = coeff_window(5, {k: rng.normal() for k in range(1, 6)})
-    for _ in range(20):
-        g = _random_analytic_poly(rng, 7)
-        report = product_hardy_check(f, g, 1e-10)
-        assert abs(report.product[5 + 7]) <= 1e-14
-
-
-def test_product_random_pairs_negative_coeffs_vanish():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        f = _random_analytic_poly(rng, int(rng.integers(0, 17)))
-        g = _random_analytic_poly(rng, int(rng.integers(0, 17)))
-        report = product_hardy_check(f, g, 1e-12)
-        assert report
-        assert report.max_negative <= 1e-12
-        assert report.zero_coeff_mismatch <= 1e-12
-        # support bound: degree of the product window
-        assert len(report.product) // 2 == len(f) // 2 + len(g) // 2
-
-
-def test_product_rejects_non_hardy_factor():
-    good = coeff_window(1, {1: 1.0})
-    bad = coeff_window(1, {-1: 1.0})
-    with pytest.raises(ValueError):
-        product_hardy_check(good, bad, 1e-12)
-
-
-def test_coefficient_product_support():
-    f = coeff_window(2, {1: 1.0, 2: 2.0})
-    g = coeff_window(3, {0: 1.0, 3: 1.0})
-    prod = product_hardy_check(f, g, 1e-12).product
-    ks = np.arange(-5, 6)
-    outside = np.abs(prod[(ks < 0) | (ks > 5)])
-    assert np.max(outside) == 0.0
 
 
 def test_fejer_mean_keeps_hardy_class_and_band_limits():
