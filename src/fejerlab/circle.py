@@ -9,9 +9,10 @@ k = 1..2M+1 (plus 0 and +-pi), so that the spiked step weights used elsewhere
 in this package are represented exactly, with no sampling error.  Within each
 base cell the mesh is uniform except for a short geometric (dyadic) cascade
 toward both ends; clustering nodes at the weight's jump points is what makes
-node-sampled suprema stable under mesh refinement.  Quadrature is the
-composite midpoint rule: nodes are cell midpoints, weights are cell lengths
-divided by 2 pi.
+node-sampled suprema stable under mesh refinement.  One vectorized
+construction builds the edges of all base cells from the same expressions.
+Quadrature is the composite midpoint rule: nodes are cell midpoints, weights
+are cell lengths divided by 2 pi.
 
 A step function (`PiecewiseConstant`) is real and finite, and its
 constructor is the one place that is checked; grid samples
@@ -44,6 +45,7 @@ sums only the band between the first and last nonzero coefficient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,16 +103,6 @@ class CircleGrid:
         return self.nodes.size
 
 
-def _subdivide(a: float, b: float, pieces: int, edge_levels: int) -> np.ndarray:
-    """Interior edges of a base cell [a, b]: `pieces` uniform cells with a
-    dyadic cascade of `edge_levels` extra cells toward each endpoint."""
-    u = (b - a) / pieces
-    inner = [a + u * j for j in range(1, pieces)]
-    left = [a + u * 0.5**lev for lev in range(1, edge_levels + 1)]
-    right = [b - u * 0.5**lev for lev in range(1, edge_levels + 1)]
-    return np.array(sorted(set(inner + left + right)))
-
-
 def make_grid(
     M: int,
     points_per_interval: int,
@@ -121,43 +113,51 @@ def make_grid(
 ) -> CircleGrid:
     """Build a composite circle grid aligned with the breakpoints +-pi/k.
 
-    Base cell edges are 0, +-pi/k for k = 1..2M+1, and +-pi.  Every base cell
-    is divided into at least `points_per_interval` uniform cells (more when
-    `max_cell` demands a finer global resolution), and each base cell gets a
-    geometric cascade of `edge_levels` shrinking cells at both of its ends.
-    The resulting mesh is exactly symmetric under theta -> -theta as long as
-    `extra_breakpoints` is empty or itself symmetric.
+    Base cell edges are 0, +-pi/k for k = 1..2M+1, and +-pi.  A base cell
+    [a, b] gets `pieces` uniform cells of width u = (b - a) / pieces, edges
+    a + u*j, where pieces is `points_per_interval` or more when `max_cell`
+    demands it, and a cascade of `edge_levels` shrinking cells at both ends,
+    edges a + u*0.5**l and b - u*0.5**l: one vectorized construction for all
+    base cells.  The mesh is exactly symmetric under theta -> -theta as long
+    as `extra_breakpoints` (array-like, finite) is empty or symmetric.
 
     max_cell caps the width of every cell; pass roughly 2*pi/(8*(n+1)) when
     the grid has to resolve kernels of trigonometric degree n.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if points_per_interval < 2:
+    if operator.index(points_per_interval) < 2:
         raise ValueError(
             f"points_per_interval must be >= 2, got {points_per_interval}"
         )
-    if max_cell is not None and max_cell <= 0:
+    if max_cell is not None and not max_cell > 0:
         raise ValueError("max_cell must be positive")
+    extras = np.asarray(extra_breakpoints, dtype=float).ravel()
+    if not np.all(np.isfinite(extras)):
+        raise ValueError("extra breakpoints must be finite")
 
-    base = [0.0] + [math.pi / k for k in range(1, 2 * M + 2)]
-    base = np.array(sorted(base))
-
-    pos_edges = [base]
-    for a, b in zip(base[:-1], base[1:]):
-        pieces = points_per_interval
-        if max_cell is not None:
-            pieces = max(pieces, math.ceil((b - a) / max_cell))
-        pos_edges.append(_subdivide(a, b, pieces, edge_levels))
-    pos = np.unique(np.concatenate(pos_edges))
+    base = np.sort(np.append(math.pi / np.arange(1, 2 * M + 2), 0.0))
+    a, b = base[:-1], base[1:]
+    pieces = np.full(a.size, float(points_per_interval))
+    if max_cell is not None:
+        pieces = np.maximum(pieces, np.ceil((b - a) / max_cell))
+    u = (b - a) / pieces
+    # interior edges a + u*j, j = 1..pieces-1, of every base cell in turn; the
+    # counts turn int only here, so an absurd cap fails in np.repeat, never wraps
+    inner = pieces.astype(int) - 1
+    cell = np.repeat(np.arange(a.size), inner)
+    j = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(inner) - inner, inner)
+    # the dyadic cascades u*0.5**l, l = 1..edge_levels, as (cells, levels) tables
+    cascade = u[:, None] * np.array([0.5**lev for lev in range(1, edge_levels + 1)])
+    left, right = a[:, None] + cascade, b[:, None] - cascade
+    pos = np.unique(np.concatenate([base, a[cell] + u[cell] * j, left.ravel(), right.ravel()]))
 
     edges = np.concatenate([-pos[::-1], pos[1:]])
-    if extra_breakpoints:
-        extras = wrap_angle(np.asarray(extra_breakpoints, dtype=float))
-        edges = np.unique(np.concatenate([edges, extras]))
+    if extras.size:
+        edges = np.unique(np.concatenate([edges, wrap_angle(extras)]))
 
     widths = np.diff(edges)
-    if np.any(widths <= 0):
+    if not np.all(widths > 0):
         raise ValueError("degenerate cells in grid construction")
     nodes = 0.5 * (edges[:-1] + edges[1:])
     return CircleGrid(

@@ -23,9 +23,15 @@ from fejerlab.circle import (
     trig_sum,
     wrap_angle,
 )
-from fejerlab.approx import _fejer_candidate
+from fejerlab import operators
+from fejerlab.approx import _default_order_ladder, _fejer_candidate
 from fejerlab.cli import _analytic_window
-from fejerlab.operators import fejer_kernel_mass, grid_for_kernels
+from fejerlab.operators import (
+    _blowup_grid,
+    fejer_kernel_mass,
+    grid_for_kernels,
+    localization_params,
+)
 from fejerlab.spaces import make_weight
 
 from conftest import coeff_window, dense_convolution
@@ -85,11 +91,130 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(0, 8)
     with pytest.raises(ValueError):
         make_grid(2, 1)
+    with pytest.raises(TypeError):
+        make_grid(2, 2.5)
 
 
 def test_grid_max_cell_cap():
     grid = make_grid(1, 4, max_cell=0.01)
     assert np.max(np.diff(grid.edges)) <= 0.01 + 1e-15
+
+
+@pytest.mark.parametrize(
+    "extra", [np.array([0.3, -0.3]), (0.3, -0.3), np.array([])], ids=["array", "tuple", "empty"]
+)
+def test_make_grid_accepts_array_like_extra_breakpoints(extra):
+    grid = make_grid(2, 4, extra_breakpoints=extra)
+    listed = make_grid(2, 4, extra_breakpoints=list(extra))
+    assert np.array_equal(grid.edges.view(np.uint64), listed.edges.view(np.uint64))
+    for bp in wrap_angle(extra):
+        assert np.count_nonzero(grid.edges == bp) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(extra_breakpoints=[math.nan]), "finite"),
+        (dict(extra_breakpoints=[0.3, math.inf]), "finite"),
+        (dict(extra_breakpoints=np.array([-math.inf])), "finite"),
+        (dict(max_cell=math.nan), "max_cell must be positive"),
+        (dict(max_cell=0.0), "max_cell must be positive"),
+    ],
+    ids=["nan-extra", "inf-extra", "minus-inf-extra", "nan-max-cell", "zero-max-cell"],
+)
+def test_make_grid_rejects_nonfinite_extras_and_bad_max_cell(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_grid(2, 4, **kwargs)
+
+
+def _grid_edges_oracle(M, ppi, *, extra_breakpoints=(), max_cell=None, edge_levels=12):
+    """make_grid's edges built one base cell at a time: `ppi` (or more, under
+    `max_cell`) uniform cells per base cell [a, b] and a dyadic cascade of
+    `edge_levels` cells toward each end, from the same IEEE expressions."""
+    base = np.array(sorted([0.0] + [PI / k for k in range(1, 2 * M + 2)]))
+    pos_edges = [base]
+    for a, b in zip(base[:-1], base[1:]):
+        pieces = ppi
+        if max_cell is not None:
+            pieces = max(pieces, math.ceil((b - a) / max_cell))
+        u = (b - a) / pieces
+        inner = [a + u * j for j in range(1, pieces)]
+        left = [a + u * 0.5**lev for lev in range(1, edge_levels + 1)]
+        right = [b - u * 0.5**lev for lev in range(1, edge_levels + 1)]
+        pos_edges.append(np.array(sorted(set(inner + left + right))))
+    pos = np.unique(np.concatenate(pos_edges))
+    edges = np.concatenate([-pos[::-1], pos[1:]])
+    if len(extra_breakpoints):
+        extras = wrap_angle(np.asarray(extra_breakpoints, dtype=float))
+        edges = np.unique(np.concatenate([edges, extras]))
+    return edges
+
+
+def _blowup(ms):
+    return lambda build: _blowup_grid([localization_params(m) for m in ms], 25, 8)
+
+
+def _for_kernels(M, ppi, max_degree):
+    return lambda build: grid_for_kernels(M, ppi, max_degree)
+
+
+def _maximal(M):
+    return lambda build: build(M, 8)
+
+
+def _fejer_converge(max_order):
+    return lambda build: build(
+        1, 8, max_cell=2 * PI / (8 * (max_order + 1)), extra_breakpoints=[PI / 2]
+    )
+
+
+# the grids of the benchmark workloads and of every CLI subcommand's defaults
+_EXPERIMENT_GRIDS = {
+    "blowup-bench": _blowup([1, 4]),
+    "blowup-default": _blowup([1, 4, 9, 16, 25]),
+    "witness-bench": _for_kernels(9, 8, max(_default_order_ladder(9))),
+    "witness-default": _for_kernels(64, 8, max(_default_order_ladder(64))),
+    **{
+        f"duality-bench-M{M}-ppi{ppi}": _for_kernels(M, ppi, 32)
+        for M in (1, 2) for ppi in (8, 16)
+    },
+    **{f"duality-default-M{M}": _for_kernels(M, 8, 64) for M in range(1, 9)},
+    **{f"maximal-M{M}": _maximal(M) for M in (4, 16, 32, 64)},
+    "fejer-converge-bench": _fejer_converge(512),
+    "fejer-converge-default": _fejer_converge(1024),
+    "density-bench": _for_kernels(16, 8, 64),
+    "density-default": _for_kernels(8, 8, 64),
+}
+
+
+@pytest.mark.parametrize("grid_of", _EXPERIMENT_GRIDS.values(), ids=_EXPERIMENT_GRIDS.keys())
+def test_make_grid_matches_per_cell_oracle_on_experiment_grids(monkeypatch, grid_of):
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append((args, kwargs))
+        return make_grid(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "make_grid", build)
+    grid = grid_of(build)
+    [(args, kwargs)] = calls
+    oracle = _grid_edges_oracle(*args, **kwargs)
+    assert np.array_equal(grid.edges.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("edge_levels", [0, 1, 12])
+@pytest.mark.parametrize("max_cell", [None, math.inf, 0.05])
+@pytest.mark.parametrize(
+    "extra",
+    [(), [0.3, -0.3], [-0.5, 2.0], [PI, -PI, 0.0, PI / 3, -PI / 5]],
+    ids=["none", "symmetric", "asymmetric", "on-edges"],
+)
+def test_make_grid_matches_per_cell_oracle_on_edge_cases(edge_levels, max_cell, extra):
+    for M, ppi in ((1, 2), (3, 5)):
+        kwargs = dict(edge_levels=edge_levels, max_cell=max_cell, extra_breakpoints=extra)
+        grid = make_grid(M, ppi, **kwargs)
+        oracle = _grid_edges_oracle(M, ppi, **kwargs)
+        assert np.array_equal(grid.edges.view(np.uint64), oracle.view(np.uint64))
 
 
 # ------------------------------------------------------------------ piecewise
