@@ -21,7 +21,7 @@ mean's objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ __all__ = [
 
 SMOOTHING = 1e-8  # residual floor eps of the smoothed IRLS objective
 MAX_ITERS = 200  # IRLS sweeps per fit
-TOL = 1e-10  # converged once a sweep gains at most TOL max(objective, 1)
+TOL = 1e-10  # IRLS stops once a sweep gains at most TOL max(objective, 1)
 MAX_ORDER = 600  # largest Fejér order on the witness's candidate ladder
 
 
@@ -68,10 +68,8 @@ class FitResult:
     # read-only alpha_0..alpha_d of q(t) = sum_k alpha_k t^k on the circle
     poly: np.ndarray
     error: float
-    converged: bool
     iterations: int
     fejer_error: float
-    objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
 
 def _raw_objective(residual, c):
@@ -114,25 +112,24 @@ def _irls(A, y, c, start):
     """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start.
 
     Each sweep solves the Toeplitz normal equations of the weighted least
-    squares problem with weights c_i / max(|r_i|, SMOOTHING).
+    squares problem with weights c_i / max(|r_i|, SMOOTHING).  Returns the
+    coefficients, their residual and the number of sweeps kept.
     """
     alpha = start
     r = y - A @ alpha
-    trace = [_smoothed_objective(r, c, SMOOTHING)]
-    converged = False
+    obj = _smoothed_objective(r, c, SMOOTHING)
+    sweeps = 0
     for _ in range(MAX_ITERS):
         alpha_new = _weighted_ls(A, y, c / np.maximum(np.abs(r), SMOOTHING))
         r_new = y - A @ alpha_new
         obj_new = _smoothed_objective(r_new, c, SMOOTHING)
-        if obj_new > trace[-1] * (1.0 + 1e-12) + 1e-300:
+        if obj_new > obj * (1.0 + 1e-12) + 1e-300:
             break  # MM guarantees nonincrease; stop if rounding says otherwise
-        alpha, r = alpha_new, r_new
-        decrease = trace[-1] - obj_new
-        trace.append(obj_new)
-        if decrease <= TOL * max(obj_new, 1.0):
-            converged = True
+        alpha, r, sweeps = alpha_new, r_new, sweeps + 1
+        if obj - obj_new <= TOL * max(obj_new, 1.0):
             break
-    return alpha, r, converged, len(trace) - 1, trace
+        obj = obj_new
+    return alpha, r, sweeps
 
 
 def _fejer_candidate(f: SampledFunction, A):
@@ -181,17 +178,15 @@ def best_poly_l1w(
     objectives = [_raw_objective(y - A @ s, c) for s in starts]
 
     k = int(np.argmin(objectives))
-    alpha, r, conv, iters, trace = _irls(A, y, c, starts[k])
+    alpha, r, iters = _irls(A, y, c, starts[k])
     raw = _raw_objective(r, c)
     if objectives[k] < raw:  # the start itself is a valid feasible point
-        alpha, raw, conv = starts[k], objectives[k], True
+        alpha, raw = starts[k], objectives[k]
     return FitResult(
         poly=_frozen(alpha, complex),
         error=raw,
-        converged=conv,
         iterations=iters,
         fejer_error=objectives[1],
-        objective_trace=tuple(trace),
     )
 
 
@@ -239,9 +234,8 @@ def fejer_error_curve(f: PiecewiseConstant, n_list, grid: CircleGrid):
 
 
 class StageFailure(RuntimeError):
-    def __init__(self, stage: int, message: str):
-        super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
+    """A witness stage that no candidate order can complete; the message
+    names the stage."""
 
 
 @dataclass(frozen=True)
@@ -255,13 +249,11 @@ class WitnessReport:
     function, not accumulated from intermediate estimates.
     """
 
-    grid: CircleGrid
     orders: tuple[int, ...]
     coefficients: tuple[float, ...]
     bump_locations: tuple[float, ...]
     stage_errors: tuple[float, ...]
     growth_target: float
-    combined: SampledFunction
 
     def summary(self) -> str:
         lines = [
@@ -324,7 +316,8 @@ def gliding_hump_witness(
 
     g_k is the exact unit-norm extremal input of the convolution operator
     with kernel order n_k on the weighted-L1 space (a scaled single-node
-    indicator at the maximizing column).  Orders are chosen greedily from a
+    indicator at the maximizing column, the node bump_locations[k] of
+    grid_for_kernels(w.M, points_per_interval, top ladder order)).  Orders are chosen greedily from a
     candidate ladder, strictly increasing; a candidate is accepted only if
     every stage chosen so far still meets the target on the partially
     assembled function, so the final report is certified by construction.
@@ -356,21 +349,14 @@ def gliding_hump_witness(
                 break
         if not accepted:
             raise StageFailure(
-                k + 1,
-                f"no candidate order <= {ladder[-1]} reaches error "
-                f">= {growth_target} given earlier stages",
+                f"stage {k + 1}: no candidate order <= {ladder[-1]} reaches error "
+                f">= {growth_target} given earlier stages"
             )
 
-    samples = np.zeros(grid.node_count)
-    for j, amp in parts:
-        samples[j] += amp
-    combined = SampledFunction(grid=grid, samples=samples)
     return WitnessReport(
-        grid=grid,
         orders=tuple(orders),
         coefficients=coeffs,
         bump_locations=tuple(float(grid.nodes[j]) for j, _ in parts),
         stage_errors=tuple(stage_errors),
         growth_target=growth_target,
-        combined=combined,
     )

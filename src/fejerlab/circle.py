@@ -19,9 +19,10 @@ constructor is the one place that is checked; grid samples
 (`SampledFunction`) are finite, and may be complex.
 
 A Fourier window of half-width W is a read-only complex array of length
-2W + 1 with c(k) at index k + W; every function that takes one reads W as
-len(c) // 2.  `fejer_multiplier` is the one place the Fejér damping
-1 - |k|/(n+1) is written.
+2W + 1 with c(k) at index k + W; every function that takes one reads W
+from its length, which must be odd (ValueError otherwise: an even-length
+array has no centre for c(0)).  `fejer_multiplier` is the one place the
+Fejér damping 1 - |k|/(n+1) is written.
 
 Kernels are sampled as tables K(theta_i - s_j), block by block, in
 `kernel_blocks`: KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
@@ -53,6 +54,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 2**16  # kernel samples per block in kernel_blocks (512 kB)
 TRIG_BLOCK = 2**16  # complex phases per block in trig_sum (1 MB)
+EDGE_LEVELS = 12  # dyadic cells toward each end of a base cell in make_grid
 
 __all__ = [
     "CircleGrid",
@@ -103,20 +105,27 @@ class CircleGrid:
         return self.nodes.size
 
 
+def _sorted_distinct(x):
+    """np.unique of a finite float array, by the same sort and adjacent
+    comparison, without the np.ma.is_masked call of numpy 2's np.unique,
+    which imports numpy.ma on first use."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def make_grid(
     M: int,
     points_per_interval: int,
     *,
     extra_breakpoints=(),
     max_cell: float | None = None,
-    edge_levels: int = 12,
 ) -> CircleGrid:
     """Build a composite circle grid aligned with the breakpoints +-pi/k.
 
     Base cell edges are 0, +-pi/k for k = 1..2M+1, and +-pi.  A base cell
     [a, b] gets `pieces` uniform cells of width u = (b - a) / pieces, edges
     a + u*j, where pieces is `points_per_interval` or more when `max_cell`
-    demands it, and a cascade of `edge_levels` shrinking cells at both ends,
+    demands it, and a cascade of EDGE_LEVELS shrinking cells at both ends,
     edges a + u*0.5**l and b - u*0.5**l: one vectorized construction for all
     base cells.  The mesh is exactly symmetric under theta -> -theta as long
     as `extra_breakpoints` (array-like, finite) is empty or symmetric.
@@ -147,14 +156,16 @@ def make_grid(
     inner = pieces.astype(int) - 1
     cell = np.repeat(np.arange(a.size), inner)
     j = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(inner) - inner, inner)
-    # the dyadic cascades u*0.5**l, l = 1..edge_levels, as (cells, levels) tables
-    cascade = u[:, None] * np.array([0.5**lev for lev in range(1, edge_levels + 1)])
+    # the dyadic cascades u*0.5**l, l = 1..EDGE_LEVELS, as (cells, levels) tables
+    cascade = u[:, None] * np.array([0.5**lev for lev in range(1, EDGE_LEVELS + 1)])
     left, right = a[:, None] + cascade, b[:, None] - cascade
-    pos = np.unique(np.concatenate([base, a[cell] + u[cell] * j, left.ravel(), right.ravel()]))
+    pos = _sorted_distinct(
+        np.concatenate([base, a[cell] + u[cell] * j, left.ravel(), right.ravel()])
+    )
 
     edges = np.concatenate([-pos[::-1], pos[1:]])
     if extras.size:
-        edges = np.unique(np.concatenate([edges, wrap_angle(extras)]))
+        edges = _sorted_distinct(np.concatenate([edges, wrap_angle(extras)]))
 
     widths = np.diff(edges)
     if not np.all(widths > 0):
@@ -252,10 +263,6 @@ class SampledFunction:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
-
-    @staticmethod
-    def from_callable(fn, grid: CircleGrid) -> "SampledFunction":
-        return SampledFunction(grid=grid, samples=np.asarray(fn(grid.nodes)))
 
 
 def fourier_window(f: PiecewiseConstant, window: int) -> np.ndarray:
@@ -434,6 +441,14 @@ class KernelSpec:
         return self.profile(np.subtract.outer(theta, sources))
 
 
+def _half_width(c) -> int:
+    """The half-width W of a window of length 2W + 1; ValueError for an
+    even length, which has no centre for c(0)."""
+    if len(c) % 2 == 0:
+        raise ValueError(f"a Fourier window has odd length 2W + 1, got {len(c)}")
+    return len(c) // 2
+
+
 def fejer_multiplier(n: int) -> np.ndarray:
     """The Fejér damping 1 - |k|/(n+1) at k = -n..n, index k + n."""
     return 1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1.0)
@@ -443,12 +458,12 @@ def fejer_mean(c: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of the n-th Fejér mean, c(k) (1 - |k|/(n+1)) for |k| <= n,
     as a read-only window of half-width n.
 
-    The input window (c(k) at index k + W, W = len(c) // 2) must be at least
+    The input window (c(k) at index k + W, length 2W + 1) must be at least
     n, otherwise the mean is not determined by the available coefficients.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    W = len(c) // 2
+    W = _half_width(c)
     if W < n:
         raise ValueError(f"window {W} too small for Fejér order {n}")
     return _frozen(c[W - n : W + n + 1] * fejer_multiplier(n), complex)
@@ -507,11 +522,11 @@ def trig_sum(a, b, x, sign: int):
 
 def synthesize(c: np.ndarray, theta):
     """Evaluate sum_k c(k) e^{ik theta} at the given angles, c(k) at index
-    k + len(c) // 2; a (2W + 1, m) stack of windows gives one column per
-    window.  Only the band between the first and last nonzero coefficient
-    (of any column) is summed, so an analytic window, zero at negative k,
-    builds a phase table of W + 1 frequencies, not 2W + 1."""
-    W = len(c) // 2
+    k + W of a window of length 2W + 1; a (2W + 1, m) stack of windows gives
+    one column per window.  Only the band between the first and last nonzero
+    coefficient (of any column) is summed, so an analytic window, zero at
+    negative k, builds a phase table of W + 1 frequencies, not 2W + 1."""
+    W = _half_width(c)
     band = np.flatnonzero(np.any(np.reshape(c, (len(c), -1)), axis=1))
     lo, hi = (band[0], band[-1] + 1) if band.size else (W, W + 1)
     out = trig_sum(theta, np.arange(lo - W, hi - W), c[lo:hi], 1)
@@ -565,5 +580,5 @@ def poisson_extend(c: np.ndarray, r: float, theta):
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
-    W = len(c) // 2
+    W = _half_width(c)
     return synthesize(c * r ** np.abs(np.arange(-W, W + 1)), theta)

@@ -57,9 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class ContractViolation(Exception):
-    def __init__(self, name: str, detail: str):
-        super().__init__(f"{name}: {detail}")
-        self.name = name
+    """A violated in-run contract; the message is `name: detail`."""
 
 
 def _check(name: str, value, threshold, sense: str):
@@ -76,7 +74,7 @@ def _check(name: str, value, threshold, sense: str):
     detail = f"{value!r} {sense} {threshold!r} (margin {margin!r})"
     print(f"[{PASS if ok else FAIL}] {name}: {detail}")
     if not ok:
-        raise ContractViolation(name, detail)
+        raise ContractViolation(f"{name}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,27 +96,25 @@ def cmd_duality(args) -> list:
     fejer_orders = list(range(0, args.max_order + 1, max(1, args.max_order // 32)))
     poisson_radii = [round(0.05 + 0.02 * i, 2) for i in range(30)]
 
-    # (label, weight_M, kernel, report_norms) in draw order
-    jobs = [(f"fejer:{n}", 1 + n % args.grid_M, KernelSpec.fejer(n), True) for n in fejer_orders]
+    # (label, weight_M, kernel) in draw order
+    jobs = [(f"fejer:{n}", 1 + n % args.grid_M, KernelSpec.fejer(n)) for n in fejer_orders]
     jobs += [
-        (f"poisson:{r}", 1 + int(100 * r) % args.grid_M, KernelSpec.poisson(r), True)
+        (f"poisson:{r}", 1 + int(100 * r) % args.grid_M, KernelSpec.poisson(r))
         for r in poisson_radii
     ]
     for t in range(args.trials):
         M = int(rng.integers(1, args.grid_M + 1))
-        # step kernels are reported gap-only: pointwise sampling of their jumps
-        # is first-order in the mesh, so their norms are not refinement-stable
-        jobs.append((f"step:{t}", M, _random_even_nonneg_step_kernel(rng), False))
+        jobs.append((f"step:{t}", M, _random_even_nonneg_step_kernel(rng)))
 
     # one operator family per grid and kernel kind, in order of first use: one
     # weight lookup, and the family's kernels share their angle tables and
     # step-kernel seam searches; rows go back in draw order
     families = {}
-    for i, (_, M, kernel, _) in enumerate(jobs):
+    for i, (_, M, kernel) in enumerate(jobs):
         families.setdefault((M, kernel.kind), []).append(i)
     grids = {}
     rows = [None] * len(jobs)
-    for (M, _), members in families.items():
+    for (M, kind), members in families.items():
         if M not in grids:
             grids[M] = grid_for_kernels(M, args.ppi, args.max_order), make_weight(M)
         grid, w = grids[M]
@@ -130,11 +126,12 @@ def cmd_duality(args) -> list:
                 f"past the spectral switch ({SPECTRAL_SWITCH}); lower --max-order or --ppi"
             )
         for i, (l1, linf) in zip(members, operator_norm(A, w)):
-            label, _, _, report_norms = jobs[i]
             n1, ninf = l1.value, linf.value
             gap = abs(n1 - ninf)
-            shown = (n1, ninf) if report_norms else ("", "")
-            rows[i] = (label, M, *shown, gap, gap / max(n1, ninf))
+            # step kernels are reported gap-only: pointwise sampling of their jumps
+            # is first-order in the mesh, so their norms are not refinement-stable
+            shown = (n1, ninf) if kind != "custom" else ("", "")
+            rows[i] = (jobs[i][0], M, *shown, gap, gap / max(n1, ninf))
 
     if args.out:
         csvio.write_rows(
@@ -235,7 +232,7 @@ def cmd_density(args) -> list:
     fn = _DENSITY_FUNCTIONS[args.function]
     grid = grid_for_kernels(args.grid_M, args.ppi, max(args.degrees))
     w = make_weight(args.grid_M)
-    f = SampledFunction.from_callable(fn, grid)
+    f = SampledFunction(grid=grid, samples=fn(grid.nodes))
     # density_curve fits each distinct degree once, in ascending order
     degrees = sorted(set(args.degrees))
     results = density_curve(f, w, degrees)

@@ -2,7 +2,7 @@
 Fourier check of the disk extension.
 
 Everything here is band-limited: a window of half-width W is a complex
-array with c(k) at index k + W, as in `circle`.  A function is Hardy-class
+array of odd length 2W + 1 with c(k) at index k + W, as in `circle`.  A function is Hardy-class
 when its negative Fourier coefficients vanish (up to a tolerance each caller
 sets), and its disk extension is the power series with the nonnegative
 coefficients.  A product of two windows is their `np.convolve`, whose
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .circle import poisson_extend, trig_sum
+from .circle import _half_width, poisson_extend, trig_sum
 
 __all__ = ["hardy_violation", "taylor_fourier_check"]
 
@@ -24,7 +24,7 @@ def hardy_violation(c: np.ndarray) -> float:
     """Largest modulus among the coefficients at negative index (0.0 when
     there are none): a window is Hardy-class at tolerance tol when this is
     at most tol."""
-    return float(np.max(np.abs(c[: len(c) // 2]), initial=0.0))
+    return float(np.max(np.abs(c[: _half_width(c)]), initial=0.0))
 
 
 def taylor_fourier_check(c: np.ndarray, r: float) -> float:
@@ -41,7 +41,7 @@ def taylor_fourier_check(c: np.ndarray, r: float) -> float:
     violation = hardy_violation(c)
     if violation > 1e-10:
         raise ValueError(f"not Hardy-class at tol=1e-10: worst violation {violation:.3e}")
-    W = len(c) // 2
+    W = _half_width(c)
     n_samples = max(256, 8 * (W + 1))
     thetas = -math.pi + (np.arange(n_samples) + 0.5) * (2.0 * math.pi / n_samples)
     boundary = poisson_extend(c, r, thetas)

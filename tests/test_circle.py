@@ -26,6 +26,7 @@ from fejerlab.circle import (
 from fejerlab import operators
 from fejerlab.approx import _default_order_ladder, _fejer_candidate
 from fejerlab.cli import _analytic_window
+from fejerlab.hardy import hardy_violation, taylor_fourier_check
 from fejerlab.operators import (
     _blowup_grid,
     fejer_kernel_mass,
@@ -209,12 +210,18 @@ def test_make_grid_matches_per_cell_oracle_on_experiment_grids(monkeypatch, grid
     [(), [0.3, -0.3], [-0.5, 2.0], [PI, -PI, 0.0, PI / 3, -PI / 5]],
     ids=["none", "symmetric", "asymmetric", "on-edges"],
 )
-def test_make_grid_matches_per_cell_oracle_on_edge_cases(edge_levels, max_cell, extra):
+def test_make_grid_matches_per_cell_oracle_on_edge_cases(
+    monkeypatch, edge_levels, max_cell, extra
+):
+    monkeypatch.setattr(circle, "EDGE_LEVELS", edge_levels)
     for M, ppi in ((1, 2), (3, 5)):
-        kwargs = dict(edge_levels=edge_levels, max_cell=max_cell, extra_breakpoints=extra)
+        kwargs = dict(max_cell=max_cell, extra_breakpoints=extra)
         grid = make_grid(M, ppi, **kwargs)
-        oracle = _grid_edges_oracle(M, ppi, **kwargs)
+        oracle = _grid_edges_oracle(M, ppi, edge_levels=edge_levels, **kwargs)
         assert np.array_equal(grid.edges.view(np.uint64), oracle.view(np.uint64))
+        if 0.0 not in extra:
+            # the middle edge is the mirror image -pos[0] of 0
+            assert np.signbit(grid.edges[grid.edges == 0.0]).tolist() == [True]
 
 
 # ------------------------------------------------------------------ piecewise
@@ -670,6 +677,23 @@ def test_fejer_mean_rejects_small_window():
     f = coeff_window(3, {1: 1.0})
     with pytest.raises(ValueError):
         fejer_mean(f, 4)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda c: fejer_mean(c, 1),
+        lambda c: synthesize(c, 0.3),
+        lambda c: poisson_extend(c, 0.5, 0.3),
+        hardy_violation,
+        lambda c: taylor_fourier_check(c, 0.5),
+    ],
+    ids=["fejer_mean", "synthesize", "poisson_extend", "hardy_violation", "taylor_fourier_check"],
+)
+def test_window_readers_reject_even_length(read):
+    # an even-length array has no centre: [0, 0, 1, 0] used to read as c(0) = 1
+    with pytest.raises(ValueError, match="odd length"):
+        read(np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
 
 
 def test_windows_are_read_only_complex_arrays():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fejerlab import maximal
+from fejerlab import circle, maximal
 from fejerlab.circle import PiecewiseConstant, SampledFunction, make_grid
 from fejerlab.maximal import maximal_function, weight_maximal_ratio
 from fejerlab.spaces import make_weight, spike_interval
@@ -53,9 +53,18 @@ def _weight_profile(M):
     return w, grid, w(grid.nodes)
 
 
+def _grid(M, ppi, levels, **kwargs):
+    """make_grid(M, ppi, **kwargs) with `levels` dyadic cells toward each end
+    of a base cell in place of circle.EDGE_LEVELS: small grids for the
+    cubic brute-force oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circle, "EDGE_LEVELS", levels)
+        return make_grid(M, ppi, **kwargs)
+
+
 def _grid_ratio(M, ppi, levels):
-    """sup (Mw)/w over the nodes of make_grid(M, ppi, edge_levels=levels)."""
-    grid = make_grid(M, ppi, edge_levels=levels)
+    """sup (Mw)/w over the nodes of _grid(M, ppi, levels)."""
+    grid = _grid(M, ppi, levels)
     w = make_weight(M)(grid.nodes)
     profile = maximal_function(SampledFunction(grid=grid, samples=w)).samples
     return float(np.max(profile / w))
@@ -64,11 +73,11 @@ def _grid_ratio(M, ppi, levels):
 def _oracle_input(case):
     """(input, grid, node samples), with N <= 43 since the oracle is cubic."""
     if case == "weight-profile":
-        grid = make_grid(2, 2, edge_levels=1)
-        f = SampledFunction.from_callable(make_weight(2).profile, grid)
+        grid = _grid(2, 2, 1)
+        f = SampledFunction(grid=grid, samples=make_weight(2).profile(grid.nodes))
         return f, grid, f.samples
     extra = [0.3] if case == "asymmetric" else []
-    grid = make_grid(1, 3, edge_levels=2, extra_breakpoints=extra)
+    grid = _grid(1, 3, 2, extra_breakpoints=extra)
     if case == "seam":
         # the best arcs of the first cells wrap across +-pi to the last one
         samples = np.full(grid.node_count, 0.1)
@@ -100,7 +109,7 @@ def test_maximal_of_constant(grid_m1):
 
 def test_maximal_of_arc_indicator(grid_m1):
     arc = PiecewiseConstant.indicator(0.0, PI / 2)
-    prof = maximal_function(SampledFunction.from_callable(arc, grid_m1))
+    prof = maximal_function(SampledFunction(grid=grid_m1, samples=arc(grid_m1.nodes)))
     inside = (grid_m1.nodes > 0) & (grid_m1.nodes < PI / 2)
     assert np.max(np.abs(prof.samples[inside] - 1.0)) <= 1e-9
     assert np.all(prof.samples <= 1.0 + 1e-9)
@@ -111,9 +120,9 @@ def test_maximal_at_endpoint_neighbor_matches_double_resolution_oracle():
     # quarter-measure arc; values at nodes flanking the endpoint agree with
     # the exhaustive enumeration on a twice-refined grid
     arc = PiecewiseConstant.indicator(0.0, PI / 2)
-    coarse = make_grid(1, 3, edge_levels=1)
-    fine = make_grid(1, 6, edge_levels=1)
-    prof = maximal_function(SampledFunction.from_callable(arc, coarse))
+    coarse = _grid(1, 3, 1)
+    fine = _grid(1, 6, 1)
+    prof = maximal_function(SampledFunction(grid=coarse, samples=arc(coarse.nodes)))
     fine_samples = np.abs(arc(fine.nodes)).astype(float)
     oracle = brute_force_maximal(fine_samples, fine.quad_weights)
     neighbor = np.argmin(np.abs(coarse.nodes - (PI / 2 + 0.02)))
@@ -157,11 +166,11 @@ def test_maximal_sub_averaging(grid_m1):
 
 
 def test_maximal_wraps_around_the_seam():
-    grid = make_grid(1, 4, edge_levels=2)
+    grid = _grid(1, 4, 2)
     onseam = PiecewiseConstant(
         edges=np.array([-PI, -2.8, 2.8, PI]), values=np.array([1.0, 0.0, 1.0])
     )
-    prof = maximal_function(SampledFunction.from_callable(onseam, grid))
+    prof = maximal_function(SampledFunction(grid=grid, samples=onseam(grid.nodes)))
     near_pi = np.abs(np.abs(grid.nodes) - PI) < 0.2
     assert np.max(np.abs(prof.samples[near_pi] - 1.0)) <= 1e-9
 
@@ -179,7 +188,7 @@ def test_weight_ratio_lower_bound_from_single_arc():
     M, ppi, levels = 4, 4, 6
     ratio = _grid_ratio(M, ppi, levels)
     lo, hi = spike_interval(M)
-    grid = make_grid(M, ppi, edge_levels=levels)
+    grid = _grid(M, ppi, levels)
     below = np.max(grid.edges[grid.edges < lo])
     spike_len = hi - lo
     sliver = lo - below
@@ -250,7 +259,7 @@ def _run_samples(grid, runs, shift):
 
 @given(runs=_RUNS, shift=st.integers(0, 41))
 def test_run_structured_samples_match_bruteforce(runs, shift):
-    grid = make_grid(1, 3, edge_levels=2)
+    grid = _grid(1, 3, 2)
     samples = _run_samples(grid, runs, shift)
     fast = maximal_function(SampledFunction(grid=grid, samples=samples)).samples
     slow = brute_force_maximal(samples, grid.quad_weights)
@@ -259,7 +268,7 @@ def test_run_structured_samples_match_bruteforce(runs, shift):
 
 @given(runs=_RUNS, shift=st.integers(0, 41))
 def test_run_structured_samples_give_mirrored_profile(runs, shift):
-    grid = make_grid(1, 3, edge_levels=2)
+    grid = _grid(1, 3, 2)
     _assert_mirrored(grid, _run_samples(grid, runs, shift))
 
 
