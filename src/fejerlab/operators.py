@@ -23,7 +23,16 @@ factors in O(N) sines (`kernel_blocks`) and is exactly symmetric, so the
 two contractions read one sampled matrix.  In each block the family
 shares one angle table, sin(t/2) for every Fejér order and cos t for every
 Poisson radius, and each kernel's block is bit for bit the one it gives
-alone.  A Fejér operator whose matrix has more than SPECTRAL_SWITCH
+alone.  When the grid is its own mirror exactly, N even and
+nodes == -nodes[::-1], and the weights c == c[::-1] exactly (as on a
+`make_grid` grid without extra breakpoints, with an even weight), only the
+upper N/2 rows are sampled: the kernels are even, so row N-1-i is row i
+reversed.  The lower row sums are the upper ones read backwards, and the
+column sums are p_j + p_{N-1-j} for the upper rows' contraction p, so rows
+and columns stay two contractions of one sampled half.  Step kernels are
+not mirrored: their cells are left-closed, so K(-t) != K(t) where t falls
+on an edge, and the tie rule of `_cuts` follows the sampled lookup there.
+A Fejér operator whose matrix has more than SPECTRAL_SWITCH
 samples uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
 O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
@@ -91,7 +100,9 @@ class OperatorMatrix:
     No matrix is stored: `weighted_sums` samples the kernels through
     `kernel_blocks`, block by block, on every call, unless they are Fejér
     and N^2 > SPECTRAL_SWITCH (those sums come from their 2n+1
-    frequencies) or step kernels (those sums come from prefix sums).
+    frequencies) or step kernels (those sums come from prefix sums).  On
+    an exactly mirror-symmetric grid with mirrored weights it samples the
+    upper N/2 rows only.
     """
 
     grid: CircleGrid
@@ -111,10 +122,17 @@ class OperatorMatrix:
         Both come from one pass over each kernel, as two contractions of
         each block, so they stay independent computations of the two norms;
         Fejér and Poisson entries are nonnegative, so the blocks are |K|.
+        The pass covers rows i < N/2 only when N is even, the nodes are
+        exactly -nodes[::-1] and c exactly c[::-1]: the kernels are even,
+        so row N-1-i is row i reversed, the lower row sums copy the upper
+        ones backwards and the column sums are p + p[::-1] for the upper
+        rows' column contraction p.  Otherwise every row is sampled.
         Fejér operators past the spectral switch return one spectral array,
         sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
         Step kernels take `_step_sums` once for the rows and once for the
-        columns; their values are finite by construction.
+        columns; their values are finite by construction, and they are
+        never mirrored, since a left-closed cell makes K(-t) != K(t) on an
+        edge.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
@@ -130,11 +148,22 @@ class OperatorMatrix:
             prefix = _prefix_sums(c)
             rowsums = _step_sums(profiles, nodes, prefix, 1)
             return rowsums, _step_sums(profiles, nodes, prefix, -1)
-        rowsums = np.empty((len(self.kernels), nodes.size))
-        colsums = np.zeros((len(self.kernels), nodes.size))
-        for rows, k, block in kernel_blocks(self.kernels, nodes, nodes):
-            rowsums[k, rows] = block @ c
-            colsums[k] += c[rows] @ block
+        n = nodes.size
+        mirrored = (
+            n % 2 == 0 and np.array_equal(nodes, -nodes[::-1]) and np.array_equal(c, c[::-1])
+        )
+        h = n // 2 if mirrored else n
+        rowsums = np.empty((len(self.kernels), n))
+        colsums = np.zeros((len(self.kernels), n))
+        top = rowsums[:, :h]
+        for rows, k, block in kernel_blocks(self.kernels, nodes[:h], nodes):
+            top[k, rows] = block @ c
+            colsums[k] += c[:h][rows] @ block
+        if h < n:
+            # row n-1-i is row i reversed, so the lower rows' part of column
+            # j is the upper rows' part of column n-1-j
+            rowsums[:, h:] = rowsums[:, h - 1 :: -1]
+            colsums = colsums + colsums[:, ::-1]
         return rowsums, colsums
 
 
@@ -273,11 +302,13 @@ def operator_norm(A: OperatorMatrix, w: Weight) -> list[tuple[NormResult, NormRe
     Returns one (l1, linf) pair per kernel of A, in its order: the norm on
     weighted l1 (sum |f_j| w_j q_j), then the norm on weighted linf
     (max |f_j| / w_j), from one lookup of the weight and one pass over each
-    kernel.  Each result carries an extremal input: a scaled single-node
-    indicator for the weighted-L1 norm, and the pattern f_j = w_j
-    sign(K_{i*,j}) for the weighted-Linf norm.  Applying the operator to the
-    extremal input attains the returned value exactly (up to rounding),
-    which is how the norm is certified in the tests.
+    kernel: its upper N/2 rows when the grid and the weights are exactly
+    mirrored, all N rows otherwise (`OperatorMatrix.weighted_sums`).  Each
+    result carries an extremal input: a scaled single-node indicator for
+    the weighted-L1 norm, and the pattern f_j = w_j sign(K_{i*,j}) for the
+    weighted-Linf norm.  Applying the operator to the extremal input
+    attains the returned value exactly (up to rounding), which is how the
+    norm is certified in the tests.
     """
     nodes = A.grid.nodes
     q = A.grid.quad_weights

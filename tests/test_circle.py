@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -79,12 +80,19 @@ def test_make_grid_resolution_near_zero():
 
 
 def test_make_grid_is_symmetric_and_positive():
-    grid = make_grid(6, 8)
-    # nodes and weights are mirrored under theta -> -theta
-    assert np.max(np.abs(grid.nodes + grid.nodes[::-1])) <= 1e-15
-    assert np.max(np.abs(grid.quad_weights - grid.quad_weights[::-1])) <= 1e-15
-    assert np.all(grid.quad_weights > 0)
-    assert np.all(np.diff(grid.nodes) > 0)
+    # nodes, weights and the weighted quadrature are mirrored under
+    # theta -> -theta exactly, not to rounding: the operator sums sample
+    # half the rows only then
+    for M, ppi, degree in itertools.product(range(1, 9), (8, 16), (32, 64)):
+        grid = grid_for_kernels(M, ppi, degree)
+        nodes, q = grid.nodes, grid.quad_weights
+        assert nodes.size % 2 == 0, (M, ppi, degree)
+        assert np.array_equal(nodes, -nodes[::-1]), (M, ppi, degree)
+        assert np.array_equal(q, q[::-1]), (M, ppi, degree)
+        wq = make_weight(M)(nodes) * q
+        assert np.array_equal(wq, wq[::-1]), (M, ppi, degree)
+        assert np.all(q > 0)
+        assert np.all(np.diff(nodes) > 0)
 
 
 def test_make_grid_rejects_bad_arguments():

@@ -134,6 +134,50 @@ def test_weighted_sums_match_dense_matrix(
         assert np.array_equal(linf.extremal, wv * signs)
 
 
+def test_mirrored_sums_match_the_full_block_pass(grid_m4, weight_m4, monkeypatch):
+    # on a grid that is its own mirror, with even weights, only the upper
+    # half of the rows is sampled; a pass over all N rows, done here, is
+    # the direct path it must agree with
+    sampled = []
+
+    def counting_blocks(kernels, targets, sources):
+        sampled.append((len(targets), len(sources)))
+        return kernel_blocks(kernels, targets, sources)
+
+    monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
+    N = grid_m4.node_count
+    c = weight_m4(grid_m4.nodes) * grid_m4.quad_weights
+    for family in (
+        [KernelSpec.fejer(n) for n in (0, 7, 34)],
+        [KernelSpec.poisson(r) for r in (0.05, 0.63, 0.97)],
+    ):
+        rows = np.empty((len(family), N))
+        cols = np.zeros((len(family), N))
+        for block_rows, k, block in kernel_blocks(family, grid_m4.nodes, grid_m4.nodes):
+            rows[k, block_rows] = block @ c
+            cols[k] += c[block_rows] @ block
+        sampled.clear()
+        rowsums, colsums = assemble_operator(family, grid_m4).weighted_sums(c)
+        assert sampled == [(N // 2, N)]
+        assert np.array_equal(rowsums, rowsums[:, ::-1])
+        assert np.max(np.abs(rowsums - rows) / rows) <= 1e-13
+        assert np.max(np.abs(colsums - cols) / cols) <= 1e-13
+
+    # an extra breakpoint, odd or even in count, or one weight scaled breaks
+    # the mirror, and every row is sampled
+    uneven = c.copy()
+    uneven[3] *= 1.5
+    cases = [(grid_m4, uneven)]
+    for extra in ([0.3], [0.3, 0.61]):
+        grid = make_grid(4, 8, extra_breakpoints=extra)
+        cases.append((grid, weight_m4(grid.nodes) * grid.quad_weights))
+    for grid, weights in cases:
+        sampled.clear()
+        assemble_operator([KernelSpec.fejer(7)], grid).weighted_sums(weights)
+        n = grid.node_count
+        assert sampled == [(n, n)]
+
+
 @pytest.mark.parametrize("M", [1, 2])
 def test_duality_norms_match_closed_form_of_differences(M):
     # the duality grids at --ppi 8 and --max-order 32; the one-argument
@@ -530,9 +574,10 @@ def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monke
     monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
     [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
     assert abs(l1.value - linf.value) <= 5e-15
-    # the whole N x N kernel went through kernel_blocks, not the spectral path
+    # the kernel went through kernel_blocks, not the spectral path: the
+    # upper half of the rows, since grid_m4 is its own mirror
     N = grid_m4.node_count
-    assert (N, N) in sampled
+    assert (N // 2, N) in sampled
 
 
 def test_duality_gap_random_step_kernels_property():
