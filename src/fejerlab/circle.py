@@ -76,9 +76,18 @@ __all__ = [
 
 
 def wrap_angle(theta):
-    """Reduce angles to the fundamental interval (-pi, pi]."""
-    t = np.remainder(np.asarray(theta, dtype=float), TWO_PI)
-    return np.where(t > math.pi, t - TWO_PI, t)
+    """Reduce angles to the fundamental interval (-pi, pi], as a new array.
+
+    An angle already in it comes back bit for bit: np.remainder would add
+    2 pi to a negative one and round the sum, moving it by an ulp of 2 pi
+    or, within about 4.4e-16 below 0, onto 0.
+    """
+    t = np.array(theta, dtype=float)
+    inside = (t > -math.pi) & (t <= math.pi)
+    if np.all(inside):
+        return t
+    r = np.remainder(t, TWO_PI)
+    return np.where(inside, t, np.where(r > math.pi, r - TWO_PI, r))
 
 
 def _frozen(a, dtype=float):
@@ -402,7 +411,8 @@ def poisson_kernel_eval(r: float, theta, sources=0.0, work=None, angles=None):
 @dataclass(frozen=True)
 class KernelSpec:
     """Convolution kernel: Fejér of order n, Poisson at radius r, or a custom
-    step profile evaluated with wrap-around."""
+    step profile, whose sums come from its cells and which is never
+    sampled."""
 
     kind: str
     n: int | None = None
@@ -430,15 +440,16 @@ class KernelSpec:
     def __call__(self, theta, sources=0.0, work=None, angles=None):
         """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape.
 
-        A Fejér or Poisson table is written into the workspace `work` of
-        three such tables when one is given, and reads or stores its kind's
-        angle table in the dict `angles`; a step profile's is fresh.
+        The table is written into the workspace `work` of three such
+        tables when one is given, and reads or stores its kind's angle
+        table in the dict `angles`.  A step kernel raises TypeError: its
+        values are `profile` at the differences.
         """
         if self.kind == "fejer":
             return fejer_kernel_eval(self.n, theta, sources, work=work, angles=angles)
         if self.kind == "poisson":
             return poisson_kernel_eval(self.r, theta, sources, work=work, angles=angles)
-        return self.profile(np.subtract.outer(theta, sources))
+        raise TypeError("a step kernel is never sampled; look up its profile")
 
 
 def _half_width(c) -> int:
@@ -548,12 +559,11 @@ def kernel_blocks(kernels, targets, sources):
     Fejér orders share one sin(t/2) table and Poisson radii one cos t
     table per block, and each kernel's block is the one it gives alone.
     A lone kernel is a family of one.  This is the only place an N x N
-    kernel is sampled.  Fejér and Poisson blocks come from per-angle phase
-    factors in O(len(rows) + len(sources)) sines and are exactly symmetric
-    when targets and sources are the same nodes; near the diagonal a Fejér
-    entry differs from the closed form at the rounded difference by about
-    1e-16 (n+1) / |sin(t/2)|.  A step profile looks up the rounded
-    differences targets[rows, None] - sources[None, :].
+    kernel is sampled, and only Fejér and Poisson kernels are: their blocks
+    come from per-angle phase factors in O(len(rows) + len(sources)) sines
+    and are exactly symmetric when targets and sources are the same nodes;
+    near the diagonal a Fejér entry differs from the closed form at the
+    rounded difference by about 1e-16 (n+1) / |sin(t/2)|.
 
     Raises ValueError when a kernel produces a non-finite sample.
     """

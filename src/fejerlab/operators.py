@@ -31,7 +31,7 @@ reversed.  The lower row sums are the upper ones read backwards, and the
 column sums are p_j + p_{N-1-j} for the upper rows' contraction p, so rows
 and columns stay two contractions of one sampled half.  Step kernels are
 not mirrored: their cells are left-closed, so K(-t) != K(t) where t falls
-on an edge, and the tie rule of `_cuts` follows the sampled lookup there.
+on an edge, and the tie rule of `_cuts` follows the dense lookup there.
 A Fejér operator whose matrix has more than SPECTRAL_SWITCH
 samples uses its 2n+1 frequencies instead,
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
@@ -60,7 +60,6 @@ from .circle import (
     CircleGrid,
     KernelSpec,
     PiecewiseConstant,
-    _frozen,
     fejer_kernel_eval,
     fejer_multiplier,
     kernel_blocks,
@@ -217,13 +216,13 @@ def _cuts(x, edges, past, sign: int) -> np.ndarray:
     nodes y = [x - 2 pi, x, x + 2 pi], for every pivot: an (len(edges), N)
     array of indices into y.
 
-    Ties follow the dense lookup exactly: with d = sign * (x_piv - x_j)
-    rounded as `kernel_blocks` rounds x_i - x_j and w = wrap_angle(d), the
-    copy rint(sign * (d - w) / 2 pi) of node j is in the window (-pi, pi]
-    around the pivot; copies below it come before every cut and copies
-    above it after, and the window copy comes before cut r when past(r, d),
-    its cell is at or past the cut, for rows (sign +1) and when not for
-    columns (sign -1).
+    Ties follow the dense lookup profile(x_i - x_j) exactly: with
+    d = sign * (x_piv - x_j), rounded as that difference, and
+    w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) of node j is in
+    the window (-pi, pi] around the pivot; copies below it come before
+    every cut and copies above it after, and the window copy comes before
+    cut r when past(r, d), its cell is at or past the cut, for rows
+    (sign +1) and when not for columns (sign -1).
     """
     n = x.size
     y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
@@ -289,46 +288,32 @@ def assemble_operator(kernels, grid: CircleGrid) -> OperatorMatrix:
 @dataclass(frozen=True)
 class NormResult:
     value: float
-    extremal: np.ndarray  # node samples of an input attaining the norm
-    arg_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "extremal", _frozen(self.extremal))
+    arg_index: int  # the node whose column (l1) or row (linf) attains the norm
 
 
 def operator_norm(A: OperatorMatrix, w: Weight) -> list[tuple[NormResult, NormResult]]:
     """Exact norms of the discrete operators on both weighted spaces.
 
     Returns one (l1, linf) pair per kernel of A, in its order: the norm on
-    weighted l1 (sum |f_j| w_j q_j), then the norm on weighted linf
-    (max |f_j| / w_j), from one lookup of the weight and one pass over each
-    kernel: its upper N/2 rows when the grid and the weights are exactly
-    mirrored, all N rows otherwise (`OperatorMatrix.weighted_sums`).  Each
-    result carries an extremal input: a scaled single-node indicator for
-    the weighted-L1 norm, and the pattern f_j = w_j sign(K_{i*,j}) for the
-    weighted-Linf norm.  Applying the operator to the extremal input
-    attains the returned value exactly (up to rounding), which is how the
-    norm is certified in the tests.
+    weighted l1 (sum |f_j| w_j q_j), max_j of the column sums over w_j,
+    then the norm on weighted linf (max |f_j| / w_j), max_i of the row sums
+    over w_i, from one lookup of the weight and one pass over each kernel:
+    its upper N/2 rows when the grid and the weights are exactly mirrored,
+    all N rows otherwise (`OperatorMatrix.weighted_sums`).  Nothing else is
+    sampled.  Each result names the node that attains it: the input
+    e_j / (w_j q_j) attains the l1 norm at its column j, and
+    f = w sign(K_{i,:}) the linf norm at its row i.
     """
-    nodes = A.grid.nodes
-    q = A.grid.quad_weights
-    wv = w(nodes)
-    norms = []
-    for kernel, rowsums, colsums in zip(A.kernels, *A.weighted_sums(wv * q)):
-        ratios = colsums / wv
-        j = int(np.argmax(ratios))
-        extremal = np.zeros(nodes.size)
-        extremal[j] = 1.0 / (wv[j] * q[j])
-        l1 = NormResult(value=float(ratios[j]), extremal=extremal, arg_index=j)
+    wv = w(A.grid.nodes)
 
-        ratios = rowsums / wv
-        i = int(np.argmax(ratios))
-        [(_, _, row)] = kernel_blocks([kernel], nodes[i : i + 1], nodes)
-        signs = np.sign(row[0])
-        signs[signs == 0] = 1.0
-        linf = NormResult(value=float(ratios[i]), extremal=wv * signs, arg_index=i)
-        norms.append((l1, linf))
-    return norms
+    def attained(ratios):
+        j = int(np.argmax(ratios))
+        return NormResult(value=float(ratios[j]), arg_index=j)
+
+    return [
+        (attained(colsums / wv), attained(rowsums / wv))
+        for rowsums, colsums in zip(*A.weighted_sums(wv * A.grid.quad_weights))
+    ]
 
 
 def make_bump(m: int) -> PiecewiseConstant:

@@ -40,23 +40,19 @@ class Weight:
     """Truncated spiked weight with M spike pairs.
 
     `profile` is the exact step representation used for integration, and
-    point evaluation reads it too: __call__ looks |theta| up among its
-    edges and takes the larger of the two cells that meet at an edge, so
-    every spike is closed on both ends and sqrt(m) wins at shared
-    endpoints, on both sides of the circle.  O(log M) per angle.
+    point evaluation reads it too: __call__ looks theta and -theta up in it
+    and takes the larger value.  The weight is even and the profile's cells
+    are left-closed, so at an edge that is the larger of the two cells that
+    meet there: every spike is closed on both ends and sqrt(m) wins at
+    shared endpoints, on both sides of the circle.  O(log M) per angle.
     """
 
     M: int
     profile: PiecewiseConstant
 
     def __call__(self, theta):
-        t = np.abs(wrap_angle(theta))
-        edges, values = self.profile.edges, self.profile.values
-        lo, hi = (
-            np.clip(np.searchsorted(edges, t, side=side) - 1, 0, values.size - 1)
-            for side in ("left", "right")
-        )
-        out = np.maximum(values[lo], values[hi])
+        t = wrap_angle(theta)
+        out = np.maximum(self.profile(t), self.profile(-t))
         return out if out.ndim else float(out)
 
 

@@ -240,6 +240,7 @@ def test_piecewise_constant_lookup_and_wrap():
     assert pc(0.5) == 3.0
     assert pc(0.0) == 3.0  # left-closed
     assert pc(-0.3) == 0.0
+    assert pc(-1e-20) == 0.0  # below the edge, not rounded onto it
     assert pc(0.5 + 2 * PI) == 3.0
     assert pc(-PI) == pc(PI)
 
@@ -275,6 +276,17 @@ def test_wrap_angle_convention():
     assert wrap_angle(PI) == PI
     assert wrap_angle(-PI) == PI
     assert abs(wrap_angle(3 * PI / 2) - (-PI / 2)) < 1e-15
+    # an angle in range comes back bit for bit, as a copy: np.remainder
+    # would round theta + 2 pi, moving most negative angles by an ulp of
+    # 2 pi and -1e-20 onto 0.0
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        [rng.uniform(-PI, PI, 10_000), [-1e-20, np.nextafter(-PI, 0.0), -0.0, 0.0, PI]]
+    )
+    for theta in (x, np.append(x, [3 * PI, -PI])):  # in range, and mixed
+        got = wrap_angle(theta)[: x.size]
+        assert np.array_equal(got.view(np.uint64), x.view(np.uint64))
+        assert not np.shares_memory(got, theta)
 
 
 # ------------------------------------------------------- Fourier coefficients
@@ -589,9 +601,7 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
     # the duality grids (N = 410, 510 and 536) span several blocks each;
     # stacked, the blocks are kernel(x, x) bit for bit, and that table is
     # exactly symmetric because products commute exactly.  Its entries are
-    # nonnegative, so weighted sums take the blocks as |K| unchanged.  The
-    # step kernel is signed and not even: its stacked blocks are the
-    # profile at the rounded differences, transposed rows would show.
+    # nonnegative, so weighted sums take the blocks as |K| unchanged.
     x = grid_for_kernels(M, ppi, 32).nodes
     assert x.size**2 > KERNEL_BLOCK
     for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32)] + [
@@ -602,12 +612,21 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
         assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64)), kernel
         assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64)), kernel
         assert np.all(table >= 0.0), kernel
-    step = PiecewiseConstant(
-        edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+
+
+def test_step_kernels_are_never_sampled():
+    # a step kernel's sums come from its cells, so neither a call nor a
+    # block pass samples one, and neither falls through to another formula
+    x = grid_for_kernels(1, 8, 32).nodes
+    step = KernelSpec.custom(
+        PiecewiseConstant(
+            edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
+        )
     )
-    stacked = np.vstack([b.copy() for _, _, b in kernel_blocks([KernelSpec.custom(step)], x, x)])
-    table = step(x[:, None] - x[None, :])
-    assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64))
+    with pytest.raises(TypeError, match="never sampled"):
+        step(x, x)
+    with pytest.raises(TypeError, match="never sampled"):
+        next(kernel_blocks([step], x, x))
 
 
 def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():

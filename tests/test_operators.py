@@ -98,6 +98,28 @@ def test_assemble_rejects_nonfinite_kernel():
         PiecewiseConstant(edges=np.array([-PI, 0.0, PI]), values=np.array([1.0, np.inf]))
 
 
+def _attaining_inputs(table, l1, linf, wv, q):
+    """The inputs that attain each norm, built from its arg_index: the scaled
+    indicator e_j / (w_j q_j) of the l1 column j, and w sign(K_{i,:}) of the
+    linf row i of the signed kernel table (sign +1 where K is 0)."""
+    j, i = l1.arg_index, linf.arg_index
+    indicator = np.zeros(wv.size)
+    indicator[j] = 1.0 / (wv[j] * q[j])
+    return indicator, wv * np.where(table[i] < 0, -1.0, 1.0)
+
+
+def _assert_attained(table, l1, linf, wv, q):
+    """Both norms are the ratio ||A f|| / ||f|| of their attaining inputs,
+    with A f = table @ (f q), to 1e-12."""
+    for res, f, norm_of in zip(
+        (l1, linf),
+        _attaining_inputs(table, l1, linf, wv, q),
+        (lambda g: np.sum(np.abs(g) * wv * q), lambda g: np.max(np.abs(g) / wv)),
+    ):
+        ratio = norm_of(table @ (f * q)) / norm_of(f)
+        assert abs(ratio - res.value) <= 1e-12 * res.value
+
+
 def test_weighted_sums_match_dense_matrix(
     grid_m4, grid_past_spectral_switch, grid_past_spectral_switch_asymmetric
 ):
@@ -105,7 +127,8 @@ def test_weighted_sums_match_dense_matrix(
     # the step kernel is signed and not even, so a transposed, unsigned or
     # duplicated sum vector shows.  Past the switch the Fejér sums are one
     # spectral vector, so the dense matrix is their oracle there; below it
-    # they stay two contractions, which the duality check relies on.
+    # they stay two contractions, which the duality check relies on.  A
+    # step kernel's dense oracle is its profile at the rounded differences
     step = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
@@ -116,7 +139,9 @@ def test_weighted_sums_match_dense_matrix(
         (KernelSpec.fejer(0), KernelSpec.fejer(7), KernelSpec.fejer(34), step),
         (grid_m4, grid_past_spectral_switch, grid_past_spectral_switch_asymmetric),
     ):
-        dense = np.abs(kernel(grid.nodes[:, None] - grid.nodes[None, :]))
+        sample = step.profile if kernel is step else kernel
+        table = sample(grid.nodes[:, None] - grid.nodes[None, :])
+        dense = np.abs(table)
         A = assemble_operator([kernel], grid)
         wv = w(grid.nodes)
         wq = wv * grid.quad_weights
@@ -129,9 +154,7 @@ def test_weighted_sums_match_dense_matrix(
         [(l1, linf)] = operator_norm(A, w)
         for res, sums in ((l1, dense.T @ wq), (linf, dense @ wq)):
             assert abs(res.value - np.max(sums / wv)) <= 1e-13 * res.value
-        i = linf.arg_index
-        signs = np.where(kernel(grid.nodes[i] - grid.nodes) < 0, -1.0, 1.0)
-        assert np.array_equal(linf.extremal, wv * signs)
+        _assert_attained(table, l1, linf, wv, grid.quad_weights)
 
 
 def test_mirrored_sums_match_the_full_block_pass(grid_m4, weight_m4, monkeypatch):
@@ -338,7 +361,7 @@ def test_step_kernel_sums_follow_dense_lookup_at_ties(case, grid_m4):
         assert np.max(np.abs(grid.nodes + grid.nodes[::-1])) > 1e-15
         kernel = _tied_step_kernel(grid, [(3, 400), (250, 251), (578, 1)])
     nodes = grid.nodes
-    dense = np.abs(kernel(nodes[:, None] - nodes[None, :]))
+    dense = np.abs(kernel.profile(nodes[:, None] - nodes[None, :]))
     wq = make_weight(4)(nodes) * grid.quad_weights
     [rowsums], [colsums] = assemble_operator([kernel], grid).weighted_sums(wq)
     assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
@@ -368,7 +391,7 @@ def test_step_kernel_sums_follow_dense_lookup_on_duality_grids(M, ppi):
         edges = np.concatenate([[ends[0]], inner, [ends[1]]])
         values = rng.normal(size=edges.size - 1)
         kernel = KernelSpec.custom(PiecewiseConstant(edges=edges, values=values))
-        dense = np.abs(kernel(D))
+        dense = np.abs(kernel.profile(D))
         [rowsums], [colsums] = assemble_operator([kernel], grid).weighted_sums(wq)
         assert np.max(np.abs(rowsums - dense @ wq)) <= 1e-13
         assert np.max(np.abs(colsums - dense.T @ wq)) <= 1e-13
@@ -540,9 +563,9 @@ def test_norm_dominates_random_probes_and_extremal_attains(space, weight_m4, gri
             continue
         an = norm(SampledFunction(grid=grid_m4, samples=dense @ (f * q)), weight_m4, space)
         assert an <= res.value * fn * (1 + 1e-12)
-    ext = SampledFunction(grid=grid_m4, samples=res.extremal)
-    fn = norm(ext, weight_m4, space)
-    conv = dense_convolution(kernel, grid_m4, res.extremal)
+    f = _attaining_inputs(dense, *norms, weight_m4(nodes), q)[["l1", "linf"].index(space)]
+    fn = norm(SampledFunction(grid=grid_m4, samples=f), weight_m4, space)
+    conv = dense_convolution(kernel, grid_m4, f)
     an = norm(SampledFunction(grid=grid_m4, samples=conv), weight_m4, space)
     assert abs(an / fn - res.value) <= 1e-12 * res.value
 
@@ -575,9 +598,10 @@ def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monke
     [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
     assert abs(l1.value - linf.value) <= 5e-15
     # the kernel went through kernel_blocks, not the spectral path: the
-    # upper half of the rows, since grid_m4 is its own mirror
+    # upper half of the rows, since grid_m4 is its own mirror, and nothing
+    # more, since a norm is read off the sums
     N = grid_m4.node_count
-    assert (N // 2, N) in sampled
+    assert sampled == [(N // 2, N)]
 
 
 def test_duality_gap_random_step_kernels_property():
@@ -730,9 +754,11 @@ def test_blowup_requires_enough_spikes():
 @pytest.mark.parametrize("m", [1, 2, 4, 9, 25, 64])
 def test_blowup_grid_resolves_every_window(m, ppi):
     # the built grid puts at least 4 cells across [0, pi/(2m)^2], 2 nodes on
-    # the bump and 1 in the certification window, at the coarsest --ppi too
+    # the bump and 1 in the certification window, at the coarsest --ppi
+    # too, and holds -pi/(2m)^2 itself as an edge
     p = localization_params(m)
     grid = operators._blowup_grid([p], m, ppi)
+    assert np.any(grid.edges == -p.epsilon)
     inside = (grid.edges > 0) & (grid.edges < p.epsilon)
     assert np.count_nonzero(inside) >= 3
     assert np.count_nonzero(make_bump(m)(grid.nodes)) >= 2
