@@ -35,7 +35,7 @@ from .circle import (
     fejer_mean,
     fejer_multiplier,
     fourier_window,
-    kernel_blocks,
+    kernel_sums,
     synthesize,
 )
 from .operators import (
@@ -290,19 +290,16 @@ def _default_order_ladder(M: int):
 
 def _stage_errors(grid, wv, parts, orders):
     """Errors ||f * F_n - f||_{L1(w)} of the sparse bump sum, recomputed
-    exactly as the full quadrature convolution would produce them."""
+    exactly as the full quadrature convolution would produce them, every
+    order in one Fejér family's `kernel_sums`."""
     idx = np.array([p[0] for p in parts])
     amp = np.array([p[1] for p in parts])  # f value at the node
     fq = amp * grid.quad_weights[idx]
     f_full = np.zeros(grid.node_count)
     np.add.at(f_full, idx, amp)
-    errors = []
-    for n in orders:
-        conv = np.empty(grid.node_count)
-        for rows, _, block in kernel_blocks([KernelSpec.fejer(n)], grid.nodes, grid.nodes[idx]):
-            conv[rows] = block @ fq
-        errors.append(float(np.sum(np.abs(conv - f_full) * wv * grid.quad_weights)))
-    return errors
+    family = [KernelSpec.fejer(n) for n in orders]
+    convs, _ = kernel_sums(family, grid.nodes, grid.nodes[idx], fq)
+    return [float(np.sum(np.abs(conv - f_full) * wv * grid.quad_weights)) for conv in convs]
 
 
 def gliding_hump_witness(

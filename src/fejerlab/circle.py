@@ -24,15 +24,16 @@ from its length, which must be odd (ValueError otherwise: an even-length
 array has no centre for c(0)).  `fejer_multiplier` is the one place the
 Fejér damping 1 - |k|/(n+1) is written.
 
-Kernels are sampled as tables K(theta_i - s_j), block by block, in
-`kernel_blocks`: KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
+Kernels are summed, never stored: `kernel_sums` samples the tables
+K(theta_i - s_j) KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
 written in place into one workspace of three such tables, allocated once
-per call and reused for every block.  Fejér and Poisson tables come from
-per-angle phase factors by angle addition, O(rows + columns) sines per
-block; near the diagonal each sine carries about 1e-16 absolute error where
-fl(theta_i - s_j) would be exact.  A family of kernels of one kind builds
-each block's angle table once, sin(t/2) for every Fejér order and cos t
-for every Poisson radius, and every kernel finishes its own table from it.
+per call, and returns the row and column contractions of the blocks.
+Fejér and Poisson tables come from per-angle phase factors by angle
+addition, O(rows + columns) sines per block; near the diagonal each sine
+carries about 1e-16 absolute error where fl(theta_i - s_j) would be exact.
+A family of kernels of one kind builds each block's angle table once,
+sin(t/2) for every Fejér order and cos t for every Poisson radius, and
+every kernel finishes its own table from it.
 
 `trig_sum` phases over frequencies k0..k0+K-1 come from the binary powers
 e^{+-i 2^j theta} (2^j theta is exact) by doubling, TRIG_BLOCK (1 MB) at a
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-KERNEL_BLOCK = 2**16  # kernel samples per block in kernel_blocks (512 kB)
+KERNEL_BLOCK = 2**16  # kernel samples per block in kernel_sums (512 kB)
 TRIG_BLOCK = 2**16  # complex phases per block in trig_sum (1 MB)
 EDGE_LEVELS = 12  # dyadic cells toward each end of a base cell in make_grid
 
@@ -70,7 +71,7 @@ __all__ = [
     "fejer_mean",
     "synthesize",
     "trig_sum",
-    "kernel_blocks",
+    "kernel_sums",
     "poisson_extend",
 ]
 
@@ -195,8 +196,8 @@ class PiecewiseConstant:
     and the last cell is closed at pi.  Angles are wrapped to (-pi, pi]
     before lookup.  Construction is the one check of a step function: it
     raises ValueError unless the edges are finite, span [-pi, pi] and
-    increase strictly, and the values are real and finite, one per cell;
-    both are stored as read-only float arrays.
+    increase strictly, and the values are real and finite, a 1-D array of
+    one per cell; both are stored as read-only float arrays.
     """
 
     edges: np.ndarray
@@ -209,8 +210,8 @@ class PiecewiseConstant:
         values = _frozen(self.values)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least two edges")
-        if values.size != edges.size - 1:
-            raise ValueError("values must have one entry per cell")
+        if values.shape != (edges.size - 1,):
+            raise ValueError("values must be a 1-D array with one entry per cell")
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
             raise ValueError("step function edges and values must be finite")
         if not (
@@ -256,7 +257,8 @@ class SampledFunction:
 
     Quadrature treats the function as constant on each cell, which is exact
     whenever the underlying function is a step function whose jumps lie on
-    the grid edges.  A NaN or infinite sample raises ValueError.
+    the grid edges.  Samples other than a finite 1-D array of one per node
+    raise ValueError.
     """
 
     grid: CircleGrid
@@ -267,8 +269,8 @@ class SampledFunction:
         samples = _frozen(
             samples, dtype=complex if np.iscomplexobj(samples) else float
         )
-        if samples.size != self.grid.node_count:
-            raise ValueError("one sample per grid node required")
+        if samples.shape != (self.grid.node_count,):
+            raise ValueError("samples must be a 1-D array with one per grid node")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -544,26 +546,26 @@ def synthesize(c: np.ndarray, theta):
     return out if np.ndim(theta) else out[0]
 
 
-def kernel_blocks(kernels, targets, sources):
-    """Samples K(targets[rows] - sources) of a family of kernels, one block
-    of rows at a time.
+def kernel_sums(kernels, targets, sources, right, left=None):
+    """Contractions of a family of kernels K_k(targets_i - sources_j): the
+    row sums sum_j K_k,ij right_j as a (K, len(targets)) array, row k for
+    kernels[k], and, when `left` is given, the column sums
+    sum_i left_i K_k,ij as a (K, len(sources)) array, else None.
 
-    Yields (rows, k, block) for every block of rows and, within it, every
-    kernel k of the sequence `kernels` in turn: `rows` is a slice of
-    `targets` and `block` of shape (len(rows), len(sources)), about
-    KERNEL_BLOCK samples, from kernels[k](targets[rows], sources,
-    work=..., angles=...).  One workspace of three block-sized tables is
-    allocated per call and every block is written into it, so a block is
-    valid only until the next one is drawn: the caller may overwrite it but
-    must not keep it.  The kernels of a block share one dict `angles`, so
-    Fejér orders share one sin(t/2) table and Poisson radii one cos t
-    table per block, and each kernel's block is the one it gives alone.
-    A lone kernel is a family of one.  This is the only place an N x N
-    kernel is sampled, and only Fejér and Poisson kernels are: their blocks
-    come from per-angle phase factors in O(len(rows) + len(sources)) sines
-    and are exactly symmetric when targets and sources are the same nodes;
-    near the diagonal a Fejér entry differs from the closed form at the
-    rounded difference by about 1e-16 (n+1) / |sin(t/2)|.
+    The kernels are sampled about KERNEL_BLOCK samples at a time, a block of
+    rows of targets against all sources, from kernels[k](targets[rows],
+    sources, work=..., angles=...), each block written into one workspace
+    of three block-sized tables allocated per call and contracted both ways
+    before the next is drawn.  The kernels of a block share one dict
+    `angles`, so Fejér orders share one sin(t/2) table and Poisson radii
+    one cos t table per block, and each kernel's block is bit for bit the
+    one it gives alone.  A lone kernel is a family of one.  This is the
+    only place an N x N kernel is sampled, and only Fejér and Poisson
+    kernels are: their blocks come from per-angle phase factors in
+    O(len(rows) + len(sources)) sines and are exactly symmetric when
+    targets and sources are the same nodes; near the diagonal a Fejér entry
+    differs from the closed form at the rounded difference by about
+    1e-16 (n+1) / |sin(t/2)|.
 
     Raises ValueError when a kernel produces a non-finite sample.
     """
@@ -571,6 +573,8 @@ def kernel_blocks(kernels, targets, sources):
     sources = np.asarray(sources, dtype=float)
     step = max(1, KERNEL_BLOCK // max(1, sources.size))
     work = np.empty((3, min(step, targets.size), sources.size))
+    rowsums = np.empty((len(kernels), targets.size))
+    colsums = None if left is None else np.zeros((len(kernels), sources.size))
     for start in range(0, targets.size, step):
         rows = slice(start, start + step)
         t = targets[rows]
@@ -579,7 +583,10 @@ def kernel_blocks(kernels, targets, sources):
             block = np.asarray(kernel(t, sources, work=work[:, : t.size], angles=angles))
             if not np.all(np.isfinite(block)):
                 raise ValueError("kernel produced non-finite samples")
-            yield rows, k, block
+            rowsums[k, rows] = block @ right
+            if left is not None:
+                colsums[k] += left[rows] @ block
+    return rowsums, colsums
 
 
 def poisson_extend(c: np.ndarray, r: float, theta):

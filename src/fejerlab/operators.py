@@ -16,18 +16,18 @@ statement.
 
 An operator holds a family of kernels of one kind on one grid (a lone
 kernel is a family of one) and never stores a matrix; `operator_norm`
-looks the weight up once per family.  Fejér and Poisson sums sample each
-kernel once, block by block, and take the row sums and the column sums as
-two contractions of each block; each block is built from per-node phase
-factors in O(N) sines (`kernel_blocks`) and is exactly symmetric, so the
-two contractions read one sampled matrix.  In each block the family
-shares one angle table, sin(t/2) for every Fejér order and cos t for every
-Poisson radius, and each kernel's block is bit for bit the one it gives
-alone.  When the grid is its own mirror exactly, N even and
-nodes == -nodes[::-1], and the weights c == c[::-1] exactly (as on a
-`make_grid` grid without extra breakpoints, with an even weight), only the
-upper N/2 rows are sampled: the kernels are even, so row N-1-i is row i
-reversed.  The lower row sums are the upper ones read backwards, and the
+looks the weight up once per family.  Fejér and Poisson sums come from one
+`kernel_sums` call, which samples each kernel once, block by block, and
+takes the row sums and the column sums as two contractions of each block;
+each block is built from per-node phase factors in O(N) sines and is
+exactly symmetric, so the two contractions read one sampled matrix.  In
+each block the family shares one angle table, sin(t/2) for every Fejér
+order and cos t for every Poisson radius, and each kernel's block is bit
+for bit the one it gives alone.  When the grid is its own mirror
+exactly, N even and nodes == -nodes[::-1], and the weights c == c[::-1]
+exactly (as on a `make_grid` grid without extra breakpoints, with an even
+weight), only the upper N/2 rows are sampled: the kernels are even, so
+row N-1-i is row i reversed.  The lower row sums are the upper ones read backwards, and the
 column sums are p_j + p_{N-1-j} for the upper rows' contraction p, so rows
 and columns stay two contractions of one sampled half.  Step kernels are
 not mirrored: their cells are left-closed, so K(-t) != K(t) where t falls
@@ -62,7 +62,7 @@ from .circle import (
     PiecewiseConstant,
     fejer_kernel_eval,
     fejer_multiplier,
-    kernel_blocks,
+    kernel_sums,
     make_grid,
     trig_sum,
     wrap_angle,
@@ -96,8 +96,8 @@ class OperatorMatrix:
     """The operators with kernels K_k(theta_i - theta_j), k < K, of one kind
     on a grid's quadrature.
 
-    No matrix is stored: `weighted_sums` samples the kernels through
-    `kernel_blocks`, block by block, on every call, unless they are Fejér
+    No matrix is stored: `weighted_sums` contracts the kernels in one
+    `kernel_sums` call, block by block, on every call, unless they are Fejér
     and N^2 > SPECTRAL_SWITCH (those sums come from their 2n+1
     frequencies) or step kernels (those sums come from prefix sums).  On
     an exactly mirror-symmetric grid with mirrored weights it samples the
@@ -118,9 +118,10 @@ class OperatorMatrix:
         """Row sums sum_j |K_k,ij| c_j and column sums sum_i |K_k,ij| c_i,
         as two (K, N) arrays, row k for kernel k.
 
-        Both come from one pass over each kernel, as two contractions of
-        each block, so they stay independent computations of the two norms;
-        Fejér and Poisson entries are nonnegative, so the blocks are |K|.
+        Both come from one `kernel_sums` pass over each kernel, as two
+        contractions of each block, so they stay independent computations of
+        the two norms; Fejér and Poisson entries are nonnegative, so the
+        blocks are |K|.
         The pass covers rows i < N/2 only when N is even, the nodes are
         exactly -nodes[::-1] and c exactly c[::-1]: the kernels are even,
         so row N-1-i is row i reversed, the lower row sums copy the upper
@@ -152,16 +153,11 @@ class OperatorMatrix:
             n % 2 == 0 and np.array_equal(nodes, -nodes[::-1]) and np.array_equal(c, c[::-1])
         )
         h = n // 2 if mirrored else n
-        rowsums = np.empty((len(self.kernels), n))
-        colsums = np.zeros((len(self.kernels), n))
-        top = rowsums[:, :h]
-        for rows, k, block in kernel_blocks(self.kernels, nodes[:h], nodes):
-            top[k, rows] = block @ c
-            colsums[k] += c[:h][rows] @ block
+        rowsums, colsums = kernel_sums(self.kernels, nodes[:h], nodes, c, c[:h])
         if h < n:
             # row n-1-i is row i reversed, so the lower rows' part of column
             # j is the upper rows' part of column n-1-j
-            rowsums[:, h:] = rowsums[:, h - 1 :: -1]
+            rowsums = np.concatenate([rowsums, rowsums[:, ::-1]], axis=1)
             colsums = colsums + colsums[:, ::-1]
         return rowsums, colsums
 
@@ -514,16 +510,15 @@ def fejer_blowup(m_list, w: Weight, *, points_per_interval: int = 8) -> list[Blo
 
         # convolution restricted to the bump support
         bump_q = bump_vals[support] * q[support]
-        pointwise_min = min(
-            float(np.min(block @ bump_q))
-            for _, _, block in kernel_blocks(
-                # a plain callable, not KernelSpec.fejer: the benchmark counts
-                # this sampling through `operators.fejer_kernel_eval`
-                [lambda t, s, work, angles: fejer_kernel_eval(p.n_of_m, t, s, work, angles)],
-                grid.nodes[window],
-                grid.nodes[support],
-            )
+        [conv], _ = kernel_sums(
+            # a plain callable, not KernelSpec.fejer: the benchmark counts
+            # this sampling through `operators.fejer_kernel_eval`
+            [lambda t, s, work, angles: fejer_kernel_eval(p.n_of_m, t, s, work, angles)],
+            grid.nodes[window],
+            grid.nodes[support],
+            bump_q,
         )
+        pointwise_min = float(np.min(conv))
 
         l1, linf = norms[p.n_of_m]
         rows.append(

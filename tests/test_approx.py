@@ -309,6 +309,19 @@ def _witness_function(report, w):
     return grid, SampledFunction(grid=grid, samples=samples)
 
 
+def test_stage_errors_of_three_orders_are_each_orders_own():
+    # one Fejér family sums every order; each order's errors are the ones it
+    # gives alone, bit for bit
+    w = make_weight(9)
+    grid = grid_for_kernels(w.M, 8, 64)
+    wv = w(grid.nodes)
+    parts = [(j, 2.0 ** -(k + 1) / (wv[j] * grid.quad_weights[j]))
+             for k, j in enumerate((grid.node_count // 2 + 5, 17, grid.node_count - 40))]
+    orders = [8, 21, 64]
+    alone = [approx._stage_errors(grid, wv, parts, [n])[0] for n in orders]
+    assert approx._stage_errors(grid, wv, parts, orders) == alone
+
+
 def test_witness_two_stages_meet_target(witness_small):
     report = witness_small
     assert len(report.orders) == 2

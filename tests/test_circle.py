@@ -16,7 +16,7 @@ from fejerlab.circle import (
     fejer_kernel_eval,
     fejer_mean,
     fourier_window,
-    kernel_blocks,
+    kernel_sums,
     make_grid,
     poisson_extend,
     poisson_kernel_eval,
@@ -255,8 +255,14 @@ def test_piecewise_constant_lookup_and_wrap():
         ([-PI, np.nan, PI], [1.0, 2.0], "finite"),
         ([-PI, 0.0, PI], [1.0, np.inf], "finite"),
         ([-PI, 0.0, PI], [1.0, 1j], "real"),
+        # two values in one row: a call would index past it and a Fourier
+        # window would fail to broadcast, far from here
+        ([-PI, 0.0, PI], [[1.0, 2.0]], "1-D"),
     ],
-    ids=["one-edge", "value-count", "span", "not-increasing", "nan-edge", "inf-value", "complex"],
+    ids=[
+        "one-edge", "value-count", "span", "not-increasing", "nan-edge", "inf-value",
+        "complex", "values-2d",
+    ],
 )
 def test_piecewise_constant_refusals(edges, values, message):
     with pytest.raises(ValueError, match=message):
@@ -270,6 +276,15 @@ def test_sampled_function_rejects_nonfinite_samples(bad):
     samples[grid.node_count // 2] = bad
     with pytest.raises(ValueError, match="finite"):
         SampledFunction(grid=grid, samples=samples)
+
+
+def test_sampled_function_rejects_samples_of_the_wrong_shape():
+    # one row of N samples would fail to broadcast in the maximal sweep
+    grid = make_grid(2, 4)
+    samples = np.ones(grid.node_count)
+    for bad in (samples[None, :], samples[:, None], samples[:-1], np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            SampledFunction(grid=grid, samples=bad)
 
 
 def test_wrap_angle_convention():
@@ -561,6 +576,19 @@ def _entry_bound(kernel, diff, reference):
     return reference * (4 * r * U * (2 * PI + 4) / (1 - r) ** 2 + 8 * U)
 
 
+def _recording(kernel, blocks):
+    """`kernel` as a callable that appends (rows, a copy of the block) for
+    every block it gives, rows being the slice of targets it covers."""
+
+    def recorded(t, s, work, angles):
+        block = kernel(t, s, work=work, angles=angles)
+        start = blocks[-1][0].stop if blocks else 0
+        blocks.append((slice(start, start + t.size), block.copy()))
+        return block
+
+    return recorded
+
+
 @pytest.mark.parametrize(
     "M, build",
     [
@@ -577,11 +605,11 @@ def test_kernel_blocks_match_closed_form_of_differences(M, build):
     x = grid.nodes
     c = make_weight(M)(x) * grid.quad_weights
     for kernel in SAMPLED_KERNELS:
-        rowsums = np.empty(x.size)
-        colsums = np.zeros(x.size)
+        blocks = []
+        [rowsums], [colsums] = kernel_sums([_recording(kernel, blocks)], x, x, c, c)
         ref_rows = np.empty(x.size)
         ref_cols = np.zeros(x.size)
-        for rows, _, block in kernel_blocks([kernel], x, x):
+        for rows, block in blocks:
             diff = x[rows, None] - x[None, :]
             ref = _closed_form(kernel, diff)
             assert np.all(np.abs(block - ref) <= _entry_bound(kernel, diff, ref)), kernel
@@ -589,9 +617,9 @@ def test_kernel_blocks_match_closed_form_of_differences(M, build):
                 # sin(t/2) is exactly 0 on the diagonal in both forms
                 diag = np.arange(x.size)[rows]
                 assert np.all(block[diag - rows.start, diag] == kernel.n + 1)
-            rowsums[rows], ref_rows[rows] = block @ c, ref @ c
-            colsums += c[rows] @ block
+            ref_rows[rows] = ref @ c
             ref_cols += c[rows] @ ref
+        assert blocks[-1][0].stop == x.size
         assert np.max(np.abs(rowsums - ref_rows) / ref_rows) <= 1e-13, kernel
         assert np.max(np.abs(colsums - ref_cols) / ref_cols) <= 1e-13, kernel
 
@@ -607,7 +635,9 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
     for kernel in [KernelSpec.fejer(n) for n in (0, 1, 32)] + [
         KernelSpec.poisson(r) for r in (0.05, 0.63)
     ]:
-        stacked = np.vstack([block.copy() for _, _, block in kernel_blocks([kernel], x, x)])
+        blocks = []
+        kernel_sums([_recording(kernel, blocks)], x, x, np.ones(x.size))
+        stacked = np.vstack([block for _, block in blocks])
         table = kernel(x, x)
         assert np.array_equal(stacked.view(np.uint64), table.view(np.uint64)), kernel
         assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64)), kernel
@@ -626,43 +656,91 @@ def test_step_kernels_are_never_sampled():
     with pytest.raises(TypeError, match="never sampled"):
         step(x, x)
     with pytest.raises(TypeError, match="never sampled"):
-        next(kernel_blocks([step], x, x))
+        kernel_sums([step], x, x, np.ones(x.size))
 
 
 def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():
-    x = grid_for_kernels(2, 16, 32).nodes
+    grid = grid_for_kernels(2, 16, 32)
+    x = grid.nodes
+    c = make_weight(2)(x) * grid.quad_weights
     step = KERNEL_BLOCK // x.size
     assert x.size % step  # N = 536: four blocks of 122 rows and one of 48
+    starts = list(range(0, x.size, step))
     for kernel in (KernelSpec.fejer(32), KernelSpec.poisson(0.63)):
-        blocks = list(kernel_blocks([kernel], x, x))
-        starts = list(range(0, x.size, step))
-        assert [rows for rows, _, _ in blocks] == [slice(a, a + step) for a in starts]
-        assert [b.shape for _, _, b in blocks] == [(step, x.size)] * (len(starts) - 1) + [
+        workspaces = []
+
+        def kept(t, s, work, angles):
+            workspaces.append(work)
+            return kernel(t, s, work=work, angles=angles)
+
+        blocks = []
+        [rowsums], [colsums] = kernel_sums([_recording(kept, blocks)], x, x, c, c)
+        assert [rows.start for rows, _ in blocks] == starts
+        assert [b.shape for _, b in blocks] == [(step, x.size)] * (len(starts) - 1) + [
             (x.size - starts[-1], x.size)
         ]
-        # every block lives in the one workspace; the last one is intact
-        assert all(np.shares_memory(b, blocks[0][2]) for _, _, b in blocks)
-        assert np.array_equal(blocks[-1][2], kernel(x[starts[-1] :], x)), kernel
+        # every block is written into the one workspace
+        assert all(np.shares_memory(w, workspaces[0]) for w in workspaces)
+        assert np.array_equal(blocks[-1][1], kernel(x[starts[-1] :], x)), kernel
+        # the four full blocks and the partial last one give the one-call
+        # table's contractions, up to summation order
+        table = kernel(x, x)
+        assert np.max(np.abs(rowsums - table @ c) / (table @ c)) <= 1e-13, kernel
+        assert np.max(np.abs(colsums - c @ table) / (c @ table)) <= 1e-13, kernel
         # a NaN target in the partial last block still fails that block
         targets = x.copy()
         targets[-1] = np.nan
-        seen = []
+        blocks.clear()
         with pytest.raises(ValueError, match="non-finite"):
-            for rows, _, _ in kernel_blocks([kernel], targets, x):
-                seen.append(rows)
-        assert seen == [rows for rows, _, _ in blocks[:-1]], kernel
+            kernel_sums([_recording(kernel, blocks)], targets, x, c, c)
+        assert [rows.start for rows, _ in blocks] == starts, kernel
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        [KernelSpec.fejer(n) for n in (0, 7, 34)],
+        [KernelSpec.poisson(r) for r in (0.05, 0.63, 0.97)],
+    ],
+    ids=["fejer", "poisson"],
+)
+def test_kernel_sums_of_a_family_are_each_kernels_own_bit_for_bit(family):
+    # the family shares each block's angle table, yet every kernel's row and
+    # column contractions are the ones it gives alone, compared as uint64
+    grid = grid_for_kernels(2, 16, 32)  # N = 536, five blocks
+    x = grid.nodes
+    c = make_weight(2)(x) * grid.quad_weights
+    rowsums, colsums = kernel_sums(family, x, x, c, c)
+    assert rowsums.shape == colsums.shape == (len(family), x.size)
+    for kernel, rows, cols in zip(family, rowsums, colsums):
+        [alone_rows], [alone_cols] = kernel_sums([kernel], x, x, c, c)
+        assert np.array_equal(rows.view(np.uint64), alone_rows.view(np.uint64)), kernel
+        assert np.array_equal(cols.view(np.uint64), alone_cols.view(np.uint64)), kernel
+    # without `left` only the row contractions are taken
+    alone_rows, no_cols = kernel_sums(family, x, x, c)
+    assert no_cols is None
+    assert np.array_equal(alone_rows.view(np.uint64), rowsums.view(np.uint64))
 
 
 def test_kernel_tables_of_distinct_targets_and_sources():
     # the shape of blow-up's window rows: fewer targets than sources
     grid = grid_for_kernels(2, 8, 32)
     targets, sources = grid.nodes[3::7], grid.nodes[::2]
-    for kernel in SAMPLED_KERNELS:
+    rng = np.random.default_rng(5)
+    right = rng.uniform(0.5, 2.0, sources.size)
+    left = rng.uniform(0.5, 2.0, targets.size)
+    rowsums, colsums = kernel_sums(SAMPLED_KERNELS, targets, sources, right, left)
+    assert rowsums.shape == (len(SAMPLED_KERNELS), targets.size)
+    assert colsums.shape == (len(SAMPLED_KERNELS), sources.size)
+    for kernel, rows, cols in zip(SAMPLED_KERNELS, rowsums, colsums):
         table = kernel(targets, sources)
         assert table.shape == (targets.size, sources.size)
         diff = targets[:, None] - sources[None, :]
         ref = _closed_form(kernel, diff)
         assert np.all(np.abs(table - ref) <= _entry_bound(kernel, diff, ref)), kernel
+        # both contractions of the family's blocks are the table's
+        assert np.max(np.abs(rows - table @ right) / (table @ right)) <= 1e-13, kernel
+        assert np.max(np.abs(cols - left @ table) / (left @ table)) <= 1e-13, kernel
 
 
 def test_one_argument_kernel_calls_bitwise_unchanged():

@@ -9,7 +9,7 @@ from fejerlab.circle import (
     KernelSpec,
     PiecewiseConstant,
     SampledFunction,
-    kernel_blocks,
+    kernel_sums,
     make_grid,
     wrap_angle,
 )
@@ -163,22 +163,18 @@ def test_mirrored_sums_match_the_full_block_pass(grid_m4, weight_m4, monkeypatch
     # the direct path it must agree with
     sampled = []
 
-    def counting_blocks(kernels, targets, sources):
+    def counting_sums(kernels, targets, sources, right, left=None):
         sampled.append((len(targets), len(sources)))
-        return kernel_blocks(kernels, targets, sources)
+        return kernel_sums(kernels, targets, sources, right, left)
 
-    monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
+    monkeypatch.setattr(operators, "kernel_sums", counting_sums)
     N = grid_m4.node_count
     c = weight_m4(grid_m4.nodes) * grid_m4.quad_weights
     for family in (
         [KernelSpec.fejer(n) for n in (0, 7, 34)],
         [KernelSpec.poisson(r) for r in (0.05, 0.63, 0.97)],
     ):
-        rows = np.empty((len(family), N))
-        cols = np.zeros((len(family), N))
-        for block_rows, k, block in kernel_blocks(family, grid_m4.nodes, grid_m4.nodes):
-            rows[k, block_rows] = block @ c
-            cols[k] += c[block_rows] @ block
+        rows, cols = kernel_sums(family, grid_m4.nodes, grid_m4.nodes, c, c)
         sampled.clear()
         rowsums, colsums = assemble_operator(family, grid_m4).weighted_sums(c)
         assert sampled == [(N // 2, N)]
@@ -471,12 +467,22 @@ def test_family_with_a_nonfinite_kernel_in_the_middle_raises():
     def nan_kernel(t, s, work, angles):
         return np.full((t.size, s.size), np.nan)
 
-    family = [KernelSpec.fejer(3), nan_kernel, KernelSpec.fejer(5)]
     seen = []
+
+    def seen_as(k, kernel):
+        def recorded(t, s, work, angles):
+            seen.append(k)
+            return kernel(t, s, work=work, angles=angles)
+
+        return recorded
+
+    family = [KernelSpec.fejer(3), nan_kernel, KernelSpec.fejer(5)]
+    q = grid.quad_weights
     with pytest.raises(ValueError, match="non-finite"):
-        for rows, k, _ in kernel_blocks(family, grid.nodes, grid.nodes):
-            seen.append((rows.start, k))
-    assert seen == [(0, 0)]
+        kernel_sums([seen_as(k, kernel) for k, kernel in enumerate(family)], grid.nodes,
+                    grid.nodes, q, q)
+    # the NaN kernel is sampled after the one before it; the one after never is
+    assert seen == [0, 1]
 
 
 def test_assemble_rejects_a_family_of_mixed_kinds():
@@ -590,14 +596,14 @@ def test_duality_gap_constant_kernel_at_rounding_level(weight_m4, grid_m4, monke
     # independent, so the gap is a couple of ulps rather than literal zero
     sampled = []
 
-    def counting_blocks(kernels, targets, sources):
+    def counting_sums(kernels, targets, sources, right, left=None):
         sampled.append((len(targets), len(sources)))
-        return kernel_blocks(kernels, targets, sources)
+        return kernel_sums(kernels, targets, sources, right, left)
 
-    monkeypatch.setattr(operators, "kernel_blocks", counting_blocks)
+    monkeypatch.setattr(operators, "kernel_sums", counting_sums)
     [(l1, linf)] = operator_norm(assemble_operator([KernelSpec.fejer(0)], grid_m4), weight_m4)
     assert abs(l1.value - linf.value) <= 5e-15
-    # the kernel went through kernel_blocks, not the spectral path: the
+    # the kernel went through kernel_sums, not the spectral path: the
     # upper half of the rows, since grid_m4 is its own mirror, and nothing
     # more, since a norm is read off the sums
     N = grid_m4.node_count
