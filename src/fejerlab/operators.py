@@ -27,22 +27,23 @@ for bit the one it gives alone.  When the grid is its own mirror
 exactly, N even and nodes == -nodes[::-1], and the weights c == c[::-1]
 exactly (as on a `make_grid` grid without extra breakpoints, with an even
 weight), only the upper N/2 rows are sampled: the kernels are even, so
-row N-1-i is row i reversed.  The lower row sums are the upper ones read backwards, and the
-column sums are p_j + p_{N-1-j} for the upper rows' contraction p, so rows
-and columns stay two contractions of one sampled half.  Step kernels are
-not mirrored: their cells are left-closed, so K(-t) != K(t) where t falls
-on an edge, and the tie rule of `_cuts` follows the dense lookup there.
-A Fejér operator whose matrix has more than SPECTRAL_SWITCH
-samples uses its 2n+1 frequencies instead,
-F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt}, in one spectral transform of
-O(N n) phases; that matrix is symmetric and nonnegative on any node set, so
-its row sums and column sums are one vector.  A step kernel is never
-sampled: its sums come from prefix sums of the weights over the 3N nodes
-extended periodically, [x - 2 pi, x, x + 2 pi], with searches of its N (P+1)
-cuts for the rows and others for the columns, in O(N P log N) for P
-pieces.  The two end cuts of every profile are the +-pi seams, which do
-not depend on the profile, so a family searches them once per direction
-and each kernel searches only its interior edges.  Each node counts once,
+row N-1-i is row i reversed.  The lower row sums are the upper ones read
+backwards, and the column sums are p_j + p_{N-1-j} for the upper rows'
+contraction p, so rows and columns stay two contractions of one sampled
+half.  Step kernels are not mirrored: their cells are left-closed, so
+K(-t) != K(t) where t falls on an edge, and the tie rule of `_cuts`
+follows the dense lookup there.  A Fejér family whose matrices have more
+than SPECTRAL_SWITCH samples uses the frequencies of the real, even
+F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt} instead, in one analysis and
+one synthesis of k = 0..n_max for the family, O(N n_max) phases; that
+matrix is symmetric and nonnegative on any node set, so its row sums and
+column sums are one vector.  A step kernel is never sampled: its sums come
+from prefix sums of the weights over the 3N nodes extended periodically,
+[x - 2 pi, x, x + 2 pi], with searches of its N (P+1) cuts, in
+O(N P log N) for P pieces.  The two end cuts of every profile are the
++-pi seams, which do not depend on the profile, so a family searches them
+once, and each kernel searches only its interior edges, once for rows and
+columns when the edges are their own mirror.  Each node counts once,
 by its copy in the window around the pivot, and ties take the dense
 lookup's own cell index, so a node at wrapped difference pi stays in the
 last piece.
@@ -98,10 +99,10 @@ class OperatorMatrix:
 
     No matrix is stored: `weighted_sums` contracts the kernels in one
     `kernel_sums` call, block by block, on every call, unless they are Fejér
-    and N^2 > SPECTRAL_SWITCH (those sums come from their 2n+1
-    frequencies) or step kernels (those sums come from prefix sums).  On
-    an exactly mirror-symmetric grid with mirrored weights it samples the
-    upper N/2 rows only.
+    and N^2 > SPECTRAL_SWITCH (those sums come from one transform pair of
+    their one-sided frequencies) or step kernels (those sums come from
+    prefix sums).  On an exactly mirror-symmetric grid with mirrored
+    weights it samples the upper N/2 rows only.
     """
 
     grid: CircleGrid
@@ -127,27 +128,29 @@ class OperatorMatrix:
         so row N-1-i is row i reversed, the lower row sums copy the upper
         ones backwards and the column sums are p + p[::-1] for the upper
         rows' column contraction p.  Otherwise every row is sampled.
-        Fejér operators past the spectral switch return one spectral array,
-        sum_k damp_k e^{ik theta_i} sum_j e^{-ik theta_j} c_j, as both.
-        Step kernels take `_step_sums` once for the rows and once for the
-        columns; their values are finite by construction, and they are
-        never mirrored, since a left-closed cell makes K(-t) != K(t) on an
-        edge.
+        Fejér operators past the spectral switch return one spectral array
+        as both, from one analysis and one synthesis of the one-sided
+        frequencies k = 0..n_max for the whole family.  Step kernels take
+        both sums from one `_step_sums` call; their values are finite by
+        construction, and their rows are never mirrored, since a left-closed
+        cell makes K(-t) != K(t) on an edge.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
         if self.spectral:
-            sums = np.empty((len(self.kernels), nodes.size))
-            for row, kernel in zip(sums, self.kernels):
-                k = np.arange(-kernel.n, kernel.n + 1)
-                damped = fejer_multiplier(kernel.n) * trig_sum(k, nodes, c, -1)
-                row[:] = trig_sum(nodes, k, damped, 1).real
+            # F_n is even and c real, so with a_k = sum_j e^{-ik x_j} c_j
+            # the sum over |k| <= n is a_0 + 2 Re sum_{k>=1} of the damped
+            # a_k e^{ik theta}
+            n = np.array([kernel.n for kernel in self.kernels], dtype=float)
+            k = np.arange(n.max() + 1)
+            damp = np.maximum(1.0 - k[:, None] / (n + 1.0), 0.0)  # 0 past each order
+            damped = damp * trig_sum(k, nodes, c, -1)[:, None]
+            damped[0] *= 0.5
+            sums = 2.0 * trig_sum(nodes, k, damped, 1).real.T
             return sums, sums
         if self.kernels[0].kind == "custom":
             profiles = [kernel.profile for kernel in self.kernels]
-            prefix = _prefix_sums(c)
-            rowsums = _step_sums(profiles, nodes, prefix, 1)
-            return rowsums, _step_sums(profiles, nodes, prefix, -1)
+            return _step_sums(profiles, nodes, _prefix_sums(c))
         n = nodes.size
         mirrored = (
             n % 2 == 0 and np.array_equal(nodes, -nodes[::-1]) and np.array_equal(c, c[::-1])
@@ -180,20 +183,23 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _search(y, targets, holds):
-    """Per target, the index b where a predicate that holds on [0, b) and
-    fails on [b, len(y)) switches, for sorted nodes y that bracket every
-    target, y[0] < target <= y[-1].
-
-    The float search of `targets` in y is the answer unless a node lies
-    within TIE of a target.  Those entries are settled by the exact
-    predicate, holds(entries, idx) for flat entry numbers, stepping one node
-    at a time from the searched index.
-    """
-    b = np.searchsorted(y, targets)  # y[b - 1] < target <= y[b]
+def _search(y, targets):
+    """The float search of `targets` among sorted nodes y that bracket every
+    target, y[0] < target <= y[-1]: the indices b with
+    y[b - 1] < target <= y[b], and the flags of the entries with a node
+    within TIE of their target, which `_settle` places by the exact test."""
+    b = np.searchsorted(y, targets)
     gap = np.minimum(targets - y[b - 1], y[b] - targets)
-    tied = np.flatnonzero(gap < TIE)
-    flat = b.reshape(-1)
+    return b, gap < TIE
+
+
+def _settle(y, b, tied, holds):
+    """Per target, the index where a predicate that holds on [0, b) and fails
+    on [b, len(y)) switches: a copy of the searched indices b in which each
+    tied entry steps one node at a time by the exact predicate,
+    holds(entries, idx) for flat entry numbers."""
+    flat = b.flatten()
+    tied = np.flatnonzero(tied)
     left = tied[flat[tied] > 0]
     while left.size:
         left = left[~holds(left, flat[left] - 1)]
@@ -204,72 +210,79 @@ def _search(y, targets, holds):
         right = right[holds(right, flat[right])]
         flat[right] += 1
         right = right[flat[right] < y.size]
-    return b
+    return flat.reshape(b.shape)
 
 
-def _cuts(x, edges, past, sign: int) -> np.ndarray:
-    """Where the cuts x_piv - sign * edges[r] fall among the 3N extended
-    nodes y = [x - 2 pi, x, x + 2 pi], for every pivot: an (len(edges), N)
-    array of indices into y.
+def _cuts(x, y, edges, past):
+    """Where the row cuts x_piv - edges[r] and the column cuts x_piv + edges[r]
+    fall among the 3N extended nodes y = [x - 2 pi, x, x + 2 pi], for every
+    pivot: two (len(edges), N) arrays of indices into y.
 
-    Ties follow the dense lookup profile(x_i - x_j) exactly: with
+    Edges that are their own mirror, edges == -edges[::-1], make the column
+    targets x + e_r the row targets x - e_{m-1-r} bit for bit (negation is
+    exact), so one float search serves both, its rows reversed for the
+    columns.  Ties are settled per direction and follow the dense lookup
+    profile(x_i - x_j) exactly: with sign +1 for rows and -1 for columns,
     d = sign * (x_piv - x_j), rounded as that difference, and
     w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) of node j is in
     the window (-pi, pi] around the pivot; copies below it come before
     every cut and copies above it after, and the window copy comes before
-    cut r when past(r, d), its cell is at or past the cut, for rows
-    (sign +1) and when not for columns (sign -1).
+    cut r when past(r, d), its cell is at or past the cut, for rows and
+    when not for columns.
     """
     n = x.size
-    y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
 
-    def before_cut(entries, idx):
-        r, piv = np.divmod(entries, n)
-        copy, j = np.divmod(idx, n)
-        d = sign * (x[piv] - x[j])
-        window = np.rint(sign * (d - wrap_angle(d)) / TWO_PI) + 1
-        inside = past(r, d) == (sign > 0)
-        return (copy < window) | ((copy == window) & inside)
+    def before_cut(sign):
+        def holds(entries, idx):
+            r, piv = np.divmod(entries, n)
+            copy, j = np.divmod(idx, n)
+            d = sign * (x[piv] - x[j])
+            window = np.rint(sign * (d - wrap_angle(d)) / TWO_PI) + 1
+            inside = past(r, d) == (sign > 0)
+            return (copy < window) | ((copy == window) & inside)
 
-    # edge by edge, each edge's N targets are one sorted run, which
-    # searchsorted walks fastest
-    return _search(y, x - sign * np.asarray(edges)[:, None], before_cut)
+        return holds
 
-
-def _seam_cuts(x, sign: int) -> np.ndarray:
-    """The cuts at the -pi and +pi seams, the end cuts of every step
-    profile: every cell is past the first and none reaches the last, so
-    they do not depend on the profile, and a node at wrapped difference pi
-    stays in the last piece."""
-    return _cuts(x, [-math.pi, math.pi], lambda r, d: r == 0, sign)
+    edges = np.asarray(edges)[:, None]
+    rows = _search(y, x - edges)  # edge by edge, one sorted run of N targets each
+    mirrored = np.array_equal(edges, -edges[::-1])
+    cols = [a[::-1] for a in rows] if mirrored else _search(y, x + edges)
+    return _settle(y, *rows, before_cut(1)), _settle(y, *cols, before_cut(-1))
 
 
-def _step_sums(profiles, x, prefix, sign: int) -> np.ndarray:
-    """Row sums sum_j |K(x_i - x_j)| c_j (sign +1) or column sums
-    sum_i |K(x_i - x_j)| c_i (sign -1) of step kernels K, one row per
-    profile, from the compensated prefix sums of c over the sorted nodes x.
+def _step_sums(profiles, x, prefix):
+    """Row sums sum_j |K(x_i - x_j)| c_j and column sums
+    sum_i |K(x_i - x_j)| c_i of step kernels K, two (K, N) arrays with one
+    row per profile, from the compensated prefix sums of c over the sorted
+    nodes x.
 
-    A profile with P pieces cuts the extended nodes at its P+1 edges
-    (`_cuts`).  The end edges are taken at the +-pi seams: the lookup clips
-    there, so the end cuts are the ends of the window (-pi, pi] around the
-    pivot, whatever the profile's end edges within 1e-12 of +-pi, and one
-    search places them for every profile (`_seam_cuts`); each profile's
-    P-1 interior edges take one more.  Each node has one copy in that
-    window, so a piece is one slice of the extended nodes and its weight a
-    difference of the prefix sums over the three copies.
+    A profile with P pieces cuts the extended nodes y = [x - 2 pi, x,
+    x + 2 pi], built once per family, at its P+1 edges (`_cuts`).  The end
+    edges are taken at the +-pi seams: the lookup clips there, so the end
+    cuts are the ends of the window (-pi, pi] around the pivot, whatever
+    the profile's end edges within 1e-12 of +-pi, and one search places
+    them for every profile and both directions; each profile's P-1 interior
+    edges take one more, or two when they are not their own mirror.  Each
+    node has one copy in that window, so a piece is one slice of the
+    extended nodes and its weight a difference of the prefix sums over the
+    three copies.
     """
     total = prefix[-1]
     S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
-    seams = _seam_cuts(x, sign)
-    sums = np.empty((len(profiles), x.size))
-    for out, profile in zip(sums, profiles):
+    y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
+    # every cell is past the first seam and none reaches the last, so a node
+    # at wrapped difference pi stays in the last piece
+    seams = _cuts(x, y, [-math.pi, math.pi], lambda r, d: r == 0)
+    sums = np.empty((2, len(profiles), x.size))
+    for k, profile in enumerate(profiles):
         # interior edge r is cut r + 1: the cells at or past it are those > r
-        inner = _cuts(x, profile.edges[1:-1], lambda r, d: profile.cell(d) > r, sign)
-        b = np.concatenate([seams[:1], inner, seams[1:]])
-        # the pieces run down the extended nodes for rows and up them for columns
-        pieces = sign * (S[b[:-1]] - S[b[1:]])
-        out[:] = np.abs(profile.values) @ pieces
-    return sums
+        inner = _cuts(x, y, profile.edges[1:-1], lambda r, d: profile.cell(d) > r)
+        for sign, out, seam, cut in zip((1, -1), sums[:, k], seams, inner):
+            b = np.concatenate([seam[:1], cut, seam[1:]])
+            # the pieces run down the extended nodes for rows and up them for columns
+            pieces = sign * (S[b[:-1]] - S[b[1:]])
+            out[:] = np.abs(profile.values) @ pieces
+    return sums[0], sums[1]
 
 
 def assemble_operator(kernels, grid: CircleGrid) -> OperatorMatrix:

@@ -432,12 +432,22 @@ def test_density_t3_small(capsys):
 
 @pytest.mark.parametrize("degrees", ["64", "3,3"])
 def test_density_single_distinct_degree_skips_decay(degrees, capsys):
-    # one distinct degree would compare its error with a fifth of itself
+    # one distinct degree would compare its error with a fifth of itself,
+    # and the monotone contract would compare nothing and pass at -inf
     argv = ["density", "--function", "invquarter", "--degrees", degrees, "--grid-M", "16"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "[PASS] density-monotone" in out and "[PASS] density-fejer-bound" in out
-    assert "density-decay" not in out
+    assert "[PASS] density-fejer-bound" in out
+    assert "density-decay" not in out and "density-monotone" not in out
+
+
+@pytest.mark.parametrize("orders", ["512", "512,512"])
+def test_fejer_converge_single_distinct_order_skips_monotone(orders, capsys):
+    # one distinct order has no successor to compare with
+    assert main(["fejer-converge", "--orders", orders]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] fejer-converge-small" in out
+    assert "fejer-converge-monotone" not in out
 
 
 def test_density_rows_labelled_with_sorted_degrees(tmp_path):

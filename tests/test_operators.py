@@ -156,6 +156,27 @@ def test_weighted_sums_match_dense_matrix(
             assert abs(res.value - np.max(sums / wv)) <= 1e-13 * res.value
         _assert_attained(table, l1, linf, wv, grid.quad_weights)
 
+    # past the switch a Fejér family takes one analysis and one synthesis of
+    # the n_max + 1 one-sided frequencies, and each row is its order's own
+    frequencies = []
+    trig_sum = operators.trig_sum
+
+    def counted(a, b, x, sign):
+        frequencies.append(len(a) if sign < 0 else len(b))
+        return trig_sum(a, b, x, sign)
+
+    family = [KernelSpec.fejer(n) for n in (0, 7, 34)]
+    for grid in (grid_past_spectral_switch, grid_past_spectral_switch_asymmetric):
+        wq = w(grid.nodes) * grid.quad_weights
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "trig_sum", counted)
+            frequencies.clear()
+            rowsums, colsums = assemble_operator(family, grid).weighted_sums(wq)
+        assert frequencies == [35, 35] and rowsums is colsums
+        for kernel, rows in zip(family, rowsums):
+            dense = kernel(grid.nodes[:, None] - grid.nodes[None, :])
+            assert np.max(np.abs(rows - dense @ wq)) <= 1e-13, kernel.n
+
 
 def test_mirrored_sums_match_the_full_block_pass(grid_m4, weight_m4, monkeypatch):
     # on a grid that is its own mirror, with even weights, only the upper
@@ -394,32 +415,39 @@ def test_step_kernel_sums_follow_dense_lookup_on_duality_grids(M, ppi):
 
 
 def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
-    # per sum vector, one search of the 2N seam targets for the whole family
-    # and one of the N (P-1) interior targets per kernel, among the 3N nodes
-    # [x - 2 pi, x, x + 2 pi]; rows and columns are still separate searches
+    # one search of the 2N seam targets for the whole family and both
+    # directions, among the 3N nodes [x - 2 pi, x, x + 2 pi]; an even
+    # profile's N (P-1) interior targets are one search for rows and
+    # columns, a non-even profile's one per direction
     grid = grid_for_kernels(1, 8, 32)
-    kernel = KernelSpec.custom(
+    uneven = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
         )
     )
-    two_pieces = KernelSpec.custom(
-        PiecewiseConstant(edges=np.array([-PI, 0.4, PI]), values=np.array([2.0, 1.0]))
+    even = KernelSpec.custom(
+        PiecewiseConstant(edges=np.array([-PI, -0.4, 0.4, PI]), values=np.array([2.0, 1.0, 2.0]))
     )
+    drawn = _random_step_kernels(np.random.default_rng(5), 6)
     calls = []
     search = operators._search
 
-    def counted(y, targets, holds):
+    def counted(y, targets):
         calls.append((y.size, targets.size))
-        return search(y, targets, holds)
+        return search(y, targets)
 
     monkeypatch.setattr(operators, "_search", counted)
-    assemble_operator([kernel], grid).weighted_sums(grid.quad_weights)
     N = grid.node_count
-    assert calls == [(3 * N, N * 2), (3 * N, N * 3)] * 2
-    calls.clear()
-    assemble_operator([kernel, two_pieces, kernel], grid).weighted_sums(grid.quad_weights)
-    assert calls == [(3 * N, N * 2), (3 * N, N * 3), (3 * N, N), (3 * N, N * 3)] * 2
+    seams = (3 * N, 2 * N)
+    for family, interior in (
+        ([even], [(3 * N, 2 * N)]),
+        ([uneven], [(3 * N, 3 * N)] * 2),
+        ([uneven, even, uneven], [(3 * N, 3 * N)] * 2 + [(3 * N, 2 * N)] + [(3 * N, 3 * N)] * 2),
+        (drawn, [(3 * N, N * (k.profile.edges.size - 2)) for k in drawn]),
+    ):
+        calls.clear()
+        assemble_operator(family, grid).weighted_sums(grid.quad_weights)
+        assert calls == [seams] + interior
 
 
 def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
@@ -494,8 +522,9 @@ def test_assemble_rejects_a_family_of_mixed_kinds():
 
 def test_seam_cuts_do_not_depend_on_the_kernel():
     # on the 410-node M = 1 duality grid, 440 seam targets per direction lie
-    # within TIE of a node; the shared seam cuts are rows 0 and P of a full
-    # per-kernel search of all P+1 edges, for several profiles
+    # within TIE of a node; the shared seam cuts, one search for rows and
+    # columns, are rows 0 and P of a full per-kernel search of all P+1
+    # edges, for several profiles
     grid = grid_for_kernels(1, 8, 32)
     x = grid.nodes
     assert x.size == 410
@@ -511,15 +540,16 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
         ),
     ]
     for sign in (1, -1):
-        targets = x - sign * np.array([[-PI], [PI]])
-        b = np.searchsorted(y, targets)
-        gap = np.minimum(targets - y[b - 1], y[b] - targets)
-        assert np.count_nonzero(gap < operators.TIE) == 440
-        seams = operators._seam_cuts(x, sign)
-        for profile in profiles:
-            edges = np.concatenate([[-PI], profile.edges[1:-1], [PI]])
-            full = operators._cuts(x, edges, lambda r, d: profile.cell(d) >= r, sign)
-            assert np.array_equal(seams, full[[0, -1]]), (sign, profile)
+        _, tied = operators._search(y, x - sign * np.array([[-PI], [PI]]))
+        assert np.count_nonzero(tied) == 440
+    # the seams, like the drawn profiles, are their own mirror; the fixed
+    # profiles are not, so their column cuts come from a search of their own
+    seams = operators._cuts(x, y, [-PI, PI], lambda r, d: r == 0)
+    for profile in profiles:
+        edges = np.concatenate([[-PI], profile.edges[1:-1], [PI]])
+        full = operators._cuts(x, y, edges, lambda r, d: profile.cell(d) >= r)
+        for shared, cuts in zip(seams, full):
+            assert np.array_equal(shared, cuts[[0, -1]]), profile
     # a node at wrapped difference pi stays in the last piece, [0.5, pi]
     last = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.5, PI]), values=np.array([0.0, 1.0]))
@@ -531,6 +561,37 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
     [rowsums], [colsums] = assemble_operator([last], grid).weighted_sums(c)
     assert np.array_equal(rowsums, in_last @ c)
     assert np.array_equal(colsums, c @ in_last)
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_even_step_kernel_sums_exact_at_node_difference_edges(mirrored):
+    # even profiles share one interior search for rows and columns, with
+    # interior edges exactly on node differences, so each direction's ties
+    # are settled by its own rule on the shared cuts.  Integer values and
+    # 0/1 weights make every sum an exact integer, so the sums must equal
+    # the dense lookup's exactly, on a mirrored grid and on one that is not
+    grid = grid_for_kernels(1, 8, 32) if mirrored else make_grid(3, 8, extra_breakpoints=[0.3])
+    x = grid.nodes
+    assert np.array_equal(x, -x[::-1]) == mirrored
+    D = wrap_angle(x[:, None] - x[None, :])
+    rng = np.random.default_rng(7 + mirrored)
+    c = rng.integers(0, 2, size=x.size).astype(float)
+    tied = 0
+    for _ in range(12):
+        pairs = rng.integers(0, x.size, size=(rng.integers(1, 4), 2))
+        pos = np.abs(D[pairs[:, 0], pairs[:, 1]])
+        pos = np.unique(pos[(pos > 1e-9) & (pos < PI - 1e-9)])
+        if not pos.size:
+            continue
+        edges = np.concatenate([[-PI], -pos[::-1], pos, [PI]])
+        half = rng.integers(0, 5, size=pos.size + 1).astype(float)
+        profile = PiecewiseConstant(edges=edges, values=np.concatenate([half[::-1], half[1:]]))
+        dense = profile(D)
+        tied += np.count_nonzero(np.isin(D, edges[1:-1]))
+        [rowsums], [colsums] = assemble_operator([KernelSpec.custom(profile)], grid).weighted_sums(c)
+        assert np.array_equal(rowsums, dense @ c), edges
+        assert np.array_equal(colsums, c @ dense), edges
+    assert tied > 0
 
 
 # ------------------------------------------------------------ operator_norm
