@@ -18,11 +18,15 @@ byte-identical across re-runs.
 A subcommand accepts only the flags it reads; any other flag is a
 configuration error.  Options may also come from a config file of
 `key = value` lines via --config; explicit flags win on conflict.
+
+main(argv) may be called repeatedly in one process: it builds its parser on
+the first call and keeps no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -358,6 +362,10 @@ _SHARED = {
 }
 
 
+# Built on the first call and shared by every later one: parsing fills a
+# fresh namespace, errors and help read sys.stderr and the terminal width when
+# they print, and no default is mutable, so no call leaves state for the next
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="fejerlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -376,12 +384,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("blowup", help="unbounded operator norms along the spikes")
     common(p, "--grid-M", "--ppi")
-    p.add_argument("--m", type=_list_of(int, 1), default=[1, 4, 9, 16, 25])
+    p.add_argument("--m", type=_list_of(int, 1), default=(1, 4, 9, 16, 25))
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("fejer-converge", help="unweighted L1 convergence of Fejér means")
     common(p, "--ppi")
-    p.add_argument("--orders", type=_list_of(int, 0), default=[16, 64, 256, 1024])
+    p.add_argument("--orders", type=_list_of(int, 0), default=(16, 64, 256, 1024))
     p.add_argument(
         "--arc-length",
         type=_number(float, 0.0, math.pi, open_lo=True),
@@ -398,12 +406,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("density", help="weighted-L1 polynomial approximation curve")
     common(p, "--grid-M", "--ppi")
     p.add_argument("--function", choices=sorted(_DENSITY_FUNCTIONS), default="invquarter")
-    p.add_argument("--degrees", type=_list_of(int, 0), default=[4, 8, 16, 32, 64])
+    p.add_argument("--degrees", type=_list_of(int, 0), default=(4, 8, 16, 32, 64))
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("maximal", help="maximal operator ratio on the weights")
     common(p, "--ppi")
-    p.add_argument("--orders", type=_list_of(int, 1), default=[4, 16, 64])
+    p.add_argument("--orders", type=_list_of(int, 1), default=(4, 16, 64))
     p.set_defaults(func=cmd_maximal)
 
     p = sub.add_parser("taylor-fourier", help="extension coefficients match boundary ones")
@@ -411,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--radii",
         type=_list_of(float, 0.0, 1.0, open_lo=True, open_hi=True),
-        default=[0.5, 0.9],
+        default=(0.5, 0.9),
     )
     p.set_defaults(func=cmd_taylor_fourier)
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import copy
 import io
 import os
 import re
@@ -33,6 +35,15 @@ CONTRACT_LINE = re.compile(
 )
 
 
+def _python(code, *args):
+    """Run `code` in a fresh interpreter that imports fejerlab from src/."""
+    path = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
 def test_grid_and_a_run_leave_numpy_ma_unimported():
     # numpy 2's np.unique imports numpy.ma on first use, a launch cost that
     # make_grid's edge dedupe avoids; fejer-converge also adds an extra edge
@@ -44,12 +55,7 @@ def test_grid_and_a_run_leave_numpy_ma_unimported():
         "assert main(['fejer-converge']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    path = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.splitlines()[-1] == "False"
+    assert _python(code).stdout.splitlines()[-1] == "False"
 
 
 def test_invalid_subcommand_is_config_error(capsys):
@@ -504,3 +510,65 @@ def test_unwritable_witness_sidecar_is_config_error(tmp_path, capsys):
     # the CSV is written before the sidecar fails
     assert out.read_text().startswith("stage,n,coefficient,bump_theta,error")
     assert "configuration error" in capsys.readouterr().err
+
+
+def _commands():
+    """The subparsers of the shared parser, by command name."""
+    (commands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands
+
+
+def test_no_parser_default_is_mutable():
+    # main reuses one parser for every call: a mutable default would be one
+    # object shared by every call's namespace, so a command that changed it in
+    # place would change every later call's default
+    commands = _commands()
+    assert len(commands) == 7
+    for name, sub in commands.items():
+        for action in sub._actions:
+            assert not isinstance(action.default, (list, dict, set)), (name, action.dest)
+        for dest, default in sub._defaults.items():
+            assert not isinstance(default, (list, dict, set)), (name, dest)
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    code = "import fejerlab.cli as cli\nprint(cli.build_parser.cache_info().currsize)\n"
+    assert _python(code).stdout.splitlines()[-1] == "0"
+
+
+def test_runs_on_the_defaults_leave_the_parser_defaults_as_they_were(tmp_path, capsys):
+    # the five commands whose defaults are sequences each run once on them
+    def defaults():
+        return {
+            name: ([a.default for a in sub._actions], dict(sub._defaults))
+            for name, sub in _commands().items()
+        }
+
+    before = copy.deepcopy(defaults())
+    for name in ("blowup", "fejer-converge", "density", "maximal", "taylor-fourier"):
+        assert main([name, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    capsys.readouterr()
+    assert defaults() == before
+
+
+def test_help_exits_zero_with_the_same_text_twice(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["maximal", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: fejerlab maximal")
+
+
+def test_invalid_argv_after_a_valid_call_is_config_error(capsys):
+    assert main(["taylor-fourier"]) == 0
+    capsys.readouterr()
+    assert main(["taylor-fourier", "--radii", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fejerlab taylor-fourier")
+    assert "configuration error" in err
