@@ -30,10 +30,11 @@ weight), only the upper N/2 rows are sampled: the kernels are even, so
 row N-1-i is row i reversed.  The lower row sums are the upper ones read
 backwards, and the column sums are p_j + p_{N-1-j} for the upper rows'
 contraction p, so rows and columns stay two contractions of one sampled
-half.  Step kernels are not mirrored: their cells are left-closed, so
-K(-t) != K(t) where t falls on an edge, and the tie rule of `_cuts`
-follows the dense lookup there.  A Fejér family whose matrices have more
-than SPECTRAL_SWITCH samples uses the frequencies of the real, even
+half.  Step kernels' rows are not mirrored: their cells are left-closed,
+so K(-t) != K(t) where t falls on an edge, and the tie rule of `_cuts`
+follows the dense lookup there; only their float search is.  A Fejér
+family whose matrices have more than SPECTRAL_SWITCH samples uses the
+frequencies of the real, even
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt} instead, in one analysis and
 one synthesis of k = 0..n_max for the family, O(N n_max) phases; that
 matrix is symmetric and nonnegative on any node set, so its row sums and
@@ -43,10 +44,12 @@ from prefix sums of the weights over the 3N nodes extended periodically,
 O(N P log N) for P pieces.  The two end cuts of every profile are the
 +-pi seams, which do not depend on the profile, so a family searches them
 once, and each kernel searches only its interior edges, once for rows and
-columns when the edges are their own mirror.  Each node counts once,
-by its copy in the window around the pivot, and ties take the dense
-lookup's own cell index, so a node at wrapped difference pi stays in the
-last piece.
+columns when the edges are their own mirror.  On a grid that is its own
+mirror such a search covers the upper N/2 pivots, and the lower half is
+read off by reversal; rows and columns are still settled and contracted
+per direction.  Each node counts once, by its copy in the window around
+the pivot, and ties take the dense lookup's own cell index, so a node at
+wrapped difference pi stays in the last piece.
 """
 
 from __future__ import annotations
@@ -195,11 +198,14 @@ def _search(y, targets):
 
 def _settle(y, b, tied, holds):
     """Per target, the index where a predicate that holds on [0, b) and fails
-    on [b, len(y)) switches: a copy of the searched indices b in which each
-    tied entry steps one node at a time by the exact predicate,
-    holds(entries, idx) for flat entry numbers."""
-    flat = b.flatten()
+    on [b, len(y)) switches: the searched indices b, in which each tied
+    entry steps one node at a time by the exact predicate,
+    holds(entries, idx) for flat entry numbers.  With no tied entry that is
+    b itself; otherwise a copy."""
     tied = np.flatnonzero(tied)
+    if not tied.size:
+        return b
+    flat = b.flatten()
     left = tied[flat[tied] > 0]
     while left.size:
         left = left[~holds(left, flat[left] - 1)]
@@ -213,7 +219,7 @@ def _settle(y, b, tied, holds):
     return flat.reshape(b.shape)
 
 
-def _cuts(x, y, edges, past):
+def _cuts(x, y, edges, past, mirrored):
     """Where the row cuts x_piv - edges[r] and the column cuts x_piv + edges[r]
     fall among the 3N extended nodes y = [x - 2 pi, x, x + 2 pi], for every
     pivot: two (len(edges), N) arrays of indices into y.
@@ -221,9 +227,14 @@ def _cuts(x, y, edges, past):
     Edges that are their own mirror, edges == -edges[::-1], make the column
     targets x + e_r the row targets x - e_{m-1-r} bit for bit (negation is
     exact), so one float search serves both, its rows reversed for the
-    columns.  Ties are settled per direction and follow the dense lookup
-    profile(x_i - x_j) exactly: with sign +1 for rows and -1 for columns,
-    d = sign * (x_piv - x_j), rounded as that difference, and
+    columns.  If the grid is its own mirror too (`mirrored`: N even and
+    x == -x[::-1], so y == -y[::-1]), the row target of pivot N-1-p at
+    edge m-1-r is minus that of pivot p at edge r, so the upper N/2 pivots
+    are searched and the lower half is 3N - b with both axes reversed and
+    the same tie flags; a target on a node starts one node off and is
+    settled as a tie.  Ties are settled per direction and follow the dense
+    lookup profile(x_i - x_j) exactly: with sign +1 for rows and -1 for
+    columns, d = sign * (x_piv - x_j), rounded as that difference, and
     w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) of node j is in
     the window (-pi, pi] around the pivot; copies below it come before
     every cut and copies above it after, and the window copy comes before
@@ -244,9 +255,16 @@ def _cuts(x, y, edges, past):
         return holds
 
     edges = np.asarray(edges)[:, None]
-    rows = _search(y, x - edges)  # edge by edge, one sorted run of N targets each
-    mirrored = np.array_equal(edges, -edges[::-1])
-    cols = [a[::-1] for a in rows] if mirrored else _search(y, x + edges)
+    own_mirror = np.array_equal(edges, -edges[::-1])
+    if own_mirror and mirrored:
+        b, tied = _search(y, x[n // 2 :] - edges)
+        rows = (
+            np.concatenate([y.size - b[::-1, ::-1], b], axis=1),
+            np.concatenate([tied[::-1, ::-1], tied], axis=1),
+        )
+    else:
+        rows = _search(y, x - edges)  # edge by edge, one sorted run of N targets each
+    cols = [a[::-1] for a in rows] if own_mirror else _search(y, x + edges)
     return _settle(y, *rows, before_cut(1)), _settle(y, *cols, before_cut(-1))
 
 
@@ -262,25 +280,28 @@ def _step_sums(profiles, x, prefix):
     cuts are the ends of the window (-pi, pi] around the pivot, whatever
     the profile's end edges within 1e-12 of +-pi, and one search places
     them for every profile and both directions; each profile's P-1 interior
-    edges take one more, or two when they are not their own mirror.  Each
+    edges take one more, or two when they are not their own mirror.  On a
+    grid that is its own mirror, decided once per family, the searches of
+    edges that are their own mirror cover the upper N/2 pivots only.  Each
     node has one copy in that window, so a piece is one slice of the
     extended nodes and its weight a difference of the prefix sums over the
-    three copies.
+    three copies, gathered once per direction.
     """
     total = prefix[-1]
     S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
     y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
+    mirrored = x.size % 2 == 0 and np.array_equal(x, -x[::-1])
     # every cell is past the first seam and none reaches the last, so a node
     # at wrapped difference pi stays in the last piece
-    seams = _cuts(x, y, [-math.pi, math.pi], lambda r, d: r == 0)
+    seams = _cuts(x, y, [-math.pi, math.pi], lambda r, d: r == 0, mirrored)
     sums = np.empty((2, len(profiles), x.size))
     for k, profile in enumerate(profiles):
         # interior edge r is cut r + 1: the cells at or past it are those > r
-        inner = _cuts(x, y, profile.edges[1:-1], lambda r, d: profile.cell(d) > r)
+        inner = _cuts(x, y, profile.edges[1:-1], lambda r, d: profile.cell(d) > r, mirrored)
         for sign, out, seam, cut in zip((1, -1), sums[:, k], seams, inner):
-            b = np.concatenate([seam[:1], cut, seam[1:]])
+            Sb = S[np.concatenate([seam[:1], cut, seam[1:]])]
             # the pieces run down the extended nodes for rows and up them for columns
-            pieces = sign * (S[b[:-1]] - S[b[1:]])
+            pieces = sign * (Sb[:-1] - Sb[1:])
             out[:] = np.abs(profile.values) @ pieces
     return sums[0], sums[1]
 
@@ -309,20 +330,22 @@ def operator_norm(A: OperatorMatrix, w: Weight) -> list[tuple[NormResult, NormRe
     over w_i, from one lookup of the weight and one pass over each kernel:
     its upper N/2 rows when the grid and the weights are exactly mirrored,
     all N rows otherwise (`OperatorMatrix.weighted_sums`).  Nothing else is
-    sampled.  Each result names the node that attains it: the input
-    e_j / (w_j q_j) attains the l1 norm at its column j, and
+    sampled, and each space reads the family's (K, N) ratios in one pass,
+    one argmax per kernel.  Each result names the node that attains it:
+    the input e_j / (w_j q_j) attains the l1 norm at its column j, and
     f = w sign(K_{i,:}) the linf norm at its row i.
     """
     wv = w(A.grid.nodes)
+    rowsums, colsums = A.weighted_sums(wv * A.grid.quad_weights)
 
-    def attained(ratios):
-        j = int(np.argmax(ratios))
-        return NormResult(value=float(ratios[j]), arg_index=j)
+    def attained(sums):
+        # row by row in memory: a spectral family's sums are a transposed table
+        ratios = np.divide(sums, wv, order="C")
+        j = np.argmax(ratios, axis=1)
+        values = ratios[np.arange(j.size), j]
+        return [NormResult(value=v, arg_index=i) for v, i in zip(values.tolist(), j.tolist())]
 
-    return [
-        (attained(colsums / wv), attained(rowsums / wv))
-        for rowsums, colsums in zip(*A.weighted_sums(wv * A.grid.quad_weights))
-    ]
+    return list(zip(attained(colsums), attained(rowsums)))
 
 
 def make_bump(m: int) -> PiecewiseConstant:

@@ -644,6 +644,23 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
         assert np.all(table >= 0.0), kernel
 
 
+@pytest.mark.parametrize("M, ppi", [(1, 8), (2, 8), (1, 16), (2, 16)])
+def test_angle_tables_are_two_products_and_their_sum_bit_for_bit(M, ppi):
+    # the one-contraction tables of the duality grids, compared as uint64
+    # with two outer products and a subtraction or an addition: einsum
+    # rounds each product and the sum, with no fused multiply-add
+    x = grid_for_kernels(M, ppi, 32).nodes
+    out = np.empty((x.size, x.size))
+    for a in (0.5, 1.0, 8.5, 16.5):
+        at = a * x
+        ref = np.multiply.outer(np.sin(at), np.cos(at)) - np.multiply.outer(np.cos(at), np.sin(at))
+        circle._sin_table(a, x, x, out)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), a
+    ref = np.multiply.outer(np.cos(x), np.cos(x)) + np.multiply.outer(np.sin(x), np.sin(x))
+    circle._cosines(x, x, out)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
 def test_step_kernels_are_never_sampled():
     # a step kernel's sums come from its cells, so neither a call nor a
     # block pass samples one, and neither falls through to another formula
@@ -657,6 +674,45 @@ def test_step_kernels_are_never_sampled():
         step(x, x)
     with pytest.raises(TypeError, match="never sampled"):
         kernel_sums([step], x, x, np.ones(x.size))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_kernel_sums_refuse_one_nonfinite_sample_at_a_zero_weight(value):
+    # finiteness is checked on each block's row contraction: one infinite
+    # sample in a column of weight 0 gives inf * 0 = NaN in its row's sum
+    x = grid_for_kernels(1, 8, 32).nodes
+    right = np.ones(x.size)
+    right[7] = 0.0
+    spoiled_rows = []
+
+    def spoiled(t, s, work, angles):
+        block = fejer_kernel_eval(3, t, s, work, angles)
+        if not spoiled_rows:
+            spoiled_rows.append(t.size)
+            block[t.size - 1, 7] = value
+        return block
+
+    with pytest.raises(ValueError, match="kernel produced non-finite samples"):
+        kernel_sums([spoiled], x, x, right, right)
+    assert spoiled_rows == [KERNEL_BLOCK // x.size]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_kernel_sums_refuse_nonfinite_weights_before_sampling(side):
+    # a NaN weight is refused with its own message before any kernel is
+    # sampled, so "non-finite samples" always means a sample
+    x = grid_for_kernels(1, 8, 32).nodes
+    weights = {"right": np.ones(x.size), "left": np.ones(x.size)}
+    weights[side][3] = np.nan
+    sampled = []
+
+    def kernel(t, s, work, angles):
+        sampled.append(t.size)
+        return fejer_kernel_eval(3, t, s, work, angles)
+
+    with pytest.raises(ValueError, match="needs finite weights"):
+        kernel_sums([kernel], x, x, weights["right"], weights["left"])
+    assert sampled == []
 
 
 def test_kernel_blocks_reuse_one_workspace_up_to_a_partial_last_block():

@@ -415,11 +415,15 @@ def test_step_kernel_sums_follow_dense_lookup_on_duality_grids(M, ppi):
 
 
 def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
-    # one search of the 2N seam targets for the whole family and both
+    # one search of the seam targets for the whole family and both
     # directions, among the 3N nodes [x - 2 pi, x, x + 2 pi]; an even
-    # profile's N (P-1) interior targets are one search for rows and
-    # columns, a non-even profile's one per direction
-    grid = grid_for_kernels(1, 8, 32)
+    # profile's interior targets are one search for rows and columns, a
+    # non-even profile's N (P-1) one per direction.  On a grid that is its
+    # own mirror the searches of edges that are their own mirror (the seams
+    # and every even profile) cover the upper N/2 pivots only
+    mirrored = grid_for_kernels(1, 8, 32)
+    uneven_grid = make_grid(3, 8, extra_breakpoints=[0.3])
+    assert not np.array_equal(uneven_grid.nodes, -uneven_grid.nodes[::-1])
     uneven = KernelSpec.custom(
         PiecewiseConstant(
             edges=np.array([-PI, -1.0, 0.0, 1.3, PI]), values=np.array([1.0, -2.0, 0.5, 3.0])
@@ -437,17 +441,22 @@ def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
         return search(y, targets)
 
     monkeypatch.setattr(operators, "_search", counted)
-    N = grid.node_count
-    seams = (3 * N, 2 * N)
-    for family, interior in (
-        ([even], [(3 * N, 2 * N)]),
-        ([uneven], [(3 * N, 3 * N)] * 2),
-        ([uneven, even, uneven], [(3 * N, 3 * N)] * 2 + [(3 * N, 2 * N)] + [(3 * N, 3 * N)] * 2),
-        (drawn, [(3 * N, N * (k.profile.edges.size - 2)) for k in drawn]),
-    ):
-        calls.clear()
-        assemble_operator(family, grid).weighted_sums(grid.quad_weights)
-        assert calls == [seams] + interior
+    for grid, half in ((mirrored, True), (uneven_grid, False)):
+        N = grid.node_count
+        pivots = N // 2 if half else N  # of an edge list that is its own mirror
+        seams = (3 * N, 2 * pivots)
+        for family, interior in (
+            ([even], [(3 * N, 2 * pivots)]),
+            ([uneven], [(3 * N, 3 * N)] * 2),
+            (
+                [uneven, even, uneven],
+                [(3 * N, 3 * N)] * 2 + [(3 * N, 2 * pivots)] + [(3 * N, 3 * N)] * 2,
+            ),
+            (drawn, [(3 * N, pivots * (k.profile.edges.size - 2)) for k in drawn]),
+        ):
+            calls.clear()
+            assemble_operator(family, grid).weighted_sums(grid.quad_weights)
+            assert calls == [seams] + interior
 
 
 def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
@@ -543,13 +552,15 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
         _, tied = operators._search(y, x - sign * np.array([[-PI], [PI]]))
         assert np.count_nonzero(tied) == 440
     # the seams, like the drawn profiles, are their own mirror; the fixed
-    # profiles are not, so their column cuts come from a search of their own
-    seams = operators._cuts(x, y, [-PI, PI], lambda r, d: r == 0)
-    for profile in profiles:
-        edges = np.concatenate([[-PI], profile.edges[1:-1], [PI]])
-        full = operators._cuts(x, y, edges, lambda r, d: profile.cell(d) >= r)
-        for shared, cuts in zip(seams, full):
-            assert np.array_equal(shared, cuts[[0, -1]]), profile
+    # profiles are not, so their column cuts come from a search of their own.
+    # The grid is its own mirror, so each holds for the half-pivot search too
+    for half in (False, True):
+        seams = operators._cuts(x, y, [-PI, PI], lambda r, d: r == 0, half)
+        for profile in profiles:
+            edges = np.concatenate([[-PI], profile.edges[1:-1], [PI]])
+            full = operators._cuts(x, y, edges, lambda r, d: profile.cell(d) >= r, half)
+            for shared, cuts in zip(seams, full):
+                assert np.array_equal(shared, cuts[[0, -1]]), (profile, half)
     # a node at wrapped difference pi stays in the last piece, [0.5, pi]
     last = KernelSpec.custom(
         PiecewiseConstant(edges=np.array([-PI, 0.5, PI]), values=np.array([0.0, 1.0]))
@@ -561,6 +572,39 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
     [rowsums], [colsums] = assemble_operator([last], grid).weighted_sums(c)
     assert np.array_equal(rowsums, in_last @ c)
     assert np.array_equal(colsums, c @ in_last)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_mirrored_cuts_are_the_all_pivot_search_bit_for_bit(M):
+    # on the --ppi 8 duality grids (184 and 28 node pairs exactly pi apart)
+    # the half-pivot search of edges that are their own mirror gives every
+    # cut of the all-pivot search, rows and columns: for the seams, for
+    # drawn even profiles, and for even profiles with interior edges exactly
+    # on node differences, where targets fall on nodes and are settled from
+    # a start one node off
+    grid = grid_for_kernels(M, 8, 32)
+    x = grid.nodes
+    assert x.size % 2 == 0 and np.array_equal(x, -x[::-1])
+    y = np.concatenate([x - 2 * PI, x, x + 2 * PI])
+    assert np.count_nonzero(np.abs(x[:, None] - x[None, :]) == PI) == (184, 28)[M - 1]
+    rng = np.random.default_rng(20 + M)
+    profiles = [k.profile for k in _random_step_kernels(rng, 6)]
+    for a, b in rng.integers(0, x.size, size=(6, 2)):
+        e = abs(float(wrap_angle(x[a] - x[b])))
+        if 0 < e < PI:
+            edges = np.array([-PI, -e, e, PI])
+            profiles.append(PiecewiseConstant(edges=edges, values=np.array([1.0, 2.0, 1.0])))
+    assert len(profiles) > 9
+    cases = [([-PI, PI], lambda r, d: r == 0)]
+    cases += [(p.edges[1:-1], lambda r, d, p=p: p.cell(d) > r) for p in profiles]
+    on_node = 0
+    for edges, past in cases:
+        on_node += np.count_nonzero(np.isin(x - np.asarray(edges)[:, None], y))
+        half = operators._cuts(x, y, edges, past, True)
+        full = operators._cuts(x, y, edges, past, False)
+        for h, f in zip(half, full):
+            assert h.dtype == f.dtype and np.array_equal(h, f), edges
+    assert on_node > 0
 
 
 @pytest.mark.parametrize("mirrored", [True, False])
