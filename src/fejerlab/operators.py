@@ -30,11 +30,8 @@ weight), only the upper N/2 rows are sampled: the kernels are even, so
 row N-1-i is row i reversed.  The lower row sums are the upper ones read
 backwards, and the column sums are p_j + p_{N-1-j} for the upper rows'
 contraction p, so rows and columns stay two contractions of one sampled
-half.  Step kernels' rows are not mirrored: their cells are left-closed,
-so K(-t) != K(t) where t falls on an edge, and the tie rule of `_cuts`
-follows the dense lookup there; only their float search is.  A Fejér
-family whose matrices have more than SPECTRAL_SWITCH samples uses the
-frequencies of the real, even
+half.  A Fejér family whose matrices have more than SPECTRAL_SWITCH
+samples uses the frequencies of the real, even
 F_n(t) = sum_{|k|<=n} (1 - |k|/(n+1)) e^{ikt} instead, in one analysis and
 one synthesis of k = 0..n_max for the family, O(N n_max) phases; that
 matrix is symmetric and nonnegative on any node set, so its row sums and
@@ -44,12 +41,15 @@ from prefix sums of the weights over the 3N nodes extended periodically,
 O(N P log N) for P pieces.  The two end cuts of every profile are the
 +-pi seams, which do not depend on the profile, so a family searches them
 once, and each kernel searches only its interior edges, once for rows and
-columns when the edges are their own mirror.  On a grid that is its own
-mirror such a search covers the upper N/2 pivots, and the lower half is
-read off by reversal; rows and columns are still settled and contracted
-per direction.  Each node counts once, by its copy in the window around
-the pivot, and ties take the dense lookup's own cell index, so a node at
-wrapped difference pi stays in the last piece.
+columns when the edges are their own mirror.  Each node counts once, by
+its copy in the window around the pivot, and ties take the dense lookup's
+own cell index, so a node at wrapped difference pi stays in the last
+piece.  Step kernels' rows are not mirrored (a left-closed cell makes
+K(-t) != K(t) on an edge), but on a mirrored grid each direction searches
+and settles the upper N/2 pivots only and reads its lower half off the
+other direction's upper half: pivot N-1-p meets node N-1-j at the rounded
+difference at which pivot p meets node j in the other direction, and the
+column tie rule is the row rule's complement read backwards.
 """
 
 from __future__ import annotations
@@ -126,17 +126,17 @@ class OperatorMatrix:
         contractions of each block, so they stay independent computations of
         the two norms; Fejér and Poisson entries are nonnegative, so the
         blocks are |K|.
-        The pass covers rows i < N/2 only when N is even, the nodes are
-        exactly -nodes[::-1] and c exactly c[::-1]: the kernels are even,
-        so row N-1-i is row i reversed, the lower row sums copy the upper
-        ones backwards and the column sums are p + p[::-1] for the upper
-        rows' column contraction p.  Otherwise every row is sampled.
-        Fejér operators past the spectral switch return one spectral array
-        as both, from one analysis and one synthesis of the one-sided
+        The family decides once whether the grid is its own mirror, N even
+        and nodes exactly -nodes[::-1].  The pass covers rows i < N/2 only
+        there and with c exactly c[::-1]: the kernels are even, so row
+        N-1-i is row i reversed, the lower row sums copy the upper ones
+        backwards and the column sums are p + p[::-1] for the upper rows'
+        column contraction p.  Otherwise every row is sampled.  Fejér
+        operators past the spectral switch return one spectral array as
+        both, from one analysis and one synthesis of the one-sided
         frequencies k = 0..n_max for the whole family.  Step kernels take
-        both sums from one `_step_sums` call; their values are finite by
-        construction, and their rows are never mirrored, since a left-closed
-        cell makes K(-t) != K(t) on an edge.
+        both sums, mirrored search or not, from one `_step_sums` call; their
+        values are finite by construction.
         """
         c = np.asarray(weights, dtype=float)
         nodes = self.grid.nodes
@@ -144,21 +144,21 @@ class OperatorMatrix:
             # F_n is even and c real, so with a_k = sum_j e^{-ik x_j} c_j
             # the sum over |k| <= n is a_0 + 2 Re sum_{k>=1} of the damped
             # a_k e^{ik theta}
-            n = np.array([kernel.n for kernel in self.kernels], dtype=float)
-            k = np.arange(n.max() + 1)
-            damp = np.maximum(1.0 - k[:, None] / (n + 1.0), 0.0)  # 0 past each order
+            orders = [kernel.n for kernel in self.kernels]
+            k = np.arange(max(orders) + 1)
+            damp = np.zeros((k.size, len(orders)))  # 0 past each order
+            for column, n in zip(damp.T, orders):
+                column[: n + 1] = fejer_multiplier(n)[n:]
             damped = damp * trig_sum(k, nodes, c, -1)[:, None]
             damped[0] *= 0.5
             sums = 2.0 * trig_sum(nodes, k, damped, 1).real.T
             return sums, sums
+        n = nodes.size
+        mirrored = n % 2 == 0 and np.array_equal(nodes, -nodes[::-1])
         if self.kernels[0].kind == "custom":
             profiles = [kernel.profile for kernel in self.kernels]
-            return _step_sums(profiles, nodes, _prefix_sums(c))
-        n = nodes.size
-        mirrored = (
-            n % 2 == 0 and np.array_equal(nodes, -nodes[::-1]) and np.array_equal(c, c[::-1])
-        )
-        h = n // 2 if mirrored else n
+            return _step_sums(profiles, nodes, _prefix_sums(c), mirrored)
+        h = n // 2 if mirrored and np.array_equal(c, c[::-1]) else n
         rowsums, colsums = kernel_sums(self.kernels, nodes[:h], nodes, c, c[:h])
         if h < n:
             # row n-1-i is row i reversed, so the lower rows' part of column
@@ -224,30 +224,31 @@ def _cuts(x, y, edges, past, mirrored):
     fall among the 3N extended nodes y = [x - 2 pi, x, x + 2 pi], for every
     pivot: two (len(edges), N) arrays of indices into y.
 
-    Edges that are their own mirror, edges == -edges[::-1], make the column
-    targets x + e_r the row targets x - e_{m-1-r} bit for bit (negation is
-    exact), so one float search serves both, its rows reversed for the
-    columns.  If the grid is its own mirror too (`mirrored`: N even and
-    x == -x[::-1], so y == -y[::-1]), the row target of pivot N-1-p at
-    edge m-1-r is minus that of pivot p at edge r, so the upper N/2 pivots
-    are searched and the lower half is 3N - b with both axes reversed and
-    the same tie flags; a target on a node starts one node off and is
-    settled as a tie.  Ties are settled per direction and follow the dense
-    lookup profile(x_i - x_j) exactly: with sign +1 for rows and -1 for
-    columns, d = sign * (x_piv - x_j), rounded as that difference, and
+    Each direction is searched and settled for the pivots x[lo:], with
+    lo = N/2 if the grid is its own mirror (`mirrored`: N even and
+    x == -x[::-1], so y == -y[::-1]) and 0 otherwise.  Edges that are their
+    own mirror, edges == -edges[::-1], make the column targets x + e_r the
+    row targets x - e_{m-1-r} bit for bit (negation is exact), so one float
+    search serves both, its rows reversed for the columns.  Ties follow the
+    dense lookup profile(x_i - x_j) exactly: with sign +1 for rows and -1
+    for columns, d = sign * (x_piv - x_j), rounded as that difference, and
     w = wrap_angle(d), the copy rint(sign * (d - w) / 2 pi) of node j is in
     the window (-pi, pi] around the pivot; copies below it come before
     every cut and copies above it after, and the window copy comes before
-    cut r when past(r, d), its cell is at or past the cut, for rows and
-    when not for columns.
+    cut r when past(r, d) for rows and when not for columns.  Pivot N-1-p
+    meets node N-1-j at the d at which pivot p meets node j in the other
+    direction, where copy 2-c passes exactly when copy c fails here, so the
+    lower half of each direction is 3N - the other's upper half, reversed.
     """
     n = x.size
+    lo = n // 2 if mirrored else 0
+    pivots = x[lo:]
 
     def before_cut(sign):
         def holds(entries, idx):
-            r, piv = np.divmod(entries, n)
+            r, piv = np.divmod(entries, pivots.size)
             copy, j = np.divmod(idx, n)
-            d = sign * (x[piv] - x[j])
+            d = sign * (pivots[piv] - x[j])
             window = np.rint(sign * (d - wrap_angle(d)) / TWO_PI) + 1
             inside = past(r, d) == (sign > 0)
             return (copy < window) | ((copy == window) & inside)
@@ -256,19 +257,17 @@ def _cuts(x, y, edges, past, mirrored):
 
     edges = np.asarray(edges)[:, None]
     own_mirror = np.array_equal(edges, -edges[::-1])
-    if own_mirror and mirrored:
-        b, tied = _search(y, x[n // 2 :] - edges)
-        rows = (
-            np.concatenate([y.size - b[::-1, ::-1], b], axis=1),
-            np.concatenate([tied[::-1, ::-1], tied], axis=1),
-        )
-    else:
-        rows = _search(y, x - edges)  # edge by edge, one sorted run of N targets each
-    cols = [a[::-1] for a in rows] if own_mirror else _search(y, x + edges)
-    return _settle(y, *rows, before_cut(1)), _settle(y, *cols, before_cut(-1))
+    rows = _search(y, pivots - edges)  # edge by edge, one sorted run of targets each
+    cols = [a[::-1] for a in rows] if own_mirror else _search(y, pivots + edges)
+    rows, cols = _settle(y, *rows, before_cut(1)), _settle(y, *cols, before_cut(-1))
+    # the lower lo pivots of each direction, none when lo = 0
+    return tuple(
+        np.concatenate([y.size - other[:, ::-1][:, :lo], own], axis=1)
+        for own, other in ((rows, cols), (cols, rows))
+    )
 
 
-def _step_sums(profiles, x, prefix):
+def _step_sums(profiles, x, prefix, mirrored):
     """Row sums sum_j |K(x_i - x_j)| c_j and column sums
     sum_i |K(x_i - x_j)| c_i of step kernels K, two (K, N) arrays with one
     row per profile, from the compensated prefix sums of c over the sorted
@@ -280,17 +279,16 @@ def _step_sums(profiles, x, prefix):
     cuts are the ends of the window (-pi, pi] around the pivot, whatever
     the profile's end edges within 1e-12 of +-pi, and one search places
     them for every profile and both directions; each profile's P-1 interior
-    edges take one more, or two when they are not their own mirror.  On a
-    grid that is its own mirror, decided once per family, the searches of
-    edges that are their own mirror cover the upper N/2 pivots only.  Each
-    node has one copy in that window, so a piece is one slice of the
-    extended nodes and its weight a difference of the prefix sums over the
-    three copies, gathered once per direction.
+    edges take one more, or two when they are not their own mirror.  When
+    the grid is its own mirror (`mirrored`, decided once per family by
+    `OperatorMatrix.weighted_sums`) every search and settling covers the
+    upper N/2 pivots only.  Each node has one copy in that window, so a
+    piece is one slice of the extended nodes and its weight a difference of
+    the prefix sums over the three copies, gathered once per direction.
     """
     total = prefix[-1]
     S = np.concatenate([prefix[:-1], prefix[:-1] + total, prefix + 2.0 * total])
     y = np.concatenate([x - TWO_PI, x, x + TWO_PI])
-    mirrored = x.size % 2 == 0 and np.array_equal(x, -x[::-1])
     # every cell is past the first seam and none reaches the last, so a node
     # at wrapped difference pi stays in the last piece
     seams = _cuts(x, y, [-math.pi, math.pi], lambda r, d: r == 0, mirrored)

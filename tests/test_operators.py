@@ -418,9 +418,9 @@ def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
     # one search of the seam targets for the whole family and both
     # directions, among the 3N nodes [x - 2 pi, x, x + 2 pi]; an even
     # profile's interior targets are one search for rows and columns, a
-    # non-even profile's N (P-1) one per direction.  On a grid that is its
-    # own mirror the searches of edges that are their own mirror (the seams
-    # and every even profile) cover the upper N/2 pivots only
+    # non-even profile's (P-1) per pivot one per direction.  On a grid that
+    # is its own mirror every search and every settling covers the upper N/2
+    # pivots only, even profiles or not
     mirrored = grid_for_kernels(1, 8, 32)
     uneven_grid = make_grid(3, 8, extra_breakpoints=[0.3])
     assert not np.array_equal(uneven_grid.nodes, -uneven_grid.nodes[::-1])
@@ -433,30 +433,38 @@ def test_step_kernel_sums_search_once_among_extended_nodes(monkeypatch):
         PiecewiseConstant(edges=np.array([-PI, -0.4, 0.4, PI]), values=np.array([2.0, 1.0, 2.0]))
     )
     drawn = _random_step_kernels(np.random.default_rng(5), 6)
-    calls = []
-    search = operators._search
+    calls, settled = [], []
+    search, settle = operators._search, operators._settle
 
     def counted(y, targets):
         calls.append((y.size, targets.size))
         return search(y, targets)
 
+    def counted_settle(y, b, tied, holds):
+        settled.append(b.shape[1])
+        return settle(y, b, tied, holds)
+
     monkeypatch.setattr(operators, "_search", counted)
+    monkeypatch.setattr(operators, "_settle", counted_settle)
     for grid, half in ((mirrored, True), (uneven_grid, False)):
         N = grid.node_count
-        pivots = N // 2 if half else N  # of an edge list that is its own mirror
+        pivots = N // 2 if half else N
         seams = (3 * N, 2 * pivots)
         for family, interior in (
             ([even], [(3 * N, 2 * pivots)]),
-            ([uneven], [(3 * N, 3 * N)] * 2),
+            ([uneven], [(3 * N, 3 * pivots)] * 2),
             (
                 [uneven, even, uneven],
-                [(3 * N, 3 * N)] * 2 + [(3 * N, 2 * pivots)] + [(3 * N, 3 * N)] * 2,
+                [(3 * N, 3 * pivots)] * 2 + [(3 * N, 2 * pivots)] + [(3 * N, 3 * pivots)] * 2,
             ),
             (drawn, [(3 * N, pivots * (k.profile.edges.size - 2)) for k in drawn]),
         ):
             calls.clear()
+            settled.clear()
             assemble_operator(family, grid).weighted_sums(grid.quad_weights)
             assert calls == [seams] + interior
+            # the seams and each profile settle rows and columns once each
+            assert settled == [pivots] * 2 * (1 + len(family))
 
 
 def test_step_kernel_prefix_sums_within_one_ulp(grid_past_spectral_switch):
@@ -577,11 +585,13 @@ def test_seam_cuts_do_not_depend_on_the_kernel():
 @pytest.mark.parametrize("M", [1, 2])
 def test_mirrored_cuts_are_the_all_pivot_search_bit_for_bit(M):
     # on the --ppi 8 duality grids (184 and 28 node pairs exactly pi apart)
-    # the half-pivot search of edges that are their own mirror gives every
-    # cut of the all-pivot search, rows and columns: for the seams, for
-    # drawn even profiles, and for even profiles with interior edges exactly
-    # on node differences, where targets fall on nodes and are settled from
-    # a start one node off
+    # the half-pivot search, whose lower half of each direction is read off
+    # the other direction's settled upper half, gives every cut of the
+    # all-pivot search, rows and columns: for the seams, for drawn even
+    # profiles, for even profiles with interior edges exactly on node
+    # differences, where targets fall on nodes and are settled from a start
+    # one node off, and for uneven profiles, random and with interior edges
+    # on wrapped node differences, whose rows and columns are searched apart
     grid = grid_for_kernels(M, 8, 32)
     x = grid.nodes
     assert x.size % 2 == 0 and np.array_equal(x, -x[::-1])
@@ -594,12 +604,23 @@ def test_mirrored_cuts_are_the_all_pivot_search_bit_for_bit(M):
         if 0 < e < PI:
             edges = np.array([-PI, -e, e, PI])
             profiles.append(PiecewiseConstant(edges=edges, values=np.array([1.0, 2.0, 1.0])))
-    assert len(profiles) > 9
+    uneven = []
+    for trial in range(8):
+        inner = rng.uniform(-PI, PI, size=rng.integers(1, 6))
+        if trial % 2:
+            pairs = rng.integers(0, x.size, size=(rng.integers(1, 6), 2))
+            inner = np.concatenate([inner[:2], wrap_angle(x[pairs[:, 0]] - x[pairs[:, 1]])])
+        inner = np.unique(inner[np.abs(inner) < PI - 1e-9])
+        edges = np.concatenate([[-PI], inner, [PI]])
+        if not np.array_equal(edges, -edges[::-1]):
+            uneven.append(PiecewiseConstant(edges=edges, values=rng.normal(size=edges.size - 1)))
+    assert len(profiles) > 9 and len(uneven) > 6
     cases = [([-PI, PI], lambda r, d: r == 0)]
-    cases += [(p.edges[1:-1], lambda r, d, p=p: p.cell(d) > r) for p in profiles]
+    cases += [(p.edges[1:-1], lambda r, d, p=p: p.cell(d) > r) for p in profiles + uneven]
     on_node = 0
     for edges, past in cases:
-        on_node += np.count_nonzero(np.isin(x - np.asarray(edges)[:, None], y))
+        e = np.asarray(edges)[:, None]
+        on_node += np.count_nonzero(np.isin(x - e, y) | np.isin(x + e, y))
         half = operators._cuts(x, y, edges, past, True)
         full = operators._cuts(x, y, edges, past, False)
         for h, f in zip(half, full):
