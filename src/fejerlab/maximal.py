@@ -5,23 +5,30 @@ whose endpoints are grid cell edges (wrapping across +-pi, proper arcs only).
 For step inputs whose jumps lie on the grid this maximum is exact arc
 arithmetic.
 
-Only a few of the N(N-1) arcs can attain it.  Call an edge a run start when
-the cells on its two sides differ in |f|; let R be their number.  Lemma:
-moving one end of an arc inside a run of value v adds or drops cells of
-value v, which moves the average monotonically toward v.  So among the arcs
-[a, b) that contain cell c, a maximizer has its left end at a run start, at
-c or at b-N+1, and its right end at a run start, at c+1 or at a+N-1.
-Applying this to the left end and then the right end (and once more to the
-left end when the right end lands on c+1) leaves four kinds of arc:
-(i) arcs that start at a run start, (ii) arcs that end at one, (iii) the
-single cell c and (iv) the N-1-cell arcs, each of which leaves out one
-cell.  Kind (iii) needs no pass of its own: the arc from the start of c's
-run through c has the same average (kind i), and with no run start |f| is
-constant and any kind (iv) arc has it too.  Kind (ii) is kind (i) on the
-mirrored cells, since an arc that ends at a run start starts at one when
-the circle is read backwards.  Kinds (i) and (ii) are nested families of
-N-1 arcs per run start, and kind (iv) is found by the cell it leaves out in
-O(N), so the sweep costs O(N R) instead of O(N^2).
+Only a few of the N(N-1) arcs can attain it.  Read the cells in one
+direction and call an edge a rise when the cell after it is larger in |f|
+than the cell before it.  A fall of one direction is a rise of the other,
+so each of the R edges where |f| changes is a rise of exactly one
+direction.  Lemma: let [a, b) be an arc of 2 <= L <= N-2 cells that
+maximizes the average A among the arcs that contain cell c.  If a != c,
+dropping cell a or adding cell a-1 keeps c covered, so
+|f|(a-1) <= A <= |f|(a).  When the two differ, a is a rise; when they are
+equal, sliding a left through the run of value A keeps A and ends at a
+rise (a larger left neighbour would beat A) or at an arc of N-1 cells.
+If a = c, the same argument at the right end puts b at a fall.  That
+leaves four kinds of arc: (i) arcs that start at a rise, (ii) arcs that
+end at a fall, (iii) the single cell c and (iv) the N-1-cell arcs, each of
+which leaves out one cell.  Kind (iii) needs no pass of its own.  When
+the left end of c's run is a rise, the arc from there through c has the
+same average (kind i); when its right end is a fall, so has the arc from c
+to there (kind ii).  When neither is, both neighbours of the run are
+larger, so an arc from c into one of them beats the cell and another kind
+attains the maximum; with no rise at all |f| is constant and any kind (iv)
+arc has it.  Kind (ii) is kind (i) on the mirrored cells, since an arc
+that ends at a fall starts at a rise when the circle is read backwards.
+Kinds (i) and (ii) are nested families of N-1 arcs per rise of their
+direction, R families in all, and kind (iv) is found by the cell it
+leaves out in O(N), so the sweep costs O(N R) instead of O(N^2).
 
 Each arc's mass and length are summed from its own start, so an arc over a
 few of the tiny cells at a weight jump is as accurate as its own cells, not
@@ -58,21 +65,21 @@ def maximal_function(f: SampledFunction) -> SampledFunction:
     is excluded as improper).  Since nodes lie strictly inside their cells,
     an arc contains node i exactly when it contains cell i.
 
-    A run start is an edge whose two cells differ in |f|.  Moving an arc end
-    inside a run of value v moves the average monotonically toward v, so
-    the maximum at each cell is attained by (i) an arc starting at a run
-    start, (ii) an arc ending at one, which is (i) on the mirrored cells,
-    (iii) the cell alone, which (i) or (iv) matches, or (iv) an arc of N-1
-    cells, found by the one cell it leaves out (see the module docstring).
-    Every arc of kinds (i) and (ii) is summed from its own start.  The arcs
-    from one run start are nested, so the best of them at each covered cell
-    is a running maximum of their averages ordered by length: O(N) per run
-    start and direction, and O(N R) in all for R run starts.
+    A rise is an edge where |f| goes up in the reading direction.  The
+    maximum at each cell is attained by (i) an arc starting at a forward
+    rise, (ii) an arc ending where |f| falls, which is (i) on the mirrored
+    cells, (iii) the cell alone, which (i), (ii) or another kind matches,
+    or (iv) an arc of N-1 cells, found by the one cell it leaves out (see
+    the module docstring).  Every arc of kinds (i) and (ii) is summed from
+    its own start.  The arcs from one rise are nested, so the best of them
+    at each covered cell is a running maximum of their averages ordered by
+    length: O(N) per rise, and O(N R) in all for the R edges where |f|
+    changes, each a rise of one direction.
     """
     g = f.grid
     a = np.abs(f.samples)
     q = g.quad_weights
-    out = np.maximum(_from_run_starts(a, q), _from_run_starts(a[::-1], q[::-1])[::-1])
+    out = np.maximum(_from_rises(a, q), _from_rises(a[::-1], q[::-1])[::-1])
     # (iv) the arc of n-1 cells that leaves out cell c covers every other cell
     mass = a * q
     full = (np.sum(mass) - mass) / (np.sum(q) - q)
@@ -83,15 +90,16 @@ def maximal_function(f: SampledFunction) -> SampledFunction:
     return SampledFunction(grid=g, samples=out)
 
 
-def _from_run_starts(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Best average of `a` at each cell over the arcs that start at a run
-    start and cover it (kind i), each arc's mass and length summed from its
-    start: the real and imaginary parts of one cumulative sum."""
+def _from_rises(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Best average of `a` at each cell over the arcs that start at a rise
+    (an edge where `a` goes up) and cover it (kind i), each arc's mass and
+    length summed from its start: the real and imaginary parts of one
+    cumulative sum."""
     n = a.size
     cells = np.tile(a * q + 1j * q, 2)
     # out[c] for c in [0, 2n) collects cell c mod n
     out = np.full(2 * n, -np.inf)
-    for s in np.flatnonzero(a != np.roll(a, 1)):
+    for s in np.flatnonzero(a > np.roll(a, 1)):
         # arcs s .. s+L-1 for L = 1 .. n-1; cell s+j lies in those with L > j
         sums = np.cumsum(cells[s : s + n - 1])
         _fold_nested(out[s : s + n - 1], sums.real / sums.imag)

@@ -13,12 +13,13 @@ from fejerlab.spaces import make_weight, spike_interval
 PI = math.pi
 
 
-def brute_force_maximal(samples, q):
-    """Exhaustive reference: every proper wrapped arc of whole cells."""
+def brute_force_maximal(samples, q, starts=None):
+    """Exhaustive reference: every proper wrapped arc of whole cells, or
+    only those that start at the cells `starts`."""
     n = samples.size
     mass = np.abs(samples) * q
     out = np.full(n, -np.inf)
-    for s in range(n):
+    for s in range(n) if starts is None else starts:
         acc_mass, acc_len = 0.0, 0.0
         for d in range(1, n):
             j = (s + d - 1) % n
@@ -82,10 +83,17 @@ def _oracle_input(case):
         # the best arcs of the first cells wrap across +-pi to the last one
         samples = np.full(grid.node_count, 0.1)
         samples[-1] = 10.0
+    elif case == "falling-start":
+        # at the middle cell of 5, 1, 10 among equal cells the best arc
+        # starts at that cell, where |f| falls: (1 + 10) / 2 = 5.5, while
+        # the best arc from a forward rise is (5 + 1 + 10) / 3
+        samples = np.full(grid.node_count, 0.1)
+        samples[19:22] = [5.0, 1.0, 10.0]
     elif case == "hole":
         # at the zero cell the best arc omits the shortest cell, an N-1-cell
-        # arc that neither starts nor ends at a run start when the zero sits
-        # on the longest cell, whose neighbours are longer than the shortest
+        # arc that neither starts where |f| rises nor ends where it falls
+        # when the zero sits on the longest cell, whose neighbours are longer
+        # than the shortest
         samples = np.ones(grid.node_count)
         samples[np.argmax(grid.quad_weights)] = 0.0
     else:
@@ -93,12 +101,20 @@ def _oracle_input(case):
     return SampledFunction(grid=grid, samples=samples), grid, samples
 
 
-@pytest.mark.parametrize("case", ["random", "asymmetric", "weight-profile", "seam", "hole"])
+@pytest.mark.parametrize(
+    "case", ["random", "asymmetric", "weight-profile", "seam", "falling-start", "hole"]
+)
 def test_maximal_profile_matches_bruteforce_oracle(case):
     f, grid, samples = _oracle_input(case)
     fast = maximal_function(f).samples
     slow = brute_force_maximal(samples, grid.quad_weights)
     assert np.max(np.abs(fast - slow)) <= 1e-13
+    if case == "falling-start":
+        # only an arc that starts on a forward fall reaches the oracle there
+        rises = np.flatnonzero(samples > np.roll(samples, 1))
+        forward = brute_force_maximal(samples, grid.quad_weights, rises)
+        assert abs(slow[20] - 5.5) <= 1e-13
+        assert abs(forward[20] - 16.0 / 3.0) <= 1e-13
 
 
 def test_maximal_of_constant(grid_m1):
@@ -272,11 +288,13 @@ def test_run_structured_samples_give_mirrored_profile(runs, shift):
     _assert_mirrored(grid, _run_samples(grid, runs, shift))
 
 
-def test_sweep_updates_once_per_run_start_and_direction(monkeypatch):
-    # the M = 16 profile has 60 run starts among 2,112 cells; sweeping from
-    # every start cell would make 2,112 nested-arc updates
+def test_sweep_updates_once_per_rise_of_each_direction(monkeypatch):
+    # the M = 16 profile has 60 edges where it changes among 2,112 cells,
+    # 30 rises read forward and 30 read backwards; sweeping from every
+    # start cell would make 2,112 nested-arc updates
     _, grid, samples = _weight_profile(16)
-    starts = np.count_nonzero(samples != np.roll(samples, 1))
+    rises = np.count_nonzero(samples > np.roll(samples, 1))
+    falls = np.count_nonzero(samples < np.roll(samples, 1))
     calls = []
     fold = maximal._fold_nested
 
@@ -286,4 +304,4 @@ def test_sweep_updates_once_per_run_start_and_direction(monkeypatch):
 
     monkeypatch.setattr(maximal, "_fold_nested", counted)
     maximal_function(SampledFunction(grid=grid, samples=samples))
-    assert (starts, len(calls)) == (60, 120)
+    assert (rises, falls, len(calls)) == (30, 30, 60)
