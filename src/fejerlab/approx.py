@@ -11,12 +11,16 @@ among the weighted least squares fit, the Fejér mean and the previous
 degree's polynomial.  The Fourier design
 A_ik = exp(i k theta_i) is the binary-power phase table of `circle.trig_sum`,
 and A^H diag(u) A is Hermitian Toeplitz, so each sweep solves the Toeplitz
-normal equations: two matrix-vector products with A and one (d+1) x (d+1)
-solve.  The Fejér start reads the same design, as the damped midpoint sums
-A^H (f q), so a fit builds one phase table.  Correctness is certified
-externally: for Hardy-class data the Fejér mean of matching order is a
-feasible polynomial, so the achieved objective must not exceed the Fejér
-mean's objective.
+normal equations: three matrix-vector products with A (the Gram lags, the
+right-hand side and the new residual) and one (d+1) x (d+1) solve, with the
+lag index and conj(f) built once per fit and |r| taken once per sweep.  The
+Fejér start reads the same design, as the damped midpoint sums A^H (f q).
+A density curve builds one phase table for its top degree, and each fit
+reads its first d+1 columns: `_phases` fills column k from the bits of k
+only, so they are bit for bit the table the fit would build alone.
+Correctness is certified externally: for Hardy-class data the Fejér mean of
+matching order is a feasible polynomial, so the achieved objective must not
+exceed the Fejér mean's objective.
 """
 
 from __future__ import annotations
@@ -72,64 +76,80 @@ class FitResult:
     fejer_error: float
 
 
-def _raw_objective(residual, c):
-    return float(np.sum(np.abs(residual) * c))
+def _raw_objective(moduli, c):
+    return float(np.sum(moduli * c))
 
 
-def _smoothed_objective(residual, c, eps):
-    r = np.abs(residual)
-    huber = np.where(r <= eps, r * r / (2.0 * eps) + 0.5 * eps, r)
-    return float(np.sum(huber * c))
+def _smoothed_objective(moduli, c, eps):
+    """sum c_i h(|r_i|) of the residual moduli, h(r) = r above eps and
+    r^2 / (2 eps) + eps / 2 at or below it, where only those entries are
+    rewritten."""
+    h = moduli * c
+    small = moduli <= eps
+    r = moduli[small]
+    h[small] = (r * r / (2.0 * eps) + 0.5 * eps) * c[small]
+    return float(np.sum(h))
 
 
-def _toeplitz_gram(A, u):
+def _lags(size):
+    """Index |l - j| into t and the mask l < j of the size x size Toeplitz
+    matrix G_jl = t_{l-j}, built once per fit."""
+    k = np.arange(size)
+    lag = k[None, :] - k[:, None]
+    return np.abs(lag), lag < 0
+
+
+def _toeplitz_gram(A, u, lags):
     """G = A^H diag(u) A for the Fourier design A_ik = exp(i k theta_i).
 
     G is Hermitian Toeplitz, G_jl = t_{l-j} with
     t_m = sum_i u_i exp(i m theta_i) = (u @ A)_m and t_{-m} = conj(t_m), so
-    it takes one matrix-vector product instead of an N x (d+1) product.
+    it takes one matrix-vector product instead of an N x (d+1) product;
+    `lags` is `_lags(d + 1)`.
     """
-    t = u @ A
-    k = np.arange(t.size)
-    lag = k[None, :] - k[:, None]
-    G = t[np.abs(lag)]
-    np.conjugate(G, out=G, where=lag < 0)
+    index, lower = lags
+    G = (u @ A)[index]
+    np.conjugate(G, out=G, where=lower)
     return G
 
 
-def _weighted_ls(A, y, u):
+def _weighted_ls(A, y_conj, u, lags):
     """Minimize sum u_i |y_i - (A alpha)_i|^2 over alpha in the Fourier design.
 
     Solves the normal equations G alpha = A^H (u y), whose right-hand side
-    is conj((u conj(y)) @ A).  G is positive definite for u > 0 and at least
-    d+1 distinct nodes.
+    is conj((u conj(y)) @ A), from y_conj = conj(y).  G is positive definite
+    for u > 0 and at least d+1 distinct nodes.
     """
-    b = np.conj((u * np.conj(y)) @ A)
-    return np.linalg.solve(_toeplitz_gram(A, u), b)
+    b = np.conj((u * y_conj) @ A)
+    return np.linalg.solve(_toeplitz_gram(A, u, lags), b)
 
 
-def _irls(A, y, c, start):
-    """Minimize sum c_i |y_i - (A alpha)_i| from a given coefficient start.
+def _irls(A, y, y_conj, c, lags, start, moduli):
+    """Minimize sum c_i |y_i - (A alpha)_i| from a coefficient start whose
+    residual moduli |y - A start| are `moduli`; y_conj = conj(y) and `lags`
+    is `_lags(d + 1)`, both built once per fit.
 
     Each sweep solves the Toeplitz normal equations of the weighted least
-    squares problem with weights c_i / max(|r_i|, SMOOTHING).  Returns the
-    coefficients, their residual and the number of sweeps kept.
+    squares problem with weights c_i / max(|r_i|, SMOOTHING), then takes
+    the new residual's moduli once, for both its smoothed objective and the
+    next sweep's weights.  Returns the coefficients, their residual moduli
+    and the number of sweeps kept.
     """
     alpha = start
-    r = y - A @ alpha
-    obj = _smoothed_objective(r, c, SMOOTHING)
+    obj = _smoothed_objective(moduli, c, SMOOTHING)
     sweeps = 0
     for _ in range(MAX_ITERS):
-        alpha_new = _weighted_ls(A, y, c / np.maximum(np.abs(r), SMOOTHING))
-        r_new = y - A @ alpha_new
-        obj_new = _smoothed_objective(r_new, c, SMOOTHING)
+        u = c / np.maximum(moduli, SMOOTHING)
+        alpha_new = _weighted_ls(A, y_conj, u, lags)
+        moduli_new = np.abs(y - A @ alpha_new)
+        obj_new = _smoothed_objective(moduli_new, c, SMOOTHING)
         if obj_new > obj * (1.0 + 1e-12) + 1e-300:
             break  # MM guarantees nonincrease; stop if rounding says otherwise
-        alpha, r, sweeps = alpha_new, r_new, sweeps + 1
+        alpha, moduli, sweeps = alpha_new, moduli_new, sweeps + 1
         if obj - obj_new <= TOL * max(obj_new, 1.0):
             break
         obj = obj_new
-    return alpha, r, sweeps
+    return alpha, moduli, sweeps
 
 
 def _fejer_candidate(f: SampledFunction, A):
@@ -141,12 +161,23 @@ def _fejer_candidate(f: SampledFunction, A):
     return damped * np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
 
 
+def _check_degree(degree: int, node_count: int):
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree > node_count // 4:
+        raise ValueError(
+            f"degree {degree} is past node_count / 4 = {node_count // 4}, "
+            "where the Fejér start's midpoint sums alias"
+        )
+
+
 def best_poly_l1w(
     f: SampledFunction,
     w: Weight,
     degree: int,
     *,
     warm_start: np.ndarray | None = None,
+    phases: np.ndarray | None = None,
 ) -> FitResult:
     """Approximately minimize ||f - q||_{L1(w)} over polynomials of `degree`.
 
@@ -154,32 +185,41 @@ def best_poly_l1w(
     `degree` from the midpoint sums of the samples against the fit's design
     and the zero-padded warm start.  Past degree N/4 those sums alias, so
     such a degree raises ValueError.  IRLS runs once, at most MAX_ITERS
-    sweeps, from the start with the smallest raw objective: the smoothed
-    objective is convex, so every start leads to the same minimum.  If the
-    run ends above its start, the start is kept, so the result is never
-    above any start.  The reported error is the plain discrete weighted-L1
-    objective of the returned polynomial.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree > f.grid.node_count // 4:
-        raise ValueError(
-            f"degree {degree} is past node_count / 4 = {f.grid.node_count // 4}, "
-            "where the Fejér start's midpoint sums alias"
-        )
-    nodes = f.grid.nodes
-    c = w(nodes) * f.grid.quad_weights
-    A = _phases(nodes, 0, degree + 1, 1)
-    y = f.samples.astype(complex)
+    sweeps, from the start with the smallest raw objective and that start's
+    residual: the smoothed objective is convex, so every start leads to the
+    same minimum.  If the run ends above its start, the start is kept, so
+    the result is never above any start.  The reported error is the plain
+    discrete weighted-L1 objective of the returned polynomial.
 
-    starts = [_weighted_ls(A, y, c), _fejer_candidate(f, A)]
+    `phases`, if given, is `circle._phases(f.grid.nodes, 0, K, 1)` for some
+    K > degree, of shape (N, K) (ValueError otherwise), and the fit's design
+    is its first degree + 1 columns; `density_curve` shares one such table
+    among its fits.  Without it the fit builds its own, K = degree + 1.
+    """
+    _check_degree(degree, f.grid.node_count)
+    nodes = f.grid.nodes
+    if phases is None:
+        phases = _phases(nodes, 0, degree + 1, 1)
+    elif phases.ndim != 2 or phases.shape[0] != nodes.size or phases.shape[1] <= degree:
+        raise ValueError(
+            f"phases must have shape (N, > degree) = ({nodes.size}, > {degree}), "
+            f"got {phases.shape}"
+        )
+    A = phases[:, : degree + 1]
+    c = w(nodes) * f.grid.quad_weights
+    y = f.samples.astype(complex)
+    y_conj = np.conj(y)
+    lags = _lags(degree + 1)
+
+    starts = [_weighted_ls(A, y_conj, c, lags), _fejer_candidate(f, A)]
     if warm_start is not None:
         starts.append(np.pad(warm_start, (0, degree + 1 - warm_start.size)))
-    objectives = [_raw_objective(y - A @ s, c) for s in starts]
+    moduli = [np.abs(y - A @ s) for s in starts]
+    objectives = [_raw_objective(m, c) for m in moduli]
 
     k = int(np.argmin(objectives))
-    alpha, r, iters = _irls(A, y, c, starts[k])
-    raw = _raw_objective(r, c)
+    alpha, end_moduli, iters = _irls(A, y, y_conj, c, lags, starts[k], moduli[k])
+    raw = _raw_objective(end_moduli, c)
     if objectives[k] < raw:  # the start itself is a valid feasible point
         alpha, raw = starts[k], objectives[k]
     return FitResult(
@@ -195,13 +235,20 @@ def density_curve(f: SampledFunction, w: Weight, degrees) -> list[FitResult]:
 
     Each distinct degree is fitted once, in ascending order, warm-started
     with the previous polynomial, so the reported errors are nonincreasing
-    by construction (feasible sets are nested).
+    by construction (feasible sets are nested).  Every degree is checked
+    before the curve builds one phase table for the top degree, which each
+    fit reads as `best_poly_l1w(..., phases=...)`.
     """
     degrees = sorted({int(d) for d in degrees})
+    if not degrees:
+        return []
+    for d in degrees:
+        _check_degree(d, f.grid.node_count)
+    phases = _phases(f.grid.nodes, 0, degrees[-1] + 1, 1)
     results = []
     prev = None
     for d in degrees:
-        res = best_poly_l1w(f, w, d, warm_start=prev)
+        res = best_poly_l1w(f, w, d, warm_start=prev, phases=phases)
         results.append(res)
         prev = res.poly
     return results

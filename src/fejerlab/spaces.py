@@ -40,11 +40,12 @@ class Weight:
     """Truncated spiked weight with M spike pairs.
 
     `profile` is the exact step representation used for integration, and
-    point evaluation reads it too: __call__ looks theta and -theta up in it
-    and takes the larger value.  The weight is even and the profile's cells
-    are left-closed, so at an edge that is the larger of the two cells that
-    meet there: every spike is closed on both ends and sqrt(m) wins at
-    shared endpoints, on both sides of the circle.  O(log M) per angle.
+    point evaluation reads it too: __call__ looks theta and -theta up in it,
+    stacked in one lookup, and takes the larger value.  The weight is even
+    and the profile's cells are left-closed, so at an edge that is the
+    larger of the two cells that meet there: every spike is closed on both
+    ends and sqrt(m) wins at shared endpoints, on both sides of the circle.
+    O(log M) per angle.
     """
 
     M: int
@@ -52,7 +53,7 @@ class Weight:
 
     def __call__(self, theta):
         t = wrap_angle(theta)
-        out = np.maximum(self.profile(t), self.profile(-t))
+        out = np.maximum(*self.profile(np.stack([t, -t])))
         return out if out.ndim else float(out)
 
 

@@ -7,6 +7,7 @@ from fejerlab import approx, circle
 from fejerlab.approx import (
     StageFailure,
     _default_order_ladder,
+    _lags,
     _toeplitz_gram,
     _weighted_ls,
     best_poly_l1w,
@@ -79,8 +80,8 @@ def _smoothed_objectives(monkeypatch):
     seen = []
     original = approx._smoothed_objective
 
-    def spy(residual, c, eps):
-        seen.append(original(residual, c, eps))
+    def spy(moduli, c, eps):
+        seen.append(original(moduli, c, eps))
         return seen[-1]
 
     monkeypatch.setattr(approx, "_smoothed_objective", spy)
@@ -113,12 +114,12 @@ def test_weighted_ls_matches_direct_lstsq(fit_grid, weight4, degree):
         u = c / np.maximum(r, 1e-8)
         su = np.sqrt(u)
         ref, *_ = np.linalg.lstsq(A * su[:, None], y * su, rcond=None)
-        alpha = _weighted_ls(A, y, u)
+        alpha = _weighted_ls(A, np.conj(y), u, _lags(degree + 1))
         assert np.linalg.norm(alpha - ref) <= 1e-10 * np.linalg.norm(ref)
         res, res_ref = (np.linalg.norm(su * (y - A @ a)) for a in (alpha, ref))
         assert abs(res - res_ref) <= 1e-12 * res_ref
         dense = A.conj().T @ (u[:, None] * A)
-        G = _toeplitz_gram(A, u)
+        G = _toeplitz_gram(A, u, _lags(degree + 1))
         assert np.max(np.abs(G - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -161,9 +162,9 @@ def test_fejer_start_up_to_a_quarter_of_the_nodes(monkeypatch):
 def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):
     seen = []
 
-    def ends_above(A, y, c, start):
+    def ends_above(A, y, y_conj, c, lags, start, moduli):
         seen.append(start)
-        return np.zeros_like(start), y, 3
+        return np.zeros_like(start), np.abs(y), 3
 
     monkeypatch.setattr(approx, "_irls", ends_above)
     f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
@@ -174,6 +175,46 @@ def test_start_kept_when_irls_ends_above_it(fit_grid, weight4, monkeypatch):
     raw_start = np.sum(np.abs(f.samples - _poly_values(res.poly, fit_grid.nodes)) * c)
     assert res.error == pytest.approx(raw_start, rel=1e-12)
     assert res.error <= res.fejer_error
+
+
+def test_irls_starts_from_best_start_and_weights_each_sweeps_own_residual(
+    fit_grid, weight4, monkeypatch
+):
+    # replay the run: the start with the smallest raw objective, scored by
+    # its own residual, then one weighted least squares solve per sweep
+    # whose weights come from the residual of the sweep before it
+    monkeypatch.setattr(approx, "TOL", 0.0)
+    monkeypatch.setattr(approx, "MAX_ITERS", 4)
+    solves, runs = [], []
+    weighted_ls, irls = approx._weighted_ls, approx._irls
+
+    def solve_spy(A, y_conj, u, lags):
+        solves.append((u, weighted_ls(A, y_conj, u, lags)))
+        return solves[-1][1]
+
+    def irls_spy(A, y, y_conj, c, lags, start, moduli):
+        runs.append((A, y, c, start, moduli))
+        return irls(A, y, y_conj, c, lags, start, moduli)
+
+    monkeypatch.setattr(approx, "_weighted_ls", solve_spy)
+    monkeypatch.setattr(approx, "_irls", irls_spy)
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    warm = best_poly_l1w(f, weight4, 4).poly
+    solves.clear()
+    runs.clear()
+    res = best_poly_l1w(f, weight4, 8, warm_start=warm)
+    [(A, y, c, start, moduli)] = runs
+    starts = [solves[0][1], approx._fejer_candidate(f, A), np.pad(warm, (0, 4))]
+    objectives = [float(np.sum(np.abs(y - A @ s) * c)) for s in starts]
+    assert np.array_equal(start, starts[int(np.argmin(objectives))])
+    assert np.array_equal(moduli, np.abs(y - A @ start))
+    assert res.fejer_error == objectives[1]
+    sweeps = solves[1:]  # solves[0] is the weighted least squares start
+    assert len(sweeps) >= 2
+    prev = start
+    for u, alpha in sweeps:
+        assert np.array_equal(u, c / np.maximum(np.abs(y - A @ prev), approx.SMOOTHING))
+        prev = alpha
 
 
 # ------------------------------------------------------------- density_curve
@@ -222,6 +263,71 @@ def test_density_curve_inv_quarter(fit_grid, weight4):
     assert errors[-1] < errors[0]
     for r in results:
         assert r.error <= r.fejer_error * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("theta", ["grid", "random"])
+def test_phase_table_prefix_is_the_narrower_table_bit_for_bit(fit_grid, theta):
+    # _phases fills column k from the bits of k only, so a fit may read the
+    # first d + 1 columns of a wider table
+    if theta == "grid":
+        theta = fit_grid.nodes
+    else:
+        theta = np.random.default_rng(3).uniform(-PI, PI, 1000)
+    wide = circle._phases(theta, 0, 129, 1)
+    for K in (1, 2, 5, 17, 65, 100):
+        narrow = circle._phases(theta, 0, K, 1)
+        assert narrow.flags.f_contiguous and wide[:, :K].flags.f_contiguous
+        assert np.array_equal(narrow, wide[:, :K]), K
+
+
+def _counted_phases(monkeypatch):
+    calls = []
+    phases = approx._phases
+
+    def counted(*args):
+        calls.append(args)
+        return phases(*args)
+
+    monkeypatch.setattr(approx, "_phases", counted)
+    return calls
+
+
+def test_density_curve_shares_one_table_bit_for_bit(fit_grid, weight4, monkeypatch):
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    chain, prev = [], None
+    for d in (4, 16, 64):
+        chain.append(best_poly_l1w(f, weight4, d, warm_start=prev))
+        prev = chain[-1].poly
+    calls = _counted_phases(monkeypatch)
+    curve = density_curve(f, weight4, (64, 4, 16))
+    assert len(calls) == 1 and calls[0][2] == 65
+    for got, want in zip(curve, chain, strict=True):
+        assert np.array_equal(got.poly, want.poly)
+        assert got.error == want.error and got.fejer_error == want.fejer_error
+        assert got.iterations == want.iterations
+
+
+def test_density_curve_checks_degrees_before_building_a_table(
+    fit_grid, weight4, monkeypatch
+):
+    calls = _counted_phases(monkeypatch)
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    assert density_curve(f, weight4, []) == []
+    limit = fit_grid.node_count // 4
+    with pytest.raises(ValueError, match="node_count / 4"):
+        density_curve(f, weight4, (4, limit + 1))
+    with pytest.raises(ValueError, match=">= 0"):
+        density_curve(f, weight4, (-1, 4))
+    assert calls == []
+
+
+def test_best_poly_checks_the_shape_of_given_phases(fit_grid, weight4):
+    f = SampledFunction(grid=fit_grid, samples=_inv_quarter(fit_grid.nodes))
+    table = circle._phases(fit_grid.nodes, 0, 9, 1)
+    best_poly_l1w(f, weight4, 8, phases=table)
+    for bad in (table[:, :8], table[1:], table[:, 0]):
+        with pytest.raises(ValueError, match="phases must have shape"):
+            best_poly_l1w(f, weight4, 8, phases=bad)
 
 
 # --------------------------------------------------------- fejer_error_curve

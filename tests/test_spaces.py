@@ -79,6 +79,8 @@ def test_weight_lookup_matches_spike_loop_bit_for_bit(M):
     )
     got, want = w(theta), _weight_by_spike_loop(M, theta)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # theta and -theta share one lookup; any input shape comes back
+    assert np.array_equal(w(theta[:, None]), want[:, None])
     for t in (0.3, PI / 4, -PI, np.float64(2.0)):
         value = w(t)
         assert type(value) is float and value == _weight_by_spike_loop(M, t), t
