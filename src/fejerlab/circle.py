@@ -34,9 +34,11 @@ the stacked factor pairs per table, which rounds as two outer products and
 their sum do; near the diagonal each sine carries about 1e-16 absolute
 error where fl(theta_i - s_j) would be exact.  Non-finite weights are
 refused before sampling, and a non-finite sample through its row's sum.
-A family of kernels of one kind builds each block's angle table once,
-sin(t/2) for every Fejér order and cos t for every Poisson radius, and
-every kernel finishes its own table from it.
+Both kinds read one half-angle table, sin(t/2) and its square: Poisson
+is written (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2(t/2)), with no
+cancellation in the denominator.  `kernel_sums` builds that table once per
+block for the whole family, and every kernel finishes its own table from
+it.
 
 `trig_sum` phases over frequencies k0..k0+K-1 come from the binary powers
 e^{+-i 2^j theta} (2^j theta is exact) by doubling, TRIG_BLOCK (1 MB) at a
@@ -295,12 +297,14 @@ def fourier_window(f: PiecewiseConstant, window: int) -> np.ndarray:
     return _frozen(out, complex)
 
 
-def _planes(work, count: int, shape):
-    """`count` tables of `shape` to write a kernel table into: the leading
-    planes of the workspace `work`, or fresh arrays when it is None."""
+def _planes(theta, sources, work, angles):
+    """The table a kernel at theta_i - sources_j is written into, the second
+    plane of the workspace `work` of three tables of that shape (fresh ones
+    when it is None), and the half-angle table `angles`, built in `work`
+    when it is None."""
     if work is None:
-        return [np.empty(shape) for _ in range(count)]
-    return work[:count]
+        work = [np.empty(theta.shape + sources.shape) for _ in range(3)]
+    return work[1], _half_angle_table(theta, sources, work) if angles is None else angles
 
 
 def _pair_sum(f, g, out):
@@ -311,8 +315,8 @@ def _pair_sum(f, g, out):
     product and then the sum, with no fused multiply-add (the angle-table
     tests check this build), so the table is those three passes' bit for
     bit, but for the sign of a zero entry (the sum starts from +0), which
-    no kernel table lets through: a Fejér entry is a square or n + 1, a
-    Poisson denominator adds 1."""
+    no kernel table lets through: a Fejér entry is a square or n + 1, and
+    Poisson reads only squares."""
     f, g = np.array(f), np.array(g)
     ij = list(range(1, f.ndim + g.ndim - 1))
     return np.einsum(f, [0, *ij[: f.ndim - 1]], g, [0, *ij[f.ndim - 1 :]], ij, out=out)
@@ -328,36 +332,20 @@ def _sin_table(a: float, theta, sources, out):
     return _pair_sum((np.sin(at), np.cos(at)), (np.cos(au), -np.sin(au)), out)
 
 
-def _half_angle_sines(theta, sources, s, tmp):
-    """The table every Fejér order shares: sin((theta_i - sources_j)/2),
-    written into `s` with the removable singularities (|sin| < 1e-9, where
-    the kernel is n + 1) set to 1, and the flat indices of those entries;
-    `tmp` holds |s| on the way."""
+def _half_angle_table(theta, sources, planes):
+    """The table every sampled kernel reads, from sin((theta_i - sources_j)/2):
+    the sines with the removable singularities of the Fejér kernel
+    (|sin| < 1e-9, where it is n + 1) set to 1, in the first plane, the
+    flat indices of those entries, and the squares of the sines before that
+    patch, in the third.  The squares find those entries: rounding is
+    monotone and the double below 1e-9 squares below fl(1e-9 * 1e-9), so
+    fl(s^2) < fl(1e-9 * 1e-9) exactly when |s| < 1e-9."""
+    s, _, squares = planes
     _sin_table(0.5, theta, sources, s)
-    tiny = np.flatnonzero(np.abs(s, out=tmp) < 1e-9)
+    np.multiply(s, s, out=squares)
+    tiny = np.flatnonzero(squares < 1e-9 * 1e-9)
     np.put(s, tiny, 1.0)
-    return s, tiny
-
-
-def _cosines(theta, sources, c):
-    """The table every Poisson radius shares: cos(theta_i - sources_j) =
-    cos theta_i cos sources_j + sin theta_i sin sources_j, written into `c`
-    (`_pair_sum`)."""
-    return _pair_sum((np.cos(theta), np.sin(theta)), (np.cos(sources), np.sin(sources)), c)
-
-
-def _shared(angles, kind, build, *args):
-    """The angle table of `kind` in the dict `angles`, built by
-    `build(*args)` unless a kernel of that kind, sampled at the same
-    angles, stored it there; a kernel of another kind rebuilds it, since
-    both kinds keep theirs in the first plane of the workspace.  With no
-    dict (None) nothing is shared."""
-    if angles is None:
-        return build(*args)
-    if kind not in angles:
-        angles.clear()
-        angles[kind] = build(*args)
-    return angles[kind]
+    return s, tiny, squares
 
 
 def fejer_kernel_eval(n: int, theta, sources=0.0, work=None, angles=None):
@@ -371,16 +359,15 @@ def fejer_kernel_eval(n: int, theta, sources=0.0, work=None, angles=None):
     and (n+1) theta/2 bit for bit.  `work`, if given, holds three tables of
     the result's shape; the floating-point passes run in place in them and
     the result is the second (the `tiny` mask takes one byte per sample).
-    The sin(t/2) table, in the first, depends only on the angles: kernels
-    sampled at the same angles pass one dict `angles`, and the first Fejér
-    kernel stores the table there for the other orders to read.
+    `angles` is the half-angle table of `_half_angle_table`, which depends
+    only on the angles: kernels sampled at the same angles pass the one
+    table, and a kernel given none builds its own in `work`.
     """
     if n < 0:
         raise ValueError("kernel order must be >= 0")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
-    s, out, tmp = _planes(work, 3, t.shape + u.shape)
-    s, tiny = _shared(angles, "fejer", _half_angle_sines, t, u, s, tmp)
+    out, (s, tiny, _) = _planes(t, u, work, angles)
     _sin_table(0.5 * (n + 1), t, u, out)
     out /= s
     out *= out
@@ -393,23 +380,21 @@ def poisson_kernel_eval(r: float, theta, sources=0.0, work=None, angles=None):
     """Poisson kernel (1 - r^2) / (1 - 2 r cos t + r^2) for 0 <= r < 1 at
     t = theta_i - sources_j, as a table of shape theta.shape + sources.shape.
 
-    cos t comes from per-angle factors (`_cosines`); with the default
-    sources = 0 it is cos theta bit for bit.  `work`, if given, holds at
-    least two tables of the result's shape; the result is written into the
-    second.
-    The cos t table, in the first, depends only on the angles and is shared
-    through `angles` as in `fejer_kernel_eval`.
+    It is evaluated in the half-angle form
+    (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2(t/2)), whose denominator adds
+    two nonnegative terms and so has no cancellation, from the squared sines
+    of `_half_angle_table`; with the default sources = 0 the sine is
+    sin(theta/2) bit for bit.  `work` and `angles` are as in
+    `fejer_kernel_eval`, and the result is the second table of `work`.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"need 0 <= r < 1, got {r}")
     t = np.asarray(theta, dtype=float)
     u = np.asarray(sources, dtype=float)
-    c, out = _planes(work, 2, t.shape + u.shape)
-    c = _shared(angles, "poisson", _cosines, t, u, c)
-    np.multiply(c, -2.0 * r, out=out)
-    out += 1.0
-    out += r * r
-    np.divide(1.0 - r * r, out, out=out)
+    out, (_, _, squares) = _planes(t, u, work, angles)
+    np.multiply(squares, 4.0 * r, out=out)
+    out += (1.0 - r) ** 2
+    np.divide((1.0 - r) * (1.0 + r), out, out=out)
     return out if out.ndim else float(out)
 
 
@@ -446,8 +431,8 @@ class KernelSpec:
         """K(theta_i - sources_j), as a table of shape theta.shape + sources.shape.
 
         The table is written into the workspace `work` of three such
-        tables when one is given, and reads or stores its kind's angle
-        table in the dict `angles`.  A step kernel raises TypeError: its
+        tables when one is given, and reads the half-angle table `angles`
+        when one is given.  A step kernel raises TypeError: its
         values are `profile` at the differences.
         """
         if self.kind == "fejer":
@@ -559,16 +544,17 @@ def kernel_sums(kernels, targets, sources, right, left=None):
     rows of targets against all sources, from kernels[k](targets[rows],
     sources, work=..., angles=...), each block written into one workspace
     of three block-sized tables allocated per call and contracted both ways
-    before the next is drawn.  The kernels of a block share one dict
-    `angles`, so Fejér orders share one sin(t/2) table and Poisson radii
-    one cos t table per block, and each kernel's block is bit for bit the
-    one it gives alone.  A lone kernel is a family of one.  This is the
-    only place an N x N kernel is sampled, and only Fejér and Poisson
-    kernels are: their blocks come from per-angle phase factors in
-    O(len(rows) + len(sources)) sines and are exactly symmetric when
-    targets and sources are the same nodes; near the diagonal a Fejér entry
-    differs from the closed form at the rounded difference by about
-    1e-16 (n+1) / |sin(t/2)|.
+    before the next is drawn.  Each block's half-angle table
+    (`_half_angle_table`, sin(t/2) and its square) is built once, before any
+    kernel runs, and passed to every kernel as `angles`, so each kernel's
+    block is bit for bit the one it gives alone; past it a Fejér order takes
+    one more contraction and 4 elementwise passes, a Poisson radius 3
+    passes.  A lone kernel is a family of one.  This is the only place an
+    N x N kernel is sampled, and only Fejér and Poisson kernels are: their
+    blocks come from per-angle phase factors in O(len(rows) + len(sources))
+    sines and are exactly symmetric when targets and sources are the same
+    nodes; near the diagonal a Fejér entry differs from the closed form at
+    the rounded difference by about 1e-16 (n+1) / |sin(t/2)|.
 
     Raises ValueError when `right` or `left` is not finite, before any
     sampling, and when a kernel produces a non-finite sample: each block's
@@ -590,9 +576,10 @@ def kernel_sums(kernels, targets, sources, right, left=None):
         for start in range(0, targets.size, step):
             rows = slice(start, start + step)
             t = targets[rows]
-            angles = {}
+            planes = work[:, : t.size]
+            angles = _half_angle_table(t, sources, planes)
             for k, kernel in enumerate(kernels):
-                block = np.asarray(kernel(t, sources, work=work[:, : t.size], angles=angles))
+                block = np.asarray(kernel(t, sources, work=planes, angles=angles))
                 row = block @ right
                 if not np.isfinite(row).all():
                     raise ValueError("kernel produced non-finite samples")

@@ -43,6 +43,7 @@ from .operators import (
     assemble_operator,
     fejer_blowup,
     grid_for_kernels,
+    kernel_cell_cap,
     operator_norm,
 )
 from .spaces import make_weight
@@ -111,8 +112,8 @@ def cmd_duality(args) -> list:
         jobs.append((f"step:{t}", M, _random_even_nonneg_step_kernel(rng)))
 
     # one operator family per grid and kernel kind, in order of first use: one
-    # weight lookup, and the family's kernels share their angle tables and
-    # step-kernel seam searches; rows go back in draw order
+    # weight lookup, and the family's kernels share each block's half-angle
+    # table or their step-kernel seam searches; rows go back in draw order
     families = {}
     for i, (_, M, kernel) in enumerate(jobs):
         families.setdefault((M, kernel.kind), []).append(i)
@@ -186,7 +187,7 @@ def cmd_fejer_converge(args) -> list:
     grid = make_grid(
         1,
         args.ppi,
-        max_cell=2.0 * math.pi / (8 * (orders[-1] + 1)),
+        max_cell=kernel_cell_cap(orders[-1]),
         extra_breakpoints=[args.arc_length],
     )
     errors = fejer_error_curve(arc, orders, grid)

@@ -21,12 +21,12 @@ looks the weight up once per family.  Fejér and Poisson sums come from one
 takes the row sums and the column sums as two contractions of each block;
 each block is built from per-node phase factors in O(N) sines and is
 exactly symmetric, so the two contractions read one sampled matrix.  In
-each block the family shares one angle table, sin(t/2) for every Fejér
-order and cos t for every Poisson radius, and each kernel's block is bit
-for bit the one it gives alone.  When the grid is its own mirror
-exactly, N even and nodes == -nodes[::-1], and the weights c == c[::-1]
-exactly (as on a `make_grid` grid without extra breakpoints, with an even
-weight), only the upper N/2 rows are sampled: the kernels are even, so
+each block the family shares one half-angle table, sin(t/2) for every
+Fejér order and its square for every Poisson radius, and each kernel's
+block is bit for bit the one it gives alone.  When the grid is its own
+mirror exactly, N even and nodes == -nodes[::-1], and the weights
+c == c[::-1] exactly (as on a `make_grid` grid without extra breakpoints,
+with an even weight), only the upper N/2 rows are sampled: the kernels are even, so
 row N-1-i is row i reversed.  The lower row sums are the upper ones read
 backwards, and the column sums are p_j + p_{N-1-j} for the upper rows'
 contraction p, so rows and columns stay two contractions of one sampled
@@ -86,6 +86,7 @@ __all__ = [
     "fejer_kernel_mass",
     "fejer_blowup",
     "grid_for_kernels",
+    "kernel_cell_cap",
 ]
 
 SPECTRAL_SWITCH = 8_000_000  # Fejér operators past N^2 = this (N > 2,828) go spectral
@@ -456,18 +457,24 @@ def grid_for_kernels(
 ) -> CircleGrid:
     """Grid whose cells also resolve band-limited kernels up to `max_degree`.
 
-    Cell widths are capped at 2 pi / (8 (max_degree + 1)), so the midpoint
+    Cell widths are capped at `kernel_cell_cap(max_degree)`, so the midpoint
     sums behind the operator norms are quadrature-converged; the
     points_per_interval knob then only controls the weight-aligned cells and
     refining it leaves the reported norms essentially unchanged.
     """
-    cap = 2.0 * math.pi / (8 * (max_degree + 1))
     return make_grid(
         M,
         points_per_interval,
-        max_cell=cap,
+        max_cell=kernel_cell_cap(max_degree),
         extra_breakpoints=extra_breakpoints,
     )
+
+
+def kernel_cell_cap(max_degree: int) -> float:
+    """The widest cell that resolves kernels of trigonometric degree up to
+    `max_degree`: 2 pi / (8 (max_degree + 1)), eight cells per period of
+    the top frequency."""
+    return 2.0 * math.pi / (8 * (max_degree + 1))
 
 
 @dataclass(frozen=True)

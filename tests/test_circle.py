@@ -473,6 +473,25 @@ def test_phase_table_error_against_long_double_reference(k0, K):
 # ------------------------------------------------------------------- kernels
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9, 0.99, 0.999])
+def test_poisson_kernel_against_long_double_reference(r):
+    # the half-angle form (1 - r)(1 + r) / ((1 - r)^2 + 4 r sin^2(t/2)) adds
+    # two nonnegative terms; 1 - 2 r cos t + r^2 cancels, by up to 1e6 eps
+    # at r = 0.999
+    ld = np.longdouble
+    half = np.geomspace(1e-8, PI, 400)
+    theta = np.concatenate([[0.0], half, -half])
+    rl = ld(r)
+    s = np.sin(theta.astype(ld) / 2)
+    ref = (1 - rl) * (1 + rl) / ((1 - rl) ** 2 + 4 * rl * s * s)
+    err = np.abs((poisson_kernel_eval(r, theta) - ref) / ref).astype(float)
+    assert np.max(err) <= 8 * np.finfo(float).eps
+
+
 def test_fejer_kernel_spot_values():
     assert fejer_kernel_eval(1, 0.0) == 2.0
     assert abs(fejer_kernel_eval(1, PI)) <= 1e-30
@@ -544,7 +563,7 @@ def _closed_form(kernel, theta):
         val = (np.sin(0.5 * (n + 1) * t) / np.where(tiny, 1.0, s)) ** 2 / (n + 1)
         return np.where(tiny, float(n + 1), val)
     r = kernel.r
-    return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(t) + r * r)
+    return (1.0 - r) * (1.0 + r) / (np.sin(0.5 * t) ** 2 * (4.0 * r) + (1.0 - r) ** 2)
 
 
 SAMPLED_KERNELS = [KernelSpec.fejer(n) for n in (0, 1, 32, 108)] + [
@@ -564,10 +583,19 @@ def _entry_bound(kernel, diff, reference):
     |num / s| <= n + 1 and errors d_num, d_s move F by at most
     2 (d_num + (n+1) d_s) / |s|; both forms' errors add, giving
     8 u (n+1) (pi + 3) / |s| with |s| = |sin(t/2)| floored at the 1e-9 where
-    both forms return n + 1.  Poisson: P = (1 - r^2) / D with
-    D >= (1 - r)^2, so an error d_c in cos t moves P by P 2 r d_c / D; both
-    forms' d_c and their four roundings after it give
-    P (4 r u (2 pi + 4) / (1 - r)^2 + 8 u).
+    both forms return n + 1.  Poisson: P = (1 - r)(1 + r) / D with
+    D = (1 - r)^2 + 4 r s^2, s = sin(t/2); both forms round the numerator
+    and (1 - r)^2 alike.  The table's phases t/2 are exact halvings, so its
+    s is off by about 4 u, the closed form's by u (pi + 4), and together
+    they move P by P 8 r |s| u (pi + 8) / D.  Each form's roundings of s^2,
+    of the product with 4 r, of the sum and of the quotient add
+    (2 q + 2) u, q = 4 r s^2 / D = 1 - (1 - r)^2 / D.  The sum of these
+    stays below P (4 r u (2 pi + 4) / (1 - r)^2 + 8 u): multiplied by
+    D / (4 u P) the claim is 2 r |s| (pi + 8) <= (1 - r)^2 + 2 r (pi + 2)
+    + 8 r^2 (pi + 2) s^2 / (1 - r)^2, and by AM-GM the first and last
+    terms there alone exceed 2 r |s| sqrt(8 (pi + 2)) >= 12.8 r |s|, the
+    middle one 2 r |s| (pi + 2) >= 10.2 r |s| as |s| <= 1, while
+    2 (pi + 8) < 22.3.
     """
     if kernel.kind == "fejer":
         s = np.maximum(np.abs(np.sin(0.5 * diff)), 1e-9)
@@ -646,9 +674,9 @@ def test_stacked_kernel_blocks_are_the_symmetric_one_call_table(M, ppi):
 
 @pytest.mark.parametrize("M, ppi", [(1, 8), (2, 8), (1, 16), (2, 16)])
 def test_angle_tables_are_two_products_and_their_sum_bit_for_bit(M, ppi):
-    # the one-contraction tables of the duality grids, compared as uint64
-    # with two outer products and a subtraction or an addition: einsum
-    # rounds each product and the sum, with no fused multiply-add
+    # the one-contraction sine tables of the duality grids, compared as
+    # uint64 with two outer products and their difference: einsum rounds
+    # each product and the sum, with no fused multiply-add
     x = grid_for_kernels(M, ppi, 32).nodes
     out = np.empty((x.size, x.size))
     for a in (0.5, 1.0, 8.5, 16.5):
@@ -656,9 +684,6 @@ def test_angle_tables_are_two_products_and_their_sum_bit_for_bit(M, ppi):
         ref = np.multiply.outer(np.sin(at), np.cos(at)) - np.multiply.outer(np.cos(at), np.sin(at))
         circle._sin_table(a, x, x, out)
         assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), a
-    ref = np.multiply.outer(np.cos(x), np.cos(x)) + np.multiply.outer(np.sin(x), np.sin(x))
-    circle._cosines(x, x, out)
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_step_kernels_are_never_sampled():
@@ -778,6 +803,32 @@ def test_kernel_sums_of_a_family_are_each_kernels_own_bit_for_bit(family):
     assert np.array_equal(alone_rows.view(np.uint64), rowsums.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        [KernelSpec.fejer(n) for n in (0, 7, 34)],
+        [KernelSpec.poisson(r) for r in (0.05, 0.63, 0.97)],
+        SAMPLED_KERNELS,
+    ],
+    ids=["fejer", "poisson", "mixed"],
+)
+def test_kernel_sums_build_one_half_angle_table_per_block(family, monkeypatch):
+    # every kernel of the family, of either kind, reads the table built for
+    # its block, so the builder runs once per block and never inside a kernel
+    x = grid_for_kernels(2, 16, 32).nodes  # N = 536, five blocks
+    built = []
+
+    def counted(t, s, planes):
+        built.append(t.size)
+        return build(t, s, planes)
+
+    build = circle._half_angle_table
+    monkeypatch.setattr(circle, "_half_angle_table", counted)
+    kernel_sums(family, x, x, np.ones(x.size), np.ones(x.size))
+    step = KERNEL_BLOCK // x.size
+    assert built == [min(step, x.size - start) for start in range(0, x.size, step)]
+
+
 def test_kernel_tables_of_distinct_targets_and_sources():
     # the shape of blow-up's window rows: fewer targets than sources
     grid = grid_for_kernels(2, 8, 32)
@@ -801,9 +852,12 @@ def test_kernel_tables_of_distinct_targets_and_sources():
 
 def test_one_argument_kernel_calls_bitwise_unchanged():
     # with sources = 0 the phase factors are 1 and 0: the closed form exactly;
-    # KernelSpec calls fejer_kernel_eval and poisson_kernel_eval with one angle
+    # KernelSpec calls fejer_kernel_eval and poisson_kernel_eval with one angle.
+    # sin(1e-9) is 1e-9, so +-2e-9 and the doubles just inside them sit on
+    # either side of the |sin(t/2)| < 1e-9 cut
     rng = np.random.default_rng(11)
-    special = np.array([0.0, 1e-10, -1e-10, PI, -PI, 2 * PI, -2 * PI])
+    cut = [2e-9, np.nextafter(2e-9, 0.0)]
+    special = np.array([0.0, 1e-10, -1e-10, PI, -PI, 2 * PI, -2 * PI, *cut, *np.negative(cut)])
     theta = np.concatenate([special, rng.uniform(-10.0, 10.0, size=4000)])
     for kernel in SAMPLED_KERNELS:
         assert np.array_equal(kernel(theta), _closed_form(kernel, theta)), kernel

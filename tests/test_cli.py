@@ -456,6 +456,29 @@ def test_fejer_converge_single_distinct_order_skips_monotone(orders, capsys):
     assert "fejer-converge-monotone" not in out
 
 
+def test_fejer_converge_grid_takes_the_kernel_cell_cap(monkeypatch):
+    # fejer-converge builds its own grid, for its extra breakpoint, with the
+    # cell cap grid_for_kernels puts on a grid for its top order
+    from fejerlab import cli, operators
+
+    caps = {}
+
+    def recorder(module):
+        build = module.make_grid
+
+        def recorded(*args, **kwargs):
+            caps[module.__name__] = kwargs["max_cell"]
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "make_grid", recorded)
+
+    recorder(cli)
+    recorder(operators)
+    assert main(["fejer-converge", "--orders", "256,16", "--ppi", "4"]) == 0
+    grid_for_kernels(1, 4, 256)
+    assert caps["fejerlab.cli"] == caps["fejerlab.operators"] == 2 * np.pi / (8 * 257)
+
+
 def test_density_rows_labelled_with_sorted_degrees(tmp_path):
     # the fits run in ascending degree, so the argument order must not matter
     csv = {}
