@@ -9,8 +9,8 @@ from .circle import (
     PiecewiseConstant,
     SampledFunction,
     fejer_kernel_eval,
-    fejer_mean,
     fejer_multiplier,
+    fejer_one_sided,
     fourier_window,
     make_grid,
     poisson_extend,

@@ -36,8 +36,8 @@ from .circle import (
     SampledFunction,
     _frozen,
     _phases,
-    fejer_mean,
     fejer_multiplier,
+    fejer_one_sided,
     fourier_window,
     kernel_sums,
     synthesize,
@@ -156,9 +156,8 @@ def _fejer_candidate(f: SampledFunction, A):
     """Fejér mean of order d as a feasible polynomial: the midpoint sums
     A^H (f q) of the samples against the fit's design A, with d + 1 columns,
     damped by 1 - k/(d+1)."""
-    degree = A.shape[1] - 1
-    damped = fejer_multiplier(degree)[degree:]
-    return damped * np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
+    sums = np.conj(np.conj(f.samples * f.grid.quad_weights) @ A)
+    return fejer_multiplier(A.shape[1] - 1) * sums
 
 
 def _check_degree(degree: int, node_count: int):
@@ -260,20 +259,15 @@ def fejer_error_curve(f: PiecewiseConstant, n_list, grid: CircleGrid):
     The Fejér means come from f's closed-form Fourier coefficients and are
     evaluated at the nodes of `grid`, so the mean itself carries no
     quadrature error; the error integral is the grid's midpoint rule.  Every
-    step function is real, so c(-k) = conj c(k) and each mean is the real
-    part of its one-sided damped window, c(0) and then 2 c(k) for k > 0:
-    every order's window, zero-padded to the largest order, is one column
-    of a single `synthesize` call, which builds one phase table of
-    max(n_list) + 1 frequencies for all the orders.
+    step function is real, so each mean is the real part of its column of
+    the one-sided Fejér table (`fejer_one_sided`), and the table, zero at
+    negative frequencies, is one `synthesize` call, which builds one phase
+    table of max(n_list) + 1 frequencies for all the orders.
     """
     n_list = [int(n) for n in n_list]
     top = max(n_list)
-    window = fourier_window(f, top)
-    one_sided = np.zeros((2 * top + 1, len(n_list)), dtype=complex)
-    for j, n in enumerate(n_list):
-        one_sided[top : top + n + 1, j] = fejer_mean(window, n)[n:]
-    one_sided[top + 1 :] *= 2.0
-    means = synthesize(one_sided, grid.nodes).real
+    table = fejer_one_sided(fourier_window(f, top)[top:], n_list)
+    means = synthesize(np.pad(table, ((top, 0), (0, 0))), grid.nodes).real
     f_vals = f(grid.nodes)
     return np.array(
         [np.sum(np.abs(mean - f_vals) * grid.quad_weights) for mean in means.T]
@@ -377,7 +371,6 @@ def gliding_hump_witness(
     parts: list[tuple[int, float]] = []  # (node index, sample value)
 
     for k in range(stages):
-        accepted = False
         for n in ladder:
             if orders and n <= orders[-1]:
                 continue
@@ -389,9 +382,8 @@ def gliding_hump_witness(
             if all(e >= growth_target for e in errs):
                 orders.append(n)
                 parts, stage_errors = trial_parts, errs
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise StageFailure(
                 f"stage {k + 1}: no candidate order <= {ladder[-1]} reaches error "
                 f">= {growth_target} given earlier stages"

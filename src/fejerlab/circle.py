@@ -21,8 +21,9 @@ constructor is the one place that is checked; grid samples
 A Fourier window of half-width W is a read-only complex array of length
 2W + 1 with c(k) at index k + W; every function that takes one reads W
 from its length, which must be odd (ValueError otherwise: an even-length
-array has no centre for c(0)).  `fejer_multiplier` is the one place the
-Fejér damping 1 - |k|/(n+1) is written.
+array has no centre for c(0)).  `fejer_multiplier` writes the Fejér
+damping 1 - k/(n+1) for k = 0..n, and `fejer_one_sided` the table of
+Fejér means of real data: c(0), then 2 c(k) (1 - k/(n+1)).
 
 Kernels are summed, never stored: `kernel_sums` samples the tables
 K(theta_i - s_j) KERNEL_BLOCK = 2^16 samples (512 kB) at a time, each block
@@ -73,7 +74,7 @@ __all__ = [
     "fejer_kernel_eval",
     "poisson_kernel_eval",
     "fejer_multiplier",
-    "fejer_mean",
+    "fejer_one_sided",
     "synthesize",
     "trig_sum",
     "kernel_sums",
@@ -358,8 +359,8 @@ def fejer_kernel_eval(n: int, theta, sources=0.0, work=None, angles=None):
     sources = 0 its factors are 1 and 0, so they are the sines of theta/2
     and (n+1) theta/2 bit for bit.  `work`, if given, holds three tables of
     the result's shape; the floating-point passes run in place in them and
-    the result is the second (the `tiny` mask takes one byte per sample).
-    `angles` is the half-angle table of `_half_angle_table`, which depends
+    the result is the second (the singular entries are held as flat
+    indices, not as a per-sample mask).  `angles` is the half-angle table of `_half_angle_table`, which depends
     only on the angles: kernels sampled at the same angles pass the one
     table, and a kernel given none builds its own in `work`.
     """
@@ -451,23 +452,26 @@ def _half_width(c) -> int:
 
 
 def fejer_multiplier(n: int) -> np.ndarray:
-    """The Fejér damping 1 - |k|/(n+1) at k = -n..n, index k + n."""
-    return 1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1.0)
+    """The Fejér damping 1 - k/(n+1) at k = 0..n; at -k it is the same."""
+    return 1.0 - np.arange(n + 1) / (n + 1.0)
 
 
-def fejer_mean(c: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of the n-th Fejér mean, c(k) (1 - |k|/(n+1)) for |k| <= n,
-    as a read-only window of half-width n.
-
-    The input window (c(k) at index k + W, length 2W + 1) must be at least
-    n, otherwise the mean is not determined by the available coefficients.
-    """
-    if n < 0:
+def fejer_one_sided(c, orders) -> np.ndarray:
+    """Fejér means of a real function from its coefficients c(0), c(1), ...:
+    column j of the (max(orders) + 1, len(orders)) table holds c(0), then
+    2 c(k) (1 - k/(n_j+1)) for 0 < k <= n_j, then zeros, so the real part
+    of its synthesis is the n_j-th mean.  ValueError for a negative order
+    or fewer than max(orders) + 1 coefficients."""
+    top = max(orders)
+    if min(orders) < 0:
         raise ValueError("order must be >= 0")
-    W = _half_width(c)
-    if W < n:
-        raise ValueError(f"window {W} too small for Fejér order {n}")
-    return _frozen(c[W - n : W + n + 1] * fejer_multiplier(n), complex)
+    if len(c) <= top:
+        raise ValueError(f"{len(c)} coefficients are too few for Fejér order {top}")
+    table = np.zeros((top + 1, len(orders)), dtype=complex)
+    for column, n in zip(table.T, orders):
+        column[: n + 1] = c[: n + 1] * fejer_multiplier(n)
+    table[1:] *= 2.0
+    return table
 
 
 def _phases(theta, k0: int, K: int, sign: int):

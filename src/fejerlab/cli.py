@@ -26,6 +26,7 @@ the first call and keeps no per-call state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -157,10 +158,7 @@ def cmd_blowup(args) -> list:
         csvio.write_rows(
             args.out,
             ["m", "n_m", "delta_n", "bound", "pointwise_min", "norm_linfw", "norm_l1w"],
-            [
-                (r.m, r.n_of_m, r.delta_n, r.bound, r.pointwise_min, r.norm_linfw, r.norm_l1w)
-                for r in rows
-            ],
+            [dataclasses.astuple(r) for r in rows],
         )
     for r in rows:
         print(

@@ -66,6 +66,7 @@ from .circle import (
     PiecewiseConstant,
     fejer_kernel_eval,
     fejer_multiplier,
+    fejer_one_sided,
     kernel_sums,
     make_grid,
     trig_sum,
@@ -143,16 +144,12 @@ class OperatorMatrix:
         nodes = self.grid.nodes
         if self.spectral:
             # F_n is even and c real, so with a_k = sum_j e^{-ik x_j} c_j
-            # the sum over |k| <= n is a_0 + 2 Re sum_{k>=1} of the damped
-            # a_k e^{ik theta}
+            # the sum over |k| <= n is the real part of the one-sided
+            # Fejér table's synthesis
             orders = [kernel.n for kernel in self.kernels]
             k = np.arange(max(orders) + 1)
-            damp = np.zeros((k.size, len(orders)))  # 0 past each order
-            for column, n in zip(damp.T, orders):
-                column[: n + 1] = fejer_multiplier(n)[n:]
-            damped = damp * trig_sum(k, nodes, c, -1)[:, None]
-            damped[0] *= 0.5
-            sums = 2.0 * trig_sum(nodes, k, damped, 1).real.T
+            table = fejer_one_sided(trig_sum(k, nodes, c, -1), orders)
+            sums = trig_sum(nodes, k, table, 1).real.T
             return sums, sums
         n = nodes.size
         mirrored = n % 2 == 0 and np.array_equal(nodes, -nodes[::-1])
@@ -365,7 +362,7 @@ def fejer_kernel_mass(n: int, a: float, b: float) -> float:
     (b - a) + 2 sum_{k=1..n} (1 - k/(n+1)) (sin k b - sin k a) / k.
     """
     k = np.arange(1, n + 1, dtype=float)
-    terms = fejer_multiplier(n)[n + 1 :] * (np.sin(k * b) - np.sin(k * a)) / k
+    terms = fejer_multiplier(n)[1:] * (np.sin(k * b) - np.sin(k * a)) / k
     return float((b - a) + 2.0 * np.sum(terms))
 
 

@@ -14,7 +14,8 @@ from fejerlab.circle import (
     SampledFunction,
     _phases,
     fejer_kernel_eval,
-    fejer_mean,
+    fejer_multiplier,
+    fejer_one_sided,
     fourier_window,
     kernel_sums,
     make_grid,
@@ -866,44 +867,60 @@ def test_one_argument_kernel_calls_bitwise_unchanged():
             assert type(value) is float and value == _closed_form(kernel, t), (kernel, t)
 
 
-# ---------------------------------------------------------------- fejer_mean
+# ----------------------------------------------------------- fejer_one_sided
+
+
+def test_fejer_multiplier_is_one_sided():
+    for n in (0, 1, 7):
+        damp = fejer_multiplier(n)
+        assert damp.shape == (n + 1,) and damp[0] == 1.0
+        assert abs(damp[n] - 1 / (n + 1)) <= 1e-16
 
 
 def test_fejer_mean_damps_single_mode():
+    # the table holds 2 c(k) for k > 0, which carries the conjugate mode -k
     for k, n in ((1, 1), (2, 5), (3, 8)):
-        f = coeff_window(n, {k: 1.0})
-        mean = fejer_mean(f, n)
-        assert abs(mean[k + n] - (1 - k / (n + 1))) <= 1e-15
+        table = fejer_one_sided(coeff_window(n, {k: 1.0})[n:], [n])
+        assert abs(table[k, 0] - 2 * (1 - k / (n + 1))) <= 1e-15
+        assert np.count_nonzero(table) == 1
 
 
 def test_fejer_mean_fixes_constants():
-    f = coeff_window(4, {0: 1.0})
-    for n in range(5):
-        assert abs(fejer_mean(f, n)[n] - 1.0) <= 1e-15
+    table = fejer_one_sided(coeff_window(4, {0: 1.0})[4:], [0, 1, 2, 3, 4])
+    assert table.shape == (5, 5) and table.dtype == complex
+    assert np.array_equal(table[0], np.ones(5)) and not np.any(table[1:])
 
 
 def test_fejer_mean_annihilates_high_modes():
-    f = coeff_window(10, {7: 2.0, -9: 1.0})
-    mean = fejer_mean(f, 5)
-    assert np.max(np.abs(mean)) == 0.0
+    # every column is zero past its own order, whatever the largest order
+    table = fejer_one_sided(coeff_window(10, {7: 2.0, -9: 1.0})[10:], [5, 0, 3])
+    assert table.shape == (6, 3) and np.max(np.abs(table)) == 0.0
+    table = fejer_one_sided(np.ones(9, dtype=complex), [2, 8])
+    assert not np.any(table[3:, 0]) and np.all(table[:, 1])
 
 
 def test_fejer_mean_rejects_small_window():
-    f = coeff_window(3, {1: 1.0})
-    with pytest.raises(ValueError):
-        fejer_mean(f, 4)
+    c = coeff_window(3, {1: 1.0})[3:]
+    fejer_one_sided(c, [3])
+    with pytest.raises(ValueError, match="too few"):
+        fejer_one_sided(c, [2, 4])
+
+
+def test_fejer_one_sided_rejects_negative_order():
+    # c[:0] would give a silent zero column
+    with pytest.raises(ValueError, match=">= 0"):
+        fejer_one_sided(np.ones(4, dtype=complex), [2, -1])
 
 
 @pytest.mark.parametrize(
     "read",
     [
-        lambda c: fejer_mean(c, 1),
         lambda c: synthesize(c, 0.3),
         lambda c: poisson_extend(c, 0.5, 0.3),
         hardy_violation,
         lambda c: taylor_fourier_check(c, 0.5),
     ],
-    ids=["fejer_mean", "synthesize", "poisson_extend", "hardy_violation", "taylor_fourier_check"],
+    ids=["synthesize", "poisson_extend", "hardy_violation", "taylor_fourier_check"],
 )
 def test_window_readers_reject_even_length(read):
     # an even-length array has no centre: [0, 0, 1, 0] used to read as c(0) = 1
@@ -913,11 +930,10 @@ def test_window_readers_reject_even_length(read):
 
 def test_windows_are_read_only_complex_arrays():
     arc = PiecewiseConstant.indicator(0.0, 1.0)
-    for W, n in ((0, 0), (5, 3), (8, 8)):
+    for W in (0, 5, 8):
         window = fourier_window(arc, W)
-        for c, length in ((window, 2 * W + 1), (fejer_mean(window, n), 2 * n + 1)):
-            assert isinstance(c, np.ndarray) and c.dtype == complex
-            assert c.shape == (length,) and not c.flags.writeable
+        assert isinstance(window, np.ndarray) and window.dtype == complex
+        assert window.shape == (2 * W + 1,) and not window.flags.writeable
 
 
 # ----------------------------------------------------- quadrature convolution
@@ -947,7 +963,8 @@ def test_convolve_step_matches_spectral_path_at_second_order():
         cap = 2 * PI / (8 * (n + 1) * cap_scale)
         grid = make_grid(1, 8, max_cell=cap)
         direct = dense_convolution(KernelSpec.fejer(n), grid, arc(grid.nodes))
-        spectral = synthesize(fejer_mean(window, n), grid.nodes)
+        k = np.arange(-n, n + 1)
+        spectral = synthesize(window * (1 - np.abs(k) / (n + 1)), grid.nodes)
         errs[cap_scale] = (
             np.max(np.abs(direct - spectral)),
             np.max(np.diff(grid.edges)),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fejerlab.circle import fejer_mean, poisson_extend
+from fejerlab.circle import poisson_extend
 from fejerlab.hardy import hardy_violation, taylor_fourier_check
 
 from conftest import coeff_window
@@ -76,15 +76,3 @@ def test_poisson_extension_keeps_mean():
         vals = poisson_extend(f, r, thetas)
         mean = np.sum(vals) / n_samples
         assert abs(mean - f[5]) <= 1e-12
-
-
-def test_fejer_mean_keeps_hardy_class_and_band_limits():
-    # Fejér means of Hardy functions are analytic polynomials of degree <= n
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        f = _random_analytic_poly(rng, 12)
-        for n in (0, 3, 12):
-            mean = fejer_mean(f, n)
-            # the mean's window is n, so its degree is at most n
-            assert len(mean) == 2 * n + 1
-            assert hardy_violation(mean) <= 1e-12
